@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .catalog import Catalog, CatalogError, DEFAULT_CATALOG
-from .graphs import CheckedInput, GraphEdge, GraphVertex, KatoGraph
+from .graphs import CheckedInput, GraphEdge, GraphVertex, KatoGraph, betti
 from .groups import (
     ContextError,
     FieldContext,
@@ -120,7 +120,7 @@ class QuotientSkeleton:
     warnings: tuple[str, ...] = ()
 
 
-def contract(g: KatoGraph, catalog: Catalog = DEFAULT_CATALOG) -> QuotientSkeleton:
+def contract(g: KatoGraph) -> QuotientSkeleton:
     """Cut the cusps, then collapse edges equal to an endpoint stabilizer.
 
     Edges are scanned in ascending id order and collapsed onto the endpoint
@@ -196,23 +196,8 @@ def contract(g: KatoGraph, catalog: Catalog = DEFAULT_CATALOG) -> QuotientSkelet
     out_edges = tuple(
         GraphEdge(eid, (edges[eid][0], edges[eid][1]), edges[eid][2]) for eid in sorted(edges)
     )
-    b1 = _betti(stab.keys(), [(a, b) for a, b, _ in edges.values()])
+    b1 = betti(stab, [(a, b) for a, b, _ in edges.values()])
     return QuotientSkeleton(ctx, vertices, out_edges, b1, tuple(warnings))
-
-
-def _betti(vertices, edge_pairs) -> int:
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edge_pairs:
-        parent[find(a)] = find(b)
-    comps = len({find(v) for v in parent})
-    return len(edge_pairs) - len(parent) + comps
 
 
 # -- structural properties -----------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Characteristic p entries follow the classification proposition item by item;
 characteristic 0 splits into the generic star shapes (residue characteristic
-above 5, or group order prime to it) and the printed small-residue instances
-(the D5 / A5 / D_{10m} family at residue characteristic 5). Further
+above 5, or group order prime to it), which are the characteristic-p shapes,
+and the printed small-residue instances (the D5 / A5 / D_{10m} family at
+residue characteristic 5). Further
 small-residue entries load from an extension file; see ``parse_extension``.
 
 All trees and traces are immutable; a Catalog is safe to share freely.
@@ -94,12 +95,6 @@ class ElementaryTree:
                 return c
         raise KeyError(cusp_id)
 
-    def vertex(self, vertex_id: str) -> TreeVertex:
-        for v in self.vertices:
-            if v.id == vertex_id:
-                return v
-        raise KeyError(vertex_id)
-
 
 @dataclass(frozen=True)
 class EmbedMaps:
@@ -131,8 +126,6 @@ class AttachmentTrace:
     kind: str
     fold_at_mark: bool = False
     partner_site: str | None = None
-    fold_location: str | None = None
-    correspondences: tuple[tuple[str, str], ...] = ()
     embed: EmbedMaps | None = None
 
     def equivalent(self, other: "AttachmentTrace") -> bool:
@@ -180,12 +173,15 @@ class Catalog:
             raise ContextError("; ".join(violations))
         if g.kind == KIND_TRIVIAL:
             return _tree(g, ctx, [(g,)], [], [])
-        if ctx.positive_char:
-            return self._char_p_tree(g, ctx)
+        if ctx.positive_char or ctx.p > 5 or order(g, ctx) % ctx.p != 0:
+            return self._star_tree(g, ctx)
         return self._char_zero_tree(g, ctx)
 
     def boundary_count(self, g: GroupSymbol, ctx: FieldContext) -> int:
         """Number of cusps of the elementary tree, computed from the catalog rules."""
+        # A table of its own rather than len(tree.cusps), for two reasons: it
+        # is total on admissible groups that have no tree (C5 and D15 at
+        # residue characteristic 5), and it is far cheaper than building one.
         if g.kind == KIND_TRIVIAL:
             return 0
         violations = validate_in_context(g, ctx)
@@ -205,7 +201,8 @@ class Catalog:
             return 2 if ctx.p == 3 else 3
         return 3  # T, O
 
-    def _char_p_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
+    def _star_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
+        """One-vertex trees: every char-p group, and the generic char-0 groups."""
         p = ctx.p
         if g.kind == KIND_CYCLIC:
             return _tree(g, ctx, [(g,)], [], [(0, g), (0, g)])
@@ -234,12 +231,11 @@ class Catalog:
                 b = borel(1, 2)
                 return _tree(g, ctx, [(g,)], [], [(0, cyclic(5)), (0, b, b, True)])
             return _tree(g, ctx, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(5))])
-        raise CatalogError(f"no characteristic-p tree for {g}")
+        raise CatalogError(f"no star-shaped tree for {g}")
 
     def _char_zero_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
+        """Residue characteristic p <= 5 dividing the group order."""
         p = ctx.p
-        if p > 5 or order(g, ctx) % p != 0:
-            return self._char_zero_standard(g, ctx)
         entry = self._extensions.get((g, p))
         if entry is not None:
             return _tree_from_entry(entry, ctx)
@@ -250,19 +246,6 @@ class Catalog:
             f"catalog entry required: {g} at char 0 with residue characteristic {p} "
             "(group order divisible by p; supply an extension catalog entry)"
         )
-
-    def _char_zero_standard(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
-        if g.kind == KIND_CYCLIC:
-            return _tree(g, ctx, [(g,)], [], [(0, g), (0, g)])
-        if g.kind == KIND_DIHEDRAL:
-            return _tree(g, ctx, [(g,)], [], [(0, cyclic(2)), (0, cyclic(2)), (0, cyclic(g.n))])
-        if g.kind == KIND_TETRAHEDRAL:
-            return _tree(g, ctx, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(3))])
-        if g.kind == KIND_OCTAHEDRAL:
-            return _tree(g, ctx, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(4))])
-        if g.kind == KIND_ICOSAHEDRAL:
-            return _tree(g, ctx, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(5))])
-        raise CatalogError(f"no characteristic-0 tree for {g}")
 
     def _char_zero_printed(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree | None:
         """The instances printed for residue characteristic 5: D5, D_{10m}, A5."""
@@ -379,72 +362,34 @@ def _tree(g, ctx, vertices, edges, cusps, printed=False) -> ElementaryTree:
 
 
 def _injective_trace(e, v, site: CuspSite) -> AttachmentTrace:
-    return AttachmentTrace(
-        edge_group=e,
-        vertex_group=v,
-        site=site.id,
-        kind=KIND_INJECTIVE,
-        correspondences=(
-            ("vertex:v0", f"cusp-interior:{site.id}"),
-            ("cusp:c0", f"cusp-interior:{site.id}"),
-        ),
-    )
+    return AttachmentTrace(edge_group=e, vertex_group=v, site=site.id, kind=KIND_INJECTIVE)
 
 
 def _fold_trace(e, v, site: CuspSite) -> AttachmentTrace:
-    at_mark = site.marked_point is not None and site.fold_on_attach
-    target = f"marked point:{site.id}" if at_mark else f"vertex:{site.base_vertex}"
     return AttachmentTrace(
         edge_group=e,
         vertex_group=v,
         site=site.id,
         kind=KIND_FOLD,
-        fold_at_mark=at_mark,
-        fold_location=target,
-        correspondences=(
-            ("vertex:v0", target),
-            ("cusp:c0", f"cusp:{site.id}"),
-            ("cusp:c1", f"cusp:{site.id}"),
-        ),
+        fold_at_mark=site.marked_point is not None and site.fold_on_attach,
     )
 
 
 def _iso_trace(e, v, tree_v: ElementaryTree) -> AttachmentTrace:
     low, full = tree_v.cusps[0], tree_v.cusps[1]
     return AttachmentTrace(
-        edge_group=e,
-        vertex_group=v,
-        site=full.id,
-        kind=KIND_ISO,
-        partner_site=low.id,
-        correspondences=(
-            ("vertex:v0", f"vertex:{tree_v.vertices[0].id}"),
-            ("cusp:c0", f"cusp:{low.id}"),
-            ("cusp:c1", f"cusp:{full.id}"),
-        ),
+        edge_group=e, vertex_group=v, site=full.id, kind=KIND_ISO, partner_site=low.id
     )
 
 
 def _embed_trace(e, v, kind: str, maps: EmbedMaps) -> AttachmentTrace:
-    corr = [(f"vertex:{a}", f"vertex:{b}") for a, b in maps.vertex_map]
-    corr += [(f"cusp:{a}", f"cusp:{b}") for a, b in maps.cusp_map]
-    fold_location = None
+    # The iso flavor attaches at the target's marked cusp; the fold flavor at
+    # the first cusp the edge tree maps onto.
     site = maps.cusp_map[0][1] if maps.cusp_map else ""
-    for cusp_id, (loc_kind, loc_id) in maps.mark_map:
-        corr.append((f"mark:{cusp_id}", f"{loc_kind}:{loc_id}"))
-        if kind == KIND_FOLD:
-            fold_location = f"{loc_kind}:{loc_id}"
-        elif loc_kind == "mark":
+    for _cusp_id, (loc_kind, loc_id) in maps.mark_map:
+        if kind != KIND_FOLD and loc_kind == "mark":
             site = loc_id
-    return AttachmentTrace(
-        edge_group=e,
-        vertex_group=v,
-        site=site,
-        kind=kind,
-        fold_location=fold_location,
-        correspondences=tuple(corr),
-        embed=maps,
-    )
+    return AttachmentTrace(edge_group=e, vertex_group=v, site=site, kind=kind, embed=maps)
 
 
 def _builtin_embed_traces(e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):

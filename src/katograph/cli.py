@@ -79,7 +79,7 @@ def parse_spec(path) -> tuple[InputGraphOfGroups, Catalog]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    ext = data.get("catalog_extension")
+    ext = data.get("catalog_extension") if isinstance(data, dict) else None
     catalog = Catalog()
     if ext:
         try:
@@ -106,13 +106,14 @@ def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
     edges = []
     for i, raw in enumerate(data.get("edges", [])):
         try:
+            _require_object(raw, "an edge")
             derive = bool(raw.get("derive", False))
             group = None
             if not derive:
                 if "group" not in raw:
                     raise ParseError(f"{source}: edges[{i}]: needs 'group' or 'derive': true")
                 group = canonicalize(raw["group"])
-            hints_raw = raw.get("site_hints", {})
+            hints_raw = _require_object(raw.get("site_hints", {}), "site_hints")
             hints = (hints_raw.get("from"), hints_raw.get("to"))
             edges.append(
                 InputEdge(str(raw["id"]), (str(raw["from"]), str(raw["to"])), group, derive, hints)
@@ -129,6 +130,12 @@ def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
         except (KeyError, TypeError, SymbolError) as exc:
             raise ParseError(f"{source}: genus_edges[{i}]: {exc}") from exc
     return InputGraphOfGroups(ctx, tuple(vertices), tuple(edges), tuple(genus_edges))
+
+
+def _require_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be an object, got {type(value).__name__}")
+    return value
 
 
 def input_echo(raw: InputGraphOfGroups) -> dict:
@@ -309,7 +316,7 @@ def build_report(raw: InputGraphOfGroups, catalog: Catalog) -> RunReport:
     ordinary = (
         is_ordinary(branch_points(graph), raw.ctx) if raw.ctx.positive_char else None
     )
-    skeleton = contract(graph, catalog)
+    skeleton = contract(graph)
     structure = structural_check(graph, catalog)
     plan = separation_plan(graph)
     warnings = tuple(graph.notes) + tuple(skeleton.warnings)

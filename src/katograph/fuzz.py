@@ -8,11 +8,12 @@ a caller-supplied random.Random, so corpora are reproducible from a seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 from .catalog import Catalog, CatalogError, DEFAULT_CATALOG
-from .graphs import GenusEdge, InputEdge, InputGraphOfGroups, InputVertex
+from .graphs import GenusEdge, InputEdge, InputGraphOfGroups, InputVertex, _UnionFind
 from .groups import (
     ContextError,
     FieldContext,
@@ -168,7 +169,7 @@ class _Generator:
     def random_borel(self) -> GroupSymbol:
         ctx, rng = self.ctx, self.rng
         s = rng.randint(1, ctx.m)
-        divs = _divisors(ctx.p ** _gcd(s, ctx.m) - 1)
+        divs = _divisors(ctx.p ** math.gcd(s, ctx.m) - 1)
         n = rng.choice(divs)
         return borel(s, n)
 
@@ -351,11 +352,16 @@ class _Generator:
             component_roots.append(self.verts[0])
         for a, b in zip(component_roots, component_roots[1:]):
             self.new_edge(a, b, TRIVIAL)
+        uf = _UnionFind()
+        for v in self.verts:
+            uf.add(v.id)
+        for e in self.edges:
+            uf.union(*e.ends)
         genus_edges = []
         for i in range(rng.randint(0, max_genus)):
             a = rng.choice(self.verts)
             b = rng.choice(self.verts)
-            if _connected(self.verts, self.edges, a.id, b.id):
+            if uf.find(a.id) == uf.find(b.id):
                 genus_edges.append(GenusEdge(f"g{i}", (a.id, b.id)))
         return InputGraphOfGroups(
             ctx,
@@ -365,27 +371,7 @@ class _Generator:
         )
 
 
-def _connected(verts, edges, a: str, b: str) -> bool:
-    parent = {v.id: v.id for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        parent[find(e.ends[0])] = find(e.ends[1])
-    return find(a) == find(b)
-
-
 def _divisors(n: int) -> list[int]:
     if n <= 0:
         return [1]
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -89,12 +89,6 @@ class CheckedInput:
     genus_edges: tuple[GenusEdge, ...]
     catalog: Catalog = DEFAULT_CATALOG
 
-    def vertex_group(self, vid: str) -> GroupSymbol:
-        for v in self.vertices:
-            if v.id == vid:
-                return v.group
-        raise KeyError(vid)
-
 
 # -- realized model -------------------------------------------------------------
 
@@ -134,17 +128,55 @@ class KatoGraph:
     genus_loops: tuple[GraphLoop, ...]
     notes: tuple[str, ...] = ()
 
-    def vertex(self, vid: str) -> GraphVertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
-
 
 @dataclass(frozen=True)
 class IrreducibleComponent:
     vertices: tuple[str, ...]
     edges: tuple[str, ...]
+
+
+# -- union-find -----------------------------------------------------------------
+
+
+class _UnionFind:
+    """Path-halving union-find over string ids.
+
+    ``union`` makes the lexicographically smaller root the new root, so each
+    realized vertex and cusp keeps the smallest id merged into it; union by
+    rank would rename them and change every report.
+    """
+
+    def __init__(self):
+        self.parent: dict[str, str] = {}
+
+    def add(self, x: str):
+        self.parent.setdefault(x, x)
+
+    def find(self, x: str) -> str:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: str, b: str) -> str:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return ra
+        root, sub = (ra, rb) if ra < rb else (rb, ra)
+        self.parent[sub] = root
+        return root
+
+
+def betti(vertices: Iterable[str], edge_pairs: list[tuple[str, str]]) -> int:
+    """First Betti number: edges minus vertices plus connected components."""
+    uf = _UnionFind()
+    for v in vertices:
+        uf.add(v)
+    for a, b in edge_pairs:
+        uf.union(a, b)
+    components = len({uf.find(v) for v in uf.parent})
+    return len(edge_pairs) - len(uf.parent) + components
 
 
 # -- validation -----------------------------------------------------------------
@@ -169,14 +201,9 @@ def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) 
         except ContextError:
             pass  # already reported above
     ids = set()
-    parent: dict[str, str] = {v: v for v in seen_v}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind()
+    for vid in seen_v:
+        uf.add(vid)
     for e in raw.edges:
         if e.id in ids:
             bad.append(f"edge {e.id}: duplicate id")
@@ -189,11 +216,9 @@ def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) 
         if a == b:
             bad.append(f"edge {e.id}: self-loops must be genus edges")
             continue
-        ra, rb = find(a), find(b)
-        if ra == rb:
+        if uf.find(a) == uf.find(b):
             bad.append(f"edge {e.id}: creates a cycle; cycles must be genus edges")
-        else:
-            parent[ra] = rb
+        uf.union(a, b)
         group = e.group
         if e.derive:
             try:
@@ -260,7 +285,7 @@ def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) 
             continue
         if ge.group != TRIVIAL:
             bad.append(f"genus edge {ge.id}: genus edges must have trivial stabilizer")
-        if find(a) != find(b):
+        if uf.find(a) != uf.find(b):
             bad.append(
                 f"genus edge {ge.id}: endpoints lie in different components; "
                 "a genus edge must close a loop"
@@ -285,29 +310,6 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
 
 
 # -- realization ----------------------------------------------------------------
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def add(self, x: str):
-        self.parent.setdefault(x, x)
-
-    def find(self, x: str) -> str:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: str, b: str) -> str:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        root, sub = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[sub] = root
-        return root
 
 
 class _Builder:
@@ -417,7 +419,8 @@ class _Builder:
 
     def select_trace(self, edge: InputEdge, end_index: int) -> AttachmentTrace:
         vid = edge.ends[end_index]
-        gv = self.checked.vertex_group(vid)
+        tree = self.trees[vid]
+        gv = tree.group
         traces = self.catalog.attachment_traces(edge.group, gv, self.ctx)
         hint = edge.site_hints[end_index]
         if hint is not None:
@@ -427,7 +430,6 @@ class _Builder:
                 f"edge {edge.id}: no matching attachment trace into T*({gv}) at {vid}"
             )
         live = []
-        tree = self.trees[vid]
         for t in traces:
             if t.embed is not None:
                 live.append(t)
@@ -707,15 +709,5 @@ def irreducible_components(g: KatoGraph) -> tuple[IrreducibleComponent, ...]:
 
 def genus(g: KatoGraph) -> int:
     """First Betti number of the underlying graph, genus loops included."""
-    uf = _UnionFind()
-    for v in g.vertices:
-        uf.add(v.id)
-    n_edges = 0
-    for e in g.finite_edges:
-        uf.union(e.ends[0], e.ends[1])
-        n_edges += 1
-    for l in g.genus_loops:
-        uf.union(l.ends[0], l.ends[1])
-        n_edges += 1
-    components = len({uf.find(v.id) for v in g.vertices}) if g.vertices else 0
-    return n_edges - len(g.vertices) + components
+    ends = [e.ends for e in g.finite_edges] + [l.ends for l in g.genus_loops]
+    return betti((v.id for v in g.vertices), ends)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 KIND_TRIVIAL = "trivial"
 KIND_CYCLIC = "cyclic"
@@ -94,9 +94,6 @@ class GroupSymbol:
             return f"{self.variant}2(p^{self.t})"
         return {KIND_TETRAHEDRAL: "A4", KIND_OCTAHEDRAL: "S4", KIND_ICOSAHEDRAL: "A5"}[self.kind]
 
-    def sort_key(self) -> tuple:
-        return (self.kind, self.n, self.t, self.variant)
-
 
 TRIVIAL = GroupSymbol(KIND_TRIVIAL)
 TETRAHEDRAL = GroupSymbol(KIND_TETRAHEDRAL)
@@ -154,8 +151,11 @@ def canonicalize(raw: RawSymbol) -> GroupSymbol:
         kind, n, t, variant = raw.kind, raw.n, raw.t, raw.variant
     elif isinstance(raw, Mapping):
         kind = raw.get("kind")
-        n = int(raw.get("n", 0))
-        t = int(raw.get("t", 0))
+        try:
+            n = int(raw.get("n", 0))
+            t = int(raw.get("t", 0))
+        except ValueError as exc:
+            raise SymbolError(f"group parameters must be integers: {exc}") from exc
         variant = raw.get("variant", "")
     else:
         raise SymbolError(f"group description must be a symbol or a mapping, got {raw!r}")
@@ -434,10 +434,3 @@ def _is_prime(n: int) -> bool:
             return False
         i += 1
     return True
-
-
-def lcm_orders(groups: Iterable[GroupSymbol], ctx: FieldContext) -> int:
-    out = 1
-    for g in groups:
-        out = math.lcm(out, order(g, ctx))
-    return out

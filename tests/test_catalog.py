@@ -198,7 +198,8 @@ def test_trace_fold_at_marked_borel_cusp():
     assert len(traces) == 1
     t = traces[0]
     assert t.kind == KIND_FOLD and t.fold_at_mark
-    assert t.fold_location.startswith("marked point:")
+    tree = CAT.elementary_tree(proj_linear("PGL", 2), ctx)
+    assert [c.id for c in tree.cusps if c.marked_point is not None] == [t.site]
 
 
 def test_trace_iso_into_extending_borel():
@@ -254,22 +255,20 @@ def test_trace_invariants():
         (cyclic(9), dihedral(9), FieldContext(0, 7, 1)),
     ]
     for e, v, c in cases:
+        target_tree = CAT.elementary_tree(v, c)
         for t in CAT.attachment_traces(e, v, c):
             if t.kind == KIND_FOLD:
-                assert t.fold_location is not None
-                folds = [loc for loc in t.correspondences if loc[1] == t.fold_location]
-                assert len(folds) == 1
+                site = target_tree.cusp(t.site)
+                assert t.fold_at_mark == (site.marked_point is not None and site.fold_on_attach)
             else:
-                assert t.fold_location is None
+                assert not t.fold_at_mark
             if t.kind == KIND_ISO:
+                # The edge tree's two cusps land on partner_site and site.
                 edge_tree = CAT.elementary_tree(e, c)
-                target_tree = CAT.elementary_tree(v, c)
-                pairs = [x for x in t.correspondences if x[0].startswith("cusp:")]
-                assert len(pairs) == len(edge_tree.cusps) == len(target_tree.cusps)
-                for src, dst in pairs:
-                    s_stab = edge_tree.cusp(src.split(":")[1]).stabilizer
-                    d_stab = target_tree.cusp(dst.split(":")[1]).stabilizer
-                    assert s_stab == d_stab or borel_extends(s_stab, d_stab)
+                assert len(edge_tree.cusps) == len(target_tree.cusps) == 2
+                for ce, site_id in zip(edge_tree.cusps, (t.partner_site, t.site)):
+                    d_stab = target_tree.cusp(site_id).stabilizer
+                    assert ce.stabilizer == d_stab or borel_extends(ce.stabilizer, d_stab)
 
 
 def matches_or_extends(edge_tree, vertex_tree):

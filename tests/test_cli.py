@@ -131,6 +131,34 @@ def test_run_malformed_fixture():
     assert "parse error" in text
 
 
+_FIELD = {"char_K": 0, "p": 7}
+_VERTICES = [{"id": "a", "group": {"kind": "cyclic", "n": 2}}, {"id": "b", "group": {"kind": "trivial"}}]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [_FIELD, _VERTICES],
+        {"field": _FIELD, "vertices": [{"id": "a", "group": {"kind": "cyclic", "n": "x"}}]},
+        {"field": _FIELD, "vertices": _VERTICES, "edges": [["e", "a", "b"]]},
+        {
+            "field": _FIELD,
+            "vertices": _VERTICES,
+            "edges": [
+                {"id": "e", "from": "a", "to": "b", "group": {"kind": "trivial"}, "site_hints": ["c0"]}
+            ],
+        },
+    ],
+    ids=["top-level-list", "non-integer-n", "edge-as-list", "site-hints-as-list"],
+)
+def test_run_malformed_shapes_are_parse_errors(data, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    text, code = run(path)
+    assert code == EXIT_INVALID
+    assert text.startswith("parse error: ") and text.count("\n") == 1
+
+
 def test_run_validation_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(
