@@ -19,7 +19,6 @@ from .analysis import (
     contract,
     count_cusps_direct,
     cusp_count_char0,
-    cusp_count_general,
     is_ordinary,
     separation_plan,
     structural_check,
@@ -50,6 +49,7 @@ from .graphs import (
     RealizeError,
     ValidationError,
     check_input,
+    cusp_count_general,
     genus,
     irreducible_components,
     realize,

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .catalog import Catalog, CatalogError, DEFAULT_CATALOG
-from .graphs import CheckedInput, GraphEdge, GraphVertex, KatoGraph, betti
+from .graphs import GraphEdge, GraphVertex, KatoGraph, betti, cusp_count_general  # re-exported
 from .groups import (
     ContextError,
     FieldContext,
@@ -50,18 +50,6 @@ def census(g: KatoGraph) -> FormulaCensus:
 def cusp_count_char0(cs: FormulaCensus) -> int:
     """The characteristic-zero closed form 3(D-d) + 2(C-c)."""
     return 3 * (cs.D - cs.d) + 2 * (cs.C - cs.c)
-
-
-def cusp_count_general(checked: CheckedInput) -> int:
-    """The general closed form: boundary sums over vertices minus edges."""
-    cat = checked.catalog
-    total = sum(cat.boundary_count(v.group, checked.ctx) for v in checked.vertices)
-    total -= sum(
-        cat.boundary_count(e.group, checked.ctx)
-        for e in checked.edges
-        if e.group != TRIVIAL
-    )
-    return total
 
 
 def count_cusps_direct(g: KatoGraph) -> int:
@@ -128,7 +116,8 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
     edges, genus loops included) is below three; the scan iterates to a
     fixpoint. Equal-order but distinct endpoint groups abort the collapse of
     that edge; a warning records every edge whose fate would differ if the
-    valency of the removed endpoint were consulted instead.
+    valency of the removed endpoint were consulted instead. Because of the
+    id-order scan, the skeleton can depend on how the input's edges are named.
     """
     ctx = g.ctx
     stab = {v.id: v.stabilizer for v in g.vertices}

@@ -22,12 +22,11 @@ from .analysis import (
     contract,
     count_cusps_direct,
     cusp_count_char0,
-    cusp_count_general,
     is_ordinary,
     separation_plan,
     structural_check,
 )
-from .catalog import Catalog, CatalogError, load_extension_file
+from .catalog import Catalog, CatalogError, DEFAULT_CATALOG, load_extension_file
 from .fuzz import random_input
 from .graphs import (
     CheckedInput,
@@ -39,6 +38,7 @@ from .graphs import (
     RealizeError,
     ValidationError,
     check_input,
+    cusp_count_general,
     genus,
     realize,
 )
@@ -98,13 +98,13 @@ def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
     except (KeyError, TypeError, ValueError, ContextError) as exc:
         raise ParseError(f"{source}: field: {exc}") from exc
     vertices = []
-    for i, raw in enumerate(data.get("vertices", [])):
+    for i, raw in enumerate(_require_list(data, "vertices", source)):
         try:
             vertices.append(InputVertex(str(raw["id"]), canonicalize(raw["group"])))
         except (KeyError, TypeError, SymbolError) as exc:
             raise ParseError(f"{source}: vertices[{i}]: {exc}") from exc
     edges = []
-    for i, raw in enumerate(data.get("edges", [])):
+    for i, raw in enumerate(_require_list(data, "edges", source)):
         try:
             _require_object(raw, "an edge")
             derive = bool(raw.get("derive", False))
@@ -121,7 +121,7 @@ def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
         except (KeyError, TypeError, SymbolError) as exc:
             raise ParseError(f"{source}: edges[{i}]: {exc}") from exc
     genus_edges = []
-    for i, raw in enumerate(data.get("genus_edges", [])):
+    for i, raw in enumerate(_require_list(data, "genus_edges", source)):
         try:
             group = canonicalize(raw["group"]) if "group" in raw else TRIVIAL
             genus_edges.append(
@@ -130,6 +130,13 @@ def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
         except (KeyError, TypeError, SymbolError) as exc:
             raise ParseError(f"{source}: genus_edges[{i}]: {exc}") from exc
     return InputGraphOfGroups(ctx, tuple(vertices), tuple(edges), tuple(genus_edges))
+
+
+def _require_list(data: dict, key: str, source: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{source}: {key} must be a list, got {type(value).__name__}")
+    return value
 
 
 def _require_object(value, what: str) -> dict:
@@ -368,19 +375,12 @@ def run_fuzz(count: int, seed: int) -> tuple[str, int]:
     for i in range(count):
         raw = random_input(rng)
         try:
-            checked = check_input(raw)
-            graph = realize(checked)
+            report = build_report(raw, DEFAULT_CATALOG)
         except (ValidationError, RealizeError) as exc:
             failures += 1
             print(f"input {i}: failed to realize: {exc}", file=sys.stderr)
             continue
-        direct = count_cusps_direct(graph)
-        general = cusp_count_general(checked)
-        okay = direct == general
-        if not raw.ctx.positive_char:
-            okay = okay and direct == cusp_count_char0(census(graph))
-        okay = okay and structural_check(graph).ok
-        if not okay:
+        if not (report.formulas_agree and report.structure.ok):
             failures += 1
             print(f"input {i}: formula/structure mismatch", file=sys.stderr)
     text = f"fuzz: {count} inputs, {failures} failures (seed {seed})\n"

@@ -1,10 +1,10 @@
 """Input graphs of groups, validation, and realization into Kato graphs.
 
 Realization places one elementary tree per input vertex and performs one
-gluing step per non-trivial edge, dispatching on the pair of attachment
-trace kinds. Identifiers of the realized graph are derived deterministically
-from input ids plus catalog-local ids, so two runs on the same input produce
-byte-identical graphs.
+gluing step per non-trivial edge, printed gluings first, dispatching on the
+pair of attachment trace kinds. Identifiers of the realized graph are derived
+deterministically from input ids plus catalog-local ids, so two runs on the
+same input produce byte-identical graphs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .catalog import (
     AttachmentTrace,
     Catalog,
     CatalogError,
-    CuspSite,
     DEFAULT_CATALOG,
     ElementaryTree,
     KIND_FOLD,
@@ -31,6 +30,8 @@ from .groups import (
     SymbolError,
     TRIVIAL,
     derive_edge_group,
+    is_borel_form,
+    is_cyclic,
     symbol_contains,
     validate_in_context,
 )
@@ -81,7 +82,7 @@ class InputGraphOfGroups:
 
 @dataclass(frozen=True)
 class CheckedInput:
-    """A validated input: groups canonical, edge groups resolved, traces known to exist."""
+    """An input meeting the contract of ``check_input``, edge groups resolved."""
 
     ctx: FieldContext
     vertices: tuple[InputVertex, ...]
@@ -179,11 +180,17 @@ def betti(vertices: Iterable[str], edge_pairs: list[tuple[str, str]]) -> int:
     return len(edge_pairs) - len(uf.parent) + components
 
 
-# -- validation -----------------------------------------------------------------
+# -- the input contract -----------------------------------------------------------
 
 
-def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> list[str]:
-    """All violations of the input contract; an empty list means valid."""
+def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> CheckedInput:
+    """Check the input contract and resolve derived edge groups.
+
+    The contract is all that needs no gluing: ids, endpoints, a forest of edges,
+    admissible groups with trees, gluable edge groups, genus edges closing
+    loops. Raises ValidationError listing every violation; ``realize`` checks
+    the attachment traces.
+    """
     bad: list[str] = []
     ctx = raw.ctx
     seen_v: dict[str, GroupSymbol] = {}
@@ -204,6 +211,7 @@ def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) 
     uf = _UnionFind()
     for vid in seen_v:
         uf.add(vid)
+    edges = []
     for e in raw.edges:
         if e.id in ids:
             bad.append(f"edge {e.id}: duplicate id")
@@ -219,13 +227,14 @@ def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) 
         if uf.find(a) == uf.find(b):
             bad.append(f"edge {e.id}: creates a cycle; cycles must be genus edges")
         uf.union(a, b)
-        group = e.group
         if e.derive:
             try:
-                group = derive_edge_group(seen_v[a], seen_v[b], ctx)
+                e = replace(e, group=derive_edge_group(seen_v[a], seen_v[b], ctx), derive=False)
             except (DeriveError, ContextError, SymbolError) as exc:
                 bad.append(f"edge {e.id}: {exc}")
                 continue
+        edges.append(e)
+        group = e.group
         if group is None:
             bad.append(f"edge {e.id}: no group given and derive not requested")
             continue
@@ -235,7 +244,12 @@ def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) 
         if violations:
             bad.extend(f"edge {e.id}: {msg}" for msg in violations)
             continue
-        if not ctx.positive_char and group.kind != "cyclic":
+        if ctx.positive_char:
+            if not is_borel_form(group):
+                bad.append(
+                    f"edge {e.id}: edge group not Borel/cyclic/printed ({group} in this context)"
+                )
+        elif not is_cyclic(group):
             # Characteristic zero admits cyclic edge groups, plus the printed
             # (or extension-supplied) small-residue instances.
             try:
@@ -247,33 +261,6 @@ def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) 
                     f"edge {e.id}: edge group not Borel/cyclic/printed "
                     f"({group} has no gluing data in this context)"
                 )
-                continue
-        for end_vid, hint, side in ((a, e.site_hints[0], "from"), (b, e.site_hints[1], "to")):
-            gv = seen_v[end_vid]
-            if validate_in_context(gv, ctx):
-                continue
-            try:
-                traces = catalog.attachment_traces(group, gv, ctx)
-            except SymbolError:
-                bad.append(
-                    f"edge {e.id}: edge group not Borel/cyclic/printed ({group} in this context)"
-                )
-                break
-            except (CatalogError, ContextError) as exc:
-                bad.append(f"edge {e.id}: {exc}")
-                break
-            if not traces:
-                bad.append(
-                    f"edge {e.id}: no attachment trace of T*({group}) into T*({gv}) "
-                    f"at vertex {end_vid}; gluing inadmissible"
-                )
-                continue
-            if hint is not None:
-                sites = {t.site for t in traces} | {t.partner_site for t in traces if t.partner_site}
-                if hint not in sites:
-                    bad.append(
-                        f"edge {e.id}: site hint {hint!r} ({side}) matches no attachment site"
-                    )
     for ge in raw.genus_edges:
         if ge.id in ids:
             bad.append(f"genus edge {ge.id}: duplicate id")
@@ -290,23 +277,35 @@ def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) 
                 f"genus edge {ge.id}: endpoints lie in different components; "
                 "a genus edge must close a loop"
             )
-    return bad
+    if bad:
+        raise ValidationError(bad)
+    return CheckedInput(ctx, tuple(raw.vertices), tuple(edges), tuple(raw.genus_edges), catalog)
 
 
-def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> CheckedInput:
-    """Validate and resolve derived edge groups; raises ValidationError."""
-    violations = validate_input(raw, catalog)
-    if violations:
-        raise ValidationError(violations)
-    groups = {v.id: v.group for v in raw.vertices}
-    edges = []
-    for e in raw.edges:
-        if e.derive:
-            g = derive_edge_group(groups[e.ends[0]], groups[e.ends[1]], raw.ctx)
-            edges.append(replace(e, group=g, derive=False))
-        else:
-            edges.append(e)
-    return CheckedInput(raw.ctx, tuple(raw.vertices), tuple(edges), tuple(raw.genus_edges), catalog)
+def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> list[str]:
+    """A dry run of ``check_input`` and ``realize``: the violations they raise, empty
+    exactly when the input realizes. Internal errors (cusp conservation) propagate."""
+    try:
+        realize(check_input(raw, catalog))
+    except ValidationError as exc:
+        return exc.violations
+    except RealizeError as exc:
+        if str(exc).startswith("internal:"):
+            raise
+        return [str(exc)]
+    return []
+
+
+def cusp_count_general(checked: CheckedInput) -> int:
+    """The general closed form: boundary sums over vertices minus edges."""
+    cat = checked.catalog
+    total = sum(cat.boundary_count(v.group, checked.ctx) for v in checked.vertices)
+    total -= sum(
+        cat.boundary_count(e.group, checked.ctx)
+        for e in checked.edges
+        if e.group != TRIVIAL
+    )
+    return total
 
 
 # -- realization ----------------------------------------------------------------
@@ -329,6 +328,7 @@ class _Builder:
         self.trees: dict[str, ElementaryTree] = {}
         self.embedded: set[str] = set()
         self.notes: list[str] = []
+        self.violations: list[str] = []
 
     # -- primitives --
 
@@ -394,9 +394,6 @@ class _Builder:
     def consume(self, root: str):
         self.consumed.add(self.cusps.find(root))
 
-    def site_of(self, input_vid: str, trace: AttachmentTrace) -> CuspSite:
-        return self.trees[input_vid].cusp(trace.site)
-
     # -- placement --
 
     def place_trees(self):
@@ -417,18 +414,31 @@ class _Builder:
 
     # -- trace selection --
 
-    def select_trace(self, edge: InputEdge, end_index: int) -> AttachmentTrace:
+    def candidates(self, edge: InputEdge) -> list[tuple[AttachmentTrace, ...]]:
+        """Per end of ``edge``, the traces that may glue it: all, or those its site
+        hint names. Where there are none, the reason goes to ``violations``."""
+        out = []
+        for vid, hint, side in zip(edge.ends, edge.site_hints, ("from", "to")):
+            gv = self.trees[vid].group
+            traces = self.catalog.attachment_traces(edge.group, gv, self.ctx)
+            if not traces:
+                self.violations.append(
+                    f"edge {edge.id}: no attachment trace of T*({edge.group}) into T*({gv}) "
+                    f"at vertex {vid}; gluing inadmissible"
+                )
+            elif hint is not None:
+                traces = tuple(t for t in traces if hint in (t.site, t.partner_site))
+                if not traces:
+                    self.violations.append(
+                        f"edge {edge.id}: site hint {hint!r} ({side}) matches no attachment site"
+                    )
+            out.append(traces)
+        return out
+
+    def select_trace(self, edge: InputEdge, end_index: int, traces: tuple) -> AttachmentTrace:
+        """The candidate that still applies after the earlier gluings."""
         vid = edge.ends[end_index]
         tree = self.trees[vid]
-        gv = tree.group
-        traces = self.catalog.attachment_traces(edge.group, gv, self.ctx)
-        hint = edge.site_hints[end_index]
-        if hint is not None:
-            traces = tuple(t for t in traces if hint in (t.site, t.partner_site))
-        if not traces:
-            raise RealizeError(
-                f"edge {edge.id}: no matching attachment trace into T*({gv}) at {vid}"
-            )
         live = []
         for t in traces:
             if t.embed is not None:
@@ -463,13 +473,13 @@ class _Builder:
 
     # -- gluing cases --
 
-    def glue(self, edge: InputEdge):
+    def glue(self, edge: InputEdge, traces):
         uid, vid = edge.ends
         if edge.group == TRIVIAL:
             self.edges.append((edge.id, self.anchor(uid), self.anchor(vid), TRIVIAL))
             return
-        tu = self.select_trace(edge, 0)
-        tv = self.select_trace(edge, 1)
+        tu = self.select_trace(edge, 0, traces[0])
+        tv = self.select_trace(edge, 1, traces[1])
         kinds = (tu.kind, tv.kind)
         if tu.embed is not None or tv.embed is not None:
             if tu.embed is None or tv.embed is None:
@@ -519,9 +529,8 @@ class _Builder:
         su = self.resolve_site(uid, tu.site, edge.id)
         sv = self.resolve_site(vid, tv.site, edge.id)
         if tu.fold_at_mark:
-            site = self.site_of(uid, tu)
             w = f"{edge.id}:w"
-            self.add_vertex(w, site.marked_point)
+            self.add_vertex(w, self.trees[uid].cusp(tu.site).marked_point)
             self.edges.append((f"{edge.id}:a", self.cbase[su], w, edge.group))
             self.edges.append((f"{edge.id}:b", w, self.cbase[sv], edge.group))
         else:
@@ -547,9 +556,8 @@ class _Builder:
         if li == fi:
             raise RealizeError(f"edge {edge.id}: attachment sites exhausted at {iid}")
         if tf.fold_at_mark:
-            site = self.site_of(fid, tf)
             w = f"{edge.id}:w"
-            self.add_vertex(w, site.marked_point)
+            self.add_vertex(w, self.trees[fid].cusp(tf.site).marked_point)
             self.edges.append((edge.id, self.cbase[sf], w, edge.group))
             self.consume(sf)
             self.merge_vertices(w, self.anchor(iid))
@@ -609,10 +617,7 @@ class _Builder:
             mark_stab = self.cmark.get(f"{iid}:{iloc}") or self.cstab[cut]
             w = f"{edge.id}:w:{ec}"
             self.add_vertex(w, mark_stab)
-            base_local = next(
-                c.base_vertex for c in edge_tree.cusps if c.id == ec
-            )
-            fold_base = f"{fid}:{fmap[base_local]}"
+            fold_base = f"{fid}:{fmap[edge_tree.cusp(ec).base_vertex]}"
             fold_top = f"{fid}:{floc}"
             if not self._has_edge_between(fold_base, fold_top):
                 self.edges.append((f"{edge.id}:{ec}", self.cbase[cut], w, edge.group))
@@ -630,10 +635,21 @@ class _Builder:
 
     # -- output --
 
+    def printed(self, edge: InputEdge) -> bool:
+        return not self.ctx.positive_char and edge.group != TRIVIAL and not is_cyclic(edge.group)
+
     def build(self) -> KatoGraph:
         self.place_trees()
-        for edge in sorted(self.checked.edges, key=lambda e: e.id):
-            self.glue(edge)
+        # Printed (embed) gluings go first: a fold glued earlier could take a
+        # cusp that the embed must merge. Within each phase, edge id sets the order.
+        gluing = sorted(self.checked.edges, key=lambda e: (not self.printed(e), e.id))
+        # Every end's traces are looked up before anything is glued, so missing
+        # gluing data is reported whole and never masked by a gluing conflict.
+        traces = {e.id: self.candidates(e) for e in gluing if e.group != TRIVIAL}
+        if self.violations:
+            raise ValidationError(self.violations)
+        for edge in gluing:
+            self.glue(edge, traces.get(edge.id))
         for ge in sorted(self.checked.genus_edges, key=lambda g: g.id):
             self.loops.append((ge.id, self.anchor(ge.ends[0]), self.anchor(ge.ends[1])))
         vertices = tuple(
@@ -654,13 +670,7 @@ class _Builder:
             for lid, a, b in sorted(self.loops)
         )
         graph = KatoGraph(self.ctx, vertices, edges, cusps, loops, tuple(self.notes))
-        expected = sum(
-            self.catalog.boundary_count(v.group, self.ctx) for v in self.checked.vertices
-        ) - sum(
-            self.catalog.boundary_count(e.group, self.ctx)
-            for e in self.checked.edges
-            if e.group != TRIVIAL
-        )
+        expected = cusp_count_general(self.checked)
         if len(graph.cusps) != expected:
             raise RealizeError(
                 f"internal: cusp conservation violated (direct {len(graph.cusps)}, "
@@ -670,11 +680,13 @@ class _Builder:
 
 
 def realize(checked: CheckedInput) -> KatoGraph:
-    """Glue the elementary trees of a validated input into its Kato graph.
+    """Glue the elementary trees of a checked input into its Kato graph.
 
-    Every realization re-checks the cusp conservation identity
-    sum_v #bd T*(N_v) - sum_e #bd T*(N_e) against the direct count and
-    refuses to return a graph violating it.
+    Raises ValidationError listing every edge end the input gives no gluing
+    data for (no attachment trace, or a site hint matching none), and
+    RealizeError when a gluing conflicts with an earlier one. It re-checks the
+    cusp conservation identity sum_v #bd T*(N_v) - sum_e #bd T*(N_e) against
+    the direct count and refuses to return a graph violating it.
     """
     return _Builder(checked).build()
 

@@ -56,10 +56,17 @@ class FieldContext:
     m: int = 1
 
     def __post_init__(self):
+        # The bounds keep trial division and every power p^t, t <= m, small.
+        if self.p >= 2 ** 31:
+            raise ContextError(f"residue characteristic {self.p} must be below 2^31")
         if not _is_prime(self.p):
             raise ContextError(f"residue characteristic {self.p} is not prime")
         if self.m < 1:
             raise ContextError(f"residue degree m={self.m} must be >= 1")
+        if self.m > 64 or self.p ** self.m >= 2 ** 64:
+            raise ContextError(
+                f"residue field size p^m (p={self.p}, m={self.m}) must be below 2^64"
+            )
         if self.char_K not in (0, self.p):
             raise ContextError(
                 f"char K must be 0 or p={self.p}, got {self.char_K}"
@@ -219,6 +226,8 @@ def pl_invariants(g: GroupSymbol, ctx: FieldContext) -> PLInvariants:
     """n- and n+ of a projective linear symbol: p^t -+ 1, halved for PSL (p odd)."""
     if g.kind != KIND_PROJ_LINEAR:
         raise SymbolError(f"pl_invariants needs a projective linear symbol, got {g}")
+    if g.t > ctx.m:
+        raise ContextError(f"{g}: field exponent t={g.t} exceeds residue degree m={ctx.m}")
     q = ctx.p ** g.t
     if g.variant == "PGL":
         return PLInvariants(q - 1, q + 1)
@@ -275,7 +284,7 @@ def validate_in_context(g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
     elif g.kind == KIND_BOREL:
         if g.t > m:
             bad.append(f"{g}: rank t={g.t} exceeds residue degree m={m}")
-        if g.n > 1:
+        elif g.n > 1:
             if (p ** g.t - 1) % g.n != 0:
                 bad.append(f"{g}: n must divide p^t-1={p ** g.t - 1}")
             if (p ** m - 1) % g.n != 0:

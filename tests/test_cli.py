@@ -148,8 +148,14 @@ _VERTICES = [{"id": "a", "group": {"kind": "cyclic", "n": 2}}, {"id": "b", "grou
                 {"id": "e", "from": "a", "to": "b", "group": {"kind": "trivial"}, "site_hints": ["c0"]}
             ],
         },
+        {"field": _FIELD, "vertices": 5},
+        {"field": _FIELD, "vertices": _VERTICES, "edges": None},
+        {"field": _FIELD, "vertices": _VERTICES, "genus_edges": 5},
     ],
-    ids=["top-level-list", "non-integer-n", "edge-as-list", "site-hints-as-list"],
+    ids=[
+        "top-level-list", "non-integer-n", "edge-as-list", "site-hints-as-list",
+        "vertices-not-a-list", "edges-null", "genus-edges-not-a-list",
+    ],
 )
 def test_run_malformed_shapes_are_parse_errors(data, tmp_path):
     path = tmp_path / "bad.json"
@@ -157,6 +163,45 @@ def test_run_malformed_shapes_are_parse_errors(data, tmp_path):
     text, code = run(path)
     assert code == EXIT_INVALID
     assert text.startswith("parse error: ") and text.count("\n") == 1
+
+
+_HUGE_T = 10**9
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        ({"field": {"char_K": 0, "p": 1000000000000000003}, "vertices": []}, "parse error: "),
+        ({"field": {"char_K": 3, "p": 3, "m": _HUGE_T}, "vertices": []}, "parse error: "),
+        ({"field": {"char_K": 2, "p": 2, "m": 64}, "vertices": []}, "parse error: "),
+        (
+            {
+                "field": {"char_K": 3, "p": 3},
+                "vertices": [{"id": "a", "group": {"kind": "borel", "t": _HUGE_T, "n": 2}}],
+            },
+            "validation failed:",
+        ),
+        (
+            {
+                "field": {"char_K": 3, "p": 3},
+                "vertices": [
+                    {"id": "a", "group": {"kind": "proj_linear", "variant": "PGL", "t": _HUGE_T}},
+                    {"id": "b", "group": {"kind": "borel", "t": 1, "n": 2}},
+                ],
+                "edges": [{"id": "e", "from": "a", "to": "b", "derive": True}],
+            },
+            "validation failed:",
+        ),
+    ],
+    ids=["huge-p", "huge-m", "p-to-the-m-too-large", "huge-borel-rank", "huge-pl-exponent-derived"],
+)
+def test_run_huge_field_parameters_are_rejected(data, expected, tmp_path):
+    # Unbounded, these would run trial division to 10^9 or compute p ** t for t = 10^9.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    text, code = run(path)
+    assert code == EXIT_INVALID
+    assert text.startswith(expected)
 
 
 def test_run_validation_error_exit_code(tmp_path):

@@ -112,14 +112,24 @@ def test_validate_reports_missing_trace():
     assert any("no attachment trace" in m for m in msgs)
 
 
-def test_validate_bad_hint():
-    raw = InputGraphOfGroups(
-        CTX7,
-        (InputVertex("a", dihedral(6)), InputVertex("b", dihedral(6))),
-        (InputEdge("e0", ("a", "b"), cyclic(6), site_hints=("c9", None)),),
-    )
+_HINTED_C6 = InputEdge("e0", ("a", "b"), cyclic(6), site_hints=("c9", None))
+
+
+@pytest.mark.parametrize(
+    "vertex_ids, edges, missing_traces",
+    [
+        ("ab", (_HINTED_C6,), 0),
+        # A C5 edge between two D6 vertices has no trace at either end.
+        ("abc", (_HINTED_C6, InputEdge("e1", ("b", "c"), cyclic(5))), 2),
+    ],
+    ids=["bad-hint", "bad-hint-and-missing-traces"],
+)
+def test_validate_bad_hint(vertex_ids, edges, missing_traces):
+    raw = InputGraphOfGroups(CTX7, tuple(InputVertex(v, dihedral(6)) for v in vertex_ids), edges)
     msgs = validate_input(raw)
     assert any("site hint" in m for m in msgs)
+    assert sum("no attachment trace" in m for m in msgs) == missing_traces
+    assert len(msgs) == 1 + missing_traces
 
 
 # -- realization: printed examples ------------------------------------------------------
