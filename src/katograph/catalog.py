@@ -7,7 +7,8 @@ and the printed small-residue instances (the D5 / A5 / D_{10m} family at
 residue characteristic 5). Further
 small-residue entries load from an extension file; see ``parse_extension``.
 
-All trees and traces are immutable; a Catalog is safe to share freely.
+All trees and traces are immutable. A Catalog builds each tree once, on
+first request, and keeps it in its own table; it is still safe to share freely.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class CuspSite:
 @dataclass(frozen=True)
 class ElementaryTree:
     group: GroupSymbol
-    ctx: FieldContext
     vertices: tuple[TreeVertex, ...]
     internal_edges: tuple[TreeEdge, ...]
     cusps: tuple[CuspSite, ...]
@@ -120,8 +120,6 @@ KIND_ISO = "iso"
 class AttachmentTrace:
     """One admissible gluing of an edge-group tree into a vertex-group tree."""
 
-    edge_group: GroupSymbol
-    vertex_group: GroupSymbol
     site: str
     kind: str
     fold_at_mark: bool = False
@@ -164,73 +162,71 @@ class Catalog:
             if key in self._extensions:
                 raise CatalogError(f"duplicate extension entry for {entry.group} at p={entry.p}")
             self._extensions[key] = entry
+        self._trees: dict[tuple[GroupSymbol, FieldContext], ElementaryTree] = {}
 
     # -- trees ---------------------------------------------------------------
 
     def elementary_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
+        """T*(g), built on the first request and kept; errors are not kept."""
+        tree = self._trees.get((g, ctx))
+        if tree is None:
+            tree = self._trees[g, ctx] = self._build_tree(g, ctx)
+        return tree
+
+    def _build_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
         violations = validate_in_context(g, ctx)
         if violations:
             raise ContextError("; ".join(violations))
         if g.kind == KIND_TRIVIAL:
-            return _tree(g, ctx, [(g,)], [], [])
+            return _tree(g, [(g,)], [], [])
         if ctx.positive_char or ctx.p > 5 or order(g, ctx) % ctx.p != 0:
             return self._star_tree(g, ctx)
         return self._char_zero_tree(g, ctx)
 
     def boundary_count(self, g: GroupSymbol, ctx: FieldContext) -> int:
-        """Number of cusps of the elementary tree, computed from the catalog rules."""
-        # A table of its own rather than len(tree.cusps), for two reasons: it
-        # is total on admissible groups that have no tree (C5 and D15 at
-        # residue characteristic 5), and it is far cheaper than building one.
-        if g.kind == KIND_TRIVIAL:
-            return 0
+        """Number of cusps of the elementary tree.
+
+        In characteristic 0 the count is 2 for cyclic groups and 3 otherwise,
+        read from the rule rather than the tree, so that it stays total on the
+        admissible groups with no tree (C5 and D15 at residue characteristic 5).
+        """
+        if ctx.positive_char or g.kind == KIND_TRIVIAL:
+            return len(self.elementary_tree(g, ctx).cusps)
         violations = validate_in_context(g, ctx)
         if violations:
             raise ContextError("; ".join(violations))
-        if not ctx.positive_char:
-            return 2 if g.kind == KIND_CYCLIC else 3
-        if g.kind == KIND_CYCLIC:
-            return 2
-        if g.kind == KIND_DIHEDRAL:
-            return 2 if ctx.p == 2 else 3
-        if g.kind == KIND_BOREL:
-            return 2 if g.n > 1 else 1
-        if g.kind == KIND_PROJ_LINEAR:
-            return 2
-        if g.kind == KIND_ICOSAHEDRAL:
-            return 2 if ctx.p == 3 else 3
-        return 3  # T, O
+        return 2 if g.kind == KIND_CYCLIC else 3
 
     def _star_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
         """One-vertex trees: every char-p group, and the generic char-0 groups."""
         p = ctx.p
         if g.kind == KIND_CYCLIC:
-            return _tree(g, ctx, [(g,)], [], [(0, g), (0, g)])
+            return _tree(g, [(g,)], [], [(0, g), (0, g)])
         if g.kind == KIND_DIHEDRAL:
             if p == 2:
                 # The order-2 generator is parabolic at p=2: its cusp is E_1.
-                return _tree(g, ctx, [(g,)], [], [(0, borel(1, 1)), (0, cyclic(g.n))])
-            return _tree(g, ctx, [(g,)], [], [(0, cyclic(2)), (0, cyclic(2)), (0, cyclic(g.n))])
+                return _tree(g, [(g,)], [], [(0, borel(1, 1)), (0, cyclic(g.n))])
+            return _tree(g, [(g,)], [], [(0, cyclic(2)), (0, cyclic(2)), (0, cyclic(g.n))])
         if g.kind == KIND_BOREL:
             if g.n == 1:
-                return _tree(g, ctx, [(g,)], [], [(0, g)])
-            return _tree(g, ctx, [(g,)], [], [(0, cyclic(g.n)), (0, g)])
+                return _tree(g, [(g,)], [], [(0, g)])
+            return _tree(g, [(g,)], [], [(0, cyclic(g.n)), (0, g)])
         if g.kind == KIND_PROJ_LINEAR:
             inv = pl_invariants(g, ctx)
             bcusp = borel(g.t, inv.n_minus)
             return _tree(
-                g, ctx, [(g,)], [],
+                g, [(g,)], [],
                 [(0, cyclic(inv.n_plus)), (0, bcusp, bcusp, True)],
             )
         if g.kind == KIND_TETRAHEDRAL:
-            return _tree(g, ctx, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(3))])
+            return _tree(g, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(3))])
         if g.kind == KIND_OCTAHEDRAL:
-            return _tree(g, ctx, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(4))])
+            return _tree(g, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(4))])
         if g.kind == KIND_ICOSAHEDRAL:
             if p == 3:
                 b = borel(1, 2)
-                return _tree(g, ctx, [(g,)], [], [(0, cyclic(5)), (0, b, b, True)])
-            return _tree(g, ctx, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(5))])
+                return _tree(g, [(g,)], [], [(0, cyclic(5)), (0, b, b, True)])
+            return _tree(g, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(5))])
         raise CatalogError(f"no star-shaped tree for {g}")
 
     def _char_zero_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
@@ -238,7 +234,7 @@ class Catalog:
         p = ctx.p
         entry = self._extensions.get((g, p))
         if entry is not None:
-            return _tree_from_entry(entry, ctx)
+            return _tree_from_entry(entry)
         built = self._char_zero_printed(g, ctx)
         if built is not None:
             return built
@@ -254,14 +250,14 @@ class Catalog:
         if g.kind == KIND_DIHEDRAL and (g.n == 5 or g.n % 10 == 0):
             c2 = cyclic(2)
             return _tree(
-                g, ctx, [(g,)], [],
+                g, [(g,)], [],
                 [(0, c2, c2, True), (0, c2), (0, cyclic(g.n))],
                 printed=True,
             )
         if g.kind == KIND_ICOSAHEDRAL:
             d5 = dihedral(5)
             return _tree(
-                g, ctx,
+                g,
                 [(g,), (d5,)],
                 [((0, 1), d5)],
                 [(0, cyclic(3)), (1, cyclic(2)), (1, cyclic(5))],
@@ -301,37 +297,32 @@ class Catalog:
     def _char_p_traces(self, e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
         te, ne = borel_params(e)
         tree_v = self.elementary_tree(v, ctx)
-        out: list[AttachmentTrace] = []
         if ne == 1:
             # One-cusped edge tree: injective into any Borel-extending E-site.
-            for c in tree_v.cusps:
-                if is_borel_form(c.stabilizer) and borel_extends(e, c.stabilizer):
-                    tb, nb = borel_params(c.stabilizer)
-                    if nb == 1:
-                        out.append(_injective_trace(e, v, c))
-            return tuple(out)
+            return tuple(
+                AttachmentTrace(c.id, KIND_INJECTIVE)
+                for c in tree_v.cusps
+                if is_borel_form(c.stabilizer)
+                and borel_extends(e, c.stabilizer)
+                and borel_params(c.stabilizer)[1] == 1
+            )
         if is_borel_form(v) and v.kind != KIND_TRIVIAL and borel_extends(e, v):
-            out.append(_iso_trace(e, v, tree_v))
-            return tuple(out)
+            return (_iso_trace(tree_v),)
         if te >= 1:
-            for c in tree_v.cusps:
-                if c.stabilizer == e and c.marked_point is not None:
-                    out.append(_fold_trace(e, v, c))
-            return tuple(out)
-        return self._cyclic_traces(e, v, ctx, tree_v)
+            return tuple(
+                _fold_trace(c)
+                for c in tree_v.cusps
+                if c.stabilizer == e and c.marked_point is not None
+            )
+        return self._cyclic_traces(e, v, ctx)
 
-    def _cyclic_traces(self, e, v, ctx, tree_v=None):
-        if tree_v is None:
-            tree_v = self.elementary_tree(v, ctx)
+    def _cyclic_traces(self, e, v, ctx):
+        tree_v = self.elementary_tree(v, ctx)
         if is_borel_form(v) and v.kind != KIND_TRIVIAL:
             if borel_extends(e, v):
-                return (_iso_trace(e, v, tree_v),)
+                return (_iso_trace(tree_v),)
             return ()
-        out = []
-        for c in tree_v.cusps:
-            if c.stabilizer == e:
-                out.append(_fold_trace(e, v, c))
-        return tuple(out)
+        return tuple(_fold_trace(c) for c in tree_v.cusps if c.stabilizer == e)
 
     def _embed_traces(self, e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
         if ctx.positive_char or ctx.p > 5:
@@ -341,13 +332,13 @@ class Catalog:
             out = []
             for spec in entry.embed_traces:
                 if spec.edge_group == e:
-                    out.append(_embed_trace(e, v, spec.kind, spec.maps))
+                    out.append(_embed_trace(spec.kind, spec.maps))
             if out:
                 return tuple(out)
         return _builtin_embed_traces(e, v, ctx)
 
 
-def _tree(g, ctx, vertices, edges, cusps, printed=False) -> ElementaryTree:
+def _tree(g, vertices, edges, cusps, printed=False) -> ElementaryTree:
     vs = tuple(TreeVertex(f"v{i}", spec[0]) for i, spec in enumerate(vertices))
     es = tuple(
         TreeEdge(f"e{i}", (f"v{a}", f"v{b}"), stab) for i, ((a, b), stab) in enumerate(edges)
@@ -358,38 +349,28 @@ def _tree(g, ctx, vertices, edges, cusps, printed=False) -> ElementaryTree:
         mark = spec[2] if len(spec) > 2 else None
         fold = spec[3] if len(spec) > 3 else False
         cs.append(CuspSite(f"c{i}", f"v{base}", stab, mark, fold))
-    return ElementaryTree(g, ctx, vs, es, tuple(cs), printed)
+    return ElementaryTree(g, vs, es, tuple(cs), printed)
 
 
-def _injective_trace(e, v, site: CuspSite) -> AttachmentTrace:
-    return AttachmentTrace(edge_group=e, vertex_group=v, site=site.id, kind=KIND_INJECTIVE)
-
-
-def _fold_trace(e, v, site: CuspSite) -> AttachmentTrace:
+def _fold_trace(site: CuspSite) -> AttachmentTrace:
     return AttachmentTrace(
-        edge_group=e,
-        vertex_group=v,
-        site=site.id,
-        kind=KIND_FOLD,
-        fold_at_mark=site.marked_point is not None and site.fold_on_attach,
+        site.id, KIND_FOLD, fold_at_mark=site.marked_point is not None and site.fold_on_attach
     )
 
 
-def _iso_trace(e, v, tree_v: ElementaryTree) -> AttachmentTrace:
+def _iso_trace(tree_v: ElementaryTree) -> AttachmentTrace:
     low, full = tree_v.cusps[0], tree_v.cusps[1]
-    return AttachmentTrace(
-        edge_group=e, vertex_group=v, site=full.id, kind=KIND_ISO, partner_site=low.id
-    )
+    return AttachmentTrace(full.id, KIND_ISO, partner_site=low.id)
 
 
-def _embed_trace(e, v, kind: str, maps: EmbedMaps) -> AttachmentTrace:
+def _embed_trace(kind: str, maps: EmbedMaps) -> AttachmentTrace:
     # The iso flavor attaches at the target's marked cusp; the fold flavor at
     # the first cusp the edge tree maps onto.
     site = maps.cusp_map[0][1] if maps.cusp_map else ""
     for _cusp_id, (loc_kind, loc_id) in maps.mark_map:
         if kind != KIND_FOLD and loc_kind == "mark":
             site = loc_id
-    return AttachmentTrace(edge_group=e, vertex_group=v, site=site, kind=kind, embed=maps)
+    return AttachmentTrace(site, kind, embed=maps)
 
 
 def _builtin_embed_traces(e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
@@ -402,14 +383,14 @@ def _builtin_embed_traces(e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
             cusp_map=(("c1", "c1"), ("c2", "c2")),
             mark_map=(("c0", ("vertex", "v0")),),
         )
-        return (_embed_trace(e, v, KIND_FOLD, maps),)
+        return (_embed_trace(KIND_FOLD, maps),)
     if v.kind == KIND_DIHEDRAL and (v.n == 5 or v.n % 10 == 0):
         maps = EmbedMaps(
             vertex_map=(("v0", "v0"),),
             cusp_map=(("c1", "c1"), ("c2", "c2")),
             mark_map=(("c0", ("mark", "c0")),),
         )
-        return (_embed_trace(e, v, KIND_ISO, maps),)
+        return (_embed_trace(KIND_ISO, maps),)
     return ()
 
 
@@ -417,62 +398,71 @@ def _builtin_embed_traces(e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
 
 
 def parse_extension(data: Mapping, *, source: str = "<extension>") -> tuple[ExtensionEntry, ...]:
-    """Parse and validate an extension catalog document (see README for schema)."""
-    if not isinstance(data, Mapping) or "entries" not in data:
+    """Parse and validate an extension catalog document (see README for schema).
+
+    Raises CatalogError, naming the entry, for any malformed or invalid entry.
+    """
+    if not isinstance(data, Mapping) or not isinstance(data.get("entries"), list):
         raise CatalogError(f"{source}: extension document needs a top-level 'entries' list")
     entries = []
     for i, raw in enumerate(data["entries"]):
-        where = f"{source}: entries[{i}]"
         try:
-            group = canonicalize(raw["group"])
-            e_ctx = raw.get("context", {})
-            char_K = int(e_ctx.get("char_K", 0))
-            p = int(e_ctx["p"])
-        except (KeyError, SymbolError, TypeError, ValueError) as exc:
-            raise CatalogError(f"{where}: {exc}") from exc
-        if char_K != 0:
-            raise CatalogError(f"{where}: extension entries are char-0 instances")
-        vertices = tuple(
-            TreeVertex(str(vr["id"]), canonicalize(vr["group"])) for vr in raw["vertices"]
-        )
-        edges = tuple(
-            TreeEdge(str(er["id"]), (str(er["ends"][0]), str(er["ends"][1])), canonicalize(er["group"]))
-            for er in raw.get("internal_edges", [])
-        )
-        cusps = []
-        for cr in raw["cusps"]:
-            mark = cr.get("marked_point")
-            cusps.append(
-                CuspSite(
-                    str(cr["id"]),
-                    str(cr["base"]),
-                    canonicalize(cr["group"]),
-                    canonicalize(mark["group"]) if mark else None,
-                    bool(cr.get("fold_on_attach", False)),
-                )
-            )
-        traces = []
-        for tr in raw.get("embed_traces", []):
-            if tr.get("kind") not in (KIND_FOLD, KIND_ISO):
-                raise CatalogError(f"{where}: embed trace kind must be fold or iso")
-            traces.append(
-                ExtensionEmbedTrace(
-                    canonicalize(tr["edge_group"]),
-                    tr["kind"],
-                    EmbedMaps(
-                        tuple((str(a), str(b)) for a, b in tr.get("vertex_map", {}).items()),
-                        tuple((str(a), str(b)) for a, b in tr.get("cusp_map", {}).items()),
-                        tuple(
-                            (str(a), (str(kind_), str(loc)))
-                            for a, (kind_, loc) in tr.get("mark_map", {}).items()
-                        ),
-                    ),
-                )
-            )
-        entry = ExtensionEntry(group, p, vertices, edges, tuple(cusps), tuple(traces))
-        _validate_entry(entry, where)
+            entry = _parse_entry(raw)
+            _validate_entry(entry)
+        # Any shape error of the raw data (a missing key, a number where an
+        # object or a pair belongs) ends here; CatalogError is a ValueError.
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise CatalogError(f"{source}: entries[{i}]: {reason}") from exc
         entries.append(entry)
     return tuple(entries)
+
+
+def _parse_entry(raw) -> ExtensionEntry:
+    group = canonicalize(raw["group"])
+    e_ctx = raw.get("context", {})
+    char_K = int(e_ctx.get("char_K", 0))
+    p = int(e_ctx["p"])
+    if char_K != 0:
+        raise CatalogError("extension entries are char-0 instances")
+    vertices = tuple(
+        TreeVertex(str(vr["id"]), canonicalize(vr["group"])) for vr in raw["vertices"]
+    )
+    edges = tuple(
+        TreeEdge(str(er["id"]), (str(er["ends"][0]), str(er["ends"][1])), canonicalize(er["group"]))
+        for er in raw.get("internal_edges", [])
+    )
+    cusps = []
+    for cr in raw["cusps"]:
+        mark = cr.get("marked_point")
+        cusps.append(
+            CuspSite(
+                str(cr["id"]),
+                str(cr["base"]),
+                canonicalize(cr["group"]),
+                canonicalize(mark["group"]) if mark else None,
+                bool(cr.get("fold_on_attach", False)),
+            )
+        )
+    traces = []
+    for tr in raw.get("embed_traces", []):
+        if tr.get("kind") not in (KIND_FOLD, KIND_ISO):
+            raise CatalogError("embed trace kind must be fold or iso")
+        traces.append(
+            ExtensionEmbedTrace(
+                canonicalize(tr["edge_group"]),
+                tr["kind"],
+                EmbedMaps(
+                    tuple((str(a), str(b)) for a, b in tr.get("vertex_map", {}).items()),
+                    tuple((str(a), str(b)) for a, b in tr.get("cusp_map", {}).items()),
+                    tuple(
+                        (str(a), (str(kind_), str(loc)))
+                        for a, (kind_, loc) in tr.get("mark_map", {}).items()
+                    ),
+                ),
+            )
+        )
+    return ExtensionEntry(group, p, vertices, edges, tuple(cusps), tuple(traces))
 
 
 def load_extension_file(path) -> tuple[ExtensionEntry, ...]:
@@ -481,23 +471,23 @@ def load_extension_file(path) -> tuple[ExtensionEntry, ...]:
     return parse_extension(data, source=str(path))
 
 
-def _validate_entry(entry: ExtensionEntry, where: str) -> None:
+def _validate_entry(entry: ExtensionEntry) -> None:
     ctx = FieldContext(0, entry.p, 1)
     if not is_admissible(entry.group, ctx):
-        raise CatalogError(f"{where}: {entry.group} is not admissible at char 0, p={entry.p}")
+        raise CatalogError(f"{entry.group} is not admissible at char 0, p={entry.p}")
     vids = {v.id for v in entry.vertices}
     if len(vids) != len(entry.vertices) or not entry.vertices:
-        raise CatalogError(f"{where}: vertex ids must be unique and non-empty")
+        raise CatalogError("vertex ids must be unique and non-empty")
     # Tree check: connected and acyclic over the internal edges.
     adj: dict[str, list[str]] = {v: [] for v in vids}
     for ed in entry.internal_edges:
         a, b = ed.ends
         if a not in vids or b not in vids:
-            raise CatalogError(f"{where}: edge {ed.id} references unknown vertex")
+            raise CatalogError(f"edge {ed.id} references unknown vertex")
         adj[a].append(b)
         adj[b].append(a)
     if len(entry.internal_edges) != len(vids) - 1:
-        raise CatalogError(f"{where}: underlying graph is not a tree")
+        raise CatalogError("underlying graph is not a tree")
     seen = set()
     stack = [next(iter(vids))]
     while stack:
@@ -507,40 +497,48 @@ def _validate_entry(entry: ExtensionEntry, where: str) -> None:
         seen.add(x)
         stack.extend(adj[x])
     if seen != vids:
-        raise CatalogError(f"{where}: underlying graph is not connected")
+        raise CatalogError("underlying graph is not connected")
     expect = 2 if entry.group.kind == KIND_CYCLIC else 3
     if len(entry.cusps) != expect:
         raise CatalogError(
-            f"{where}: char-0 entry for {entry.group} must have {expect} cusps, got {len(entry.cusps)}"
+            f"char-0 entry for {entry.group} must have {expect} cusps, got {len(entry.cusps)}"
         )
     group_order = order(entry.group, ctx)
     cids = set()
     for c in entry.cusps:
         if c.id in cids:
-            raise CatalogError(f"{where}: duplicate cusp id {c.id}")
+            raise CatalogError(f"duplicate cusp id {c.id}")
         cids.add(c.id)
         if c.base_vertex not in vids:
-            raise CatalogError(f"{where}: cusp {c.id} references unknown vertex")
+            raise CatalogError(f"cusp {c.id} references unknown vertex")
         if c.stabilizer == TRIVIAL:
-            raise CatalogError(f"{where}: cusp {c.id} has trivial stabilizer")
+            raise CatalogError(f"cusp {c.id} has trivial stabilizer")
         if not is_admissible(c.stabilizer, ctx):
-            raise CatalogError(f"{where}: cusp stabilizer {c.stabilizer} inadmissible")
+            raise CatalogError(f"cusp stabilizer {c.stabilizer} inadmissible")
         if group_order % order(c.stabilizer, ctx) != 0:
             raise CatalogError(
-                f"{where}: cusp stabilizer {c.stabilizer} order does not divide |{entry.group}|"
+                f"cusp stabilizer {c.stabilizer} order does not divide |{entry.group}|"
             )
         if c.marked_point is not None and not symbol_contains(c.marked_point, c.stabilizer, ctx):
             raise CatalogError(
-                f"{where}: marked point stabilizer must contain the cusp stabilizer on {c.id}"
+                f"marked point stabilizer must contain the cusp stabilizer on {c.id}"
             )
     for v in entry.vertices:
         if not is_admissible(v.stabilizer, ctx):
-            raise CatalogError(f"{where}: vertex stabilizer {v.stabilizer} inadmissible")
+            raise CatalogError(f"vertex stabilizer {v.stabilizer} inadmissible")
+    targets = {"vertex": vids, "mark": cids}
+    for tr in entry.embed_traces:
+        locations = [(loc, vids) for _, loc in tr.maps.vertex_map]
+        locations += [(loc, cids) for _, loc in tr.maps.cusp_map]
+        locations += [(loc, targets.get(kind, ())) for _, (kind, loc) in tr.maps.mark_map]
+        for loc, known in locations:
+            if loc not in known:
+                raise CatalogError(f"embed trace of {tr.edge_group} maps to unknown location {loc}")
 
 
-def _tree_from_entry(entry: ExtensionEntry, ctx: FieldContext) -> ElementaryTree:
+def _tree_from_entry(entry: ExtensionEntry) -> ElementaryTree:
     return ElementaryTree(
-        entry.group, ctx, entry.vertices, entry.internal_edges, entry.cusps, printed=True
+        entry.group, entry.vertices, entry.internal_edges, entry.cusps, printed=True
     )
 
 

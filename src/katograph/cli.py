@@ -26,10 +26,9 @@ from .analysis import (
     separation_plan,
     structural_check,
 )
-from .catalog import Catalog, CatalogError, DEFAULT_CATALOG, load_extension_file
+from .catalog import Catalog, DEFAULT_CATALOG, load_extension_file
 from .fuzz import random_input
 from .graphs import (
-    CheckedInput,
     GenusEdge,
     InputEdge,
     InputGraphOfGroups,
@@ -43,7 +42,6 @@ from .graphs import (
     realize,
 )
 from .groups import (
-    ContextError,
     FieldContext,
     SymbolError,
     TRIVIAL,
@@ -73,18 +71,23 @@ def parse_spec(path) -> tuple[InputGraphOfGroups, Catalog]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
+        raise ParseError(f"{path}: {exc}") from exc
     ext = data.get("catalog_extension") if isinstance(data, dict) else None
+    if ext is not None and not isinstance(ext, str):
+        raise ParseError(f"{path}: catalog_extension must be a file name, got {type(ext).__name__}")
     catalog = Catalog()
     if ext:
         try:
             catalog = Catalog(load_extension_file(path.parent / ext))
-        except (OSError, json.JSONDecodeError, CatalogError) as exc:
+        # ValueError covers bad JSON, bad UTF-8, CatalogError and a NUL byte in the name.
+        except (OSError, ValueError, RecursionError) as exc:
             raise ParseError(f"{path}: catalog_extension: {exc}") from exc
     return parse_spec_dict(data, source=str(path)), catalog
 
@@ -95,7 +98,7 @@ def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
     try:
         f = data["field"]
         ctx = FieldContext(int(f["char_K"]), int(f["p"]), int(f.get("m", 1)))
-    except (KeyError, TypeError, ValueError, ContextError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{source}: field: {exc}") from exc
     vertices = []
     for i, raw in enumerate(_require_list(data, "vertices", source)):
@@ -212,7 +215,6 @@ def emit_dot(obj: KatoGraph | QuotientSkeleton, path=None) -> str:
 @dataclass(frozen=True)
 class RunReport:
     raw: InputGraphOfGroups
-    checked: CheckedInput
     graph: KatoGraph
     direct: int
     general: int
@@ -328,7 +330,7 @@ def build_report(raw: InputGraphOfGroups, catalog: Catalog) -> RunReport:
     plan = separation_plan(graph)
     warnings = tuple(graph.notes) + tuple(skeleton.warnings)
     return RunReport(
-        raw, checked, graph, direct, general, char0, ordinary,
+        raw, graph, direct, general, char0, ordinary,
         skeleton, structure, plan, warnings,
     )
 

@@ -321,7 +321,6 @@ class _Builder:
         self.cusps = _UnionFind()
         self.cstab: dict[str, GroupSymbol] = {}
         self.cbase: dict[str, str] = {}
-        self.cmark: dict[str, GroupSymbol | None] = {}
         self.consumed: set[str] = set()
         self.edges: list[tuple[str, str, str, GroupSymbol]] = []
         self.loops: list[tuple[str, str, str]] = []
@@ -336,11 +335,10 @@ class _Builder:
         self.verts.add(vid)
         self.vstab[vid] = stab
 
-    def add_cusp(self, cid: str, base: str, stab: GroupSymbol, mark: GroupSymbol | None = None):
+    def add_cusp(self, cid: str, base: str, stab: GroupSymbol):
         self.cusps.add(cid)
         self.cstab[cid] = stab
         self.cbase[cid] = base
-        self.cmark[cid] = mark
 
     def merge_stabs(self, a: GroupSymbol, b: GroupSymbol, what: str) -> GroupSymbol:
         if a == b:
@@ -407,7 +405,7 @@ class _Builder:
                     (f"{v.id}:{te.id}", f"{v.id}:{te.ends[0]}", f"{v.id}:{te.ends[1]}", te.stabilizer)
                 )
             for c in tree.cusps:
-                self.add_cusp(f"{v.id}:{c.id}", f"{v.id}:{c.base_vertex}", c.stabilizer, c.marked_point)
+                self.add_cusp(f"{v.id}:{c.id}", f"{v.id}:{c.base_vertex}", c.stabilizer)
 
     def anchor(self, input_vid: str) -> str:
         return f"{input_vid}:{self.trees[input_vid].vertices[0].id}"
@@ -595,13 +593,17 @@ class _Builder:
                     f"edge {edge.id}: printed trace does not cover edge-tree vertex {ev.id}"
                 )
             self.merge_vertices(f"{fid}:{fmap[ev.id]}", f"{iid}:{imap[ev.id]}")
-        for ec in sorted(c.id for c in edge_tree.cusps):
+        cusp_ids = {c.id for c in edge_tree.cusps}
+        for ec in sorted(cusp_ids):
             in_cusp = ec in fcusp and ec in icusp
             in_mark = ec in fmarks and ec in imarks
             if not (in_cusp or in_mark):
                 raise RealizeError(
                     f"edge {edge.id}: printed trace does not cover edge-tree cusp {ec}"
                 )
+        # Extension data may map a cusp on the fold side only, or mark a non-cusp.
+        if not (fcusp.keys() <= icusp.keys() and fmarks.keys() <= imarks.keys() & cusp_ids):
+            raise RealizeError(f"edge {edge.id}: printed traces disagree on the edge-tree cusps")
         for ec, target in sorted(fcusp.items()):
             a = self.resolve_site(fid, target, edge.id)
             b = self.resolve_site(iid, icusp[ec], edge.id)
@@ -614,7 +616,7 @@ class _Builder:
                     f"({fkind} vs {ikind})"
                 )
             cut = self.resolve_site(iid, iloc, edge.id)
-            mark_stab = self.cmark.get(f"{iid}:{iloc}") or self.cstab[cut]
+            mark_stab = self.trees[iid].cusp(iloc).marked_point or self.cstab[cut]
             w = f"{edge.id}:w:{ec}"
             self.add_vertex(w, mark_stab)
             fold_base = f"{fid}:{fmap[edge_tree.cusp(ec).base_vertex]}"

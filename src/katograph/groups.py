@@ -161,7 +161,7 @@ def canonicalize(raw: RawSymbol) -> GroupSymbol:
         try:
             n = int(raw.get("n", 0))
             t = int(raw.get("t", 0))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise SymbolError(f"group parameters must be integers: {exc}") from exc
         variant = raw.get("variant", "")
     else:

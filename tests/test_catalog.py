@@ -10,6 +10,7 @@ from katograph.catalog import (
     parse_extension,
 )
 from katograph.groups import (
+    ContextError,
     FieldContext,
     ICOSAHEDRAL,
     OCTAHEDRAL,
@@ -187,6 +188,40 @@ def test_char0_k2_needs_entries_for_even_orders():
     with pytest.raises(CatalogError):
         CAT.elementary_tree(dihedral(3), ctx)  # order 6 is even
     assert CAT.elementary_tree(cyclic(3), ctx)  # odd order: standard star
+
+
+# -- the tree table ---------------------------------------------------------------------
+
+
+def test_tree_table_returns_the_same_tree():
+    cat = Catalog()
+    ctx = FieldContext(3, 3, 2)
+    tree = cat.elementary_tree(proj_linear("PGL", 1), ctx)
+    assert cat.elementary_tree(proj_linear("PGL", 1), ctx) is tree
+    assert cat.elementary_tree(proj_linear("PGL", 1), FieldContext(3, 3, 2)) is tree
+    assert cat.elementary_tree(proj_linear("PGL", 2), ctx) is not tree
+
+
+def test_tree_table_keeps_no_errors():
+    cat = Catalog()
+    for _ in range(2):
+        with pytest.raises(CatalogError, match="catalog entry required"):
+            cat.elementary_tree(dihedral(15), FieldContext(0, 5, 1))
+        with pytest.raises(ContextError):
+            cat.elementary_tree(TETRAHEDRAL, FieldContext(3, 3, 1))
+
+
+@pytest.mark.parametrize("extended_first", [False, True], ids=["plain-first", "extended-first"])
+def test_tree_tables_are_per_catalog(extended_first):
+    ctx = FieldContext(0, 5, 1)
+    plain, extended = Catalog(), Catalog(parse_extension(d15_entry()))
+    for cat in (extended, plain) if extended_first else (plain, extended):
+        if cat is plain:
+            with pytest.raises(CatalogError, match="catalog entry required"):
+                cat.elementary_tree(dihedral(15), ctx)
+        else:
+            assert cat.elementary_tree(dihedral(15), ctx).printed
+    assert plain.elementary_tree(dihedral(5), ctx) is not extended.elementary_tree(dihedral(5), ctx)
 
 
 # -- attachment traces -----------------------------------------------------------------

@@ -151,18 +151,138 @@ _VERTICES = [{"id": "a", "group": {"kind": "cyclic", "n": 2}}, {"id": "b", "grou
         {"field": _FIELD, "vertices": 5},
         {"field": _FIELD, "vertices": _VERTICES, "edges": None},
         {"field": _FIELD, "vertices": _VERTICES, "genus_edges": 5},
+        # Python's json reads these spellings as floats that int() cannot convert.
+        b'{"field": {"char_K": 0, "p": 1e400}, "vertices": []}',
+        b'{"field": {"char_K": Infinity, "p": 7}, "vertices": []}',
+        b'{"field": {"char_K": 0, "p": 7, "m": -Infinity}, "vertices": []}',
+        b'{"field": {"char_K": 0, "p": 7}, "vertices": [{"id": "a", "group": {"kind": "cyclic", "n": 1e400}}]}',
+        b'{"field": {"char_K": 3, "p": 3}, "vertices": [{"id": "a", "group": {"kind": "borel", "t": Infinity, "n": 2}}]}',
+        b'{"field": {"char_K": 0, "p": ' + b"9" * 5000 + b'}, "vertices": []}',
+        b"[" * 100000 + b"]" * 100000,
+        b"\xff\xfe{}",
     ],
     ids=[
         "top-level-list", "non-integer-n", "edge-as-list", "site-hints-as-list",
         "vertices-not-a-list", "edges-null", "genus-edges-not-a-list",
+        "p-1e400", "char-K-infinity", "m-minus-infinity", "n-1e400", "t-infinity",
+        "integer-too-long", "nesting-too-deep", "not-utf-8",
     ],
 )
 def test_run_malformed_shapes_are_parse_errors(data, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
     text, code = run(path)
     assert code == EXIT_INVALID
     assert text.startswith("parse error: ") and text.count("\n") == 1
+
+
+def _d15_extension(**changes):
+    entry = json.loads((FIXTURES / "extension_d15_k5.json").read_text(encoding="utf-8"))["entries"][0]
+    entry.update(changes)
+    return {"entries": [entry]}
+
+
+_NO_VERTICES = _d15_extension()
+del _NO_VERTICES["entries"][0]["vertices"]
+
+
+@pytest.mark.parametrize(
+    "name, extension",
+    [
+        (5, None),
+        ("a\0b", None),
+        ("ext.json", {"entries": 5}),
+        ("ext.json", _NO_VERTICES),
+        ("ext.json", _d15_extension(context=[5])),
+        ("ext.json", _d15_extension(context={"char_K": 0, "p": 4})),
+        (
+            "ext.json",
+            _d15_extension(
+                embed_traces=[
+                    {
+                        "edge_group": {"kind": "dihedral", "n": 5},
+                        "kind": "iso",
+                        "mark_map": {"c0": "mark"},
+                    }
+                ]
+            ),
+        ),
+        (
+            "ext.json",
+            _d15_extension(
+                embed_traces=[
+                    {
+                        "edge_group": {"kind": "dihedral", "n": 5},
+                        "kind": "iso",
+                        "cusp_map": {"c1": "c9"},
+                    }
+                ]
+            ),
+        ),
+    ],
+    ids=[
+        "name-not-a-string", "name-with-nul", "entries-not-a-list", "entry-without-vertices",
+        "context-not-an-object", "p-not-prime", "mark-map-value-not-a-pair",
+        "embed-trace-to-unknown-cusp",
+    ],
+)
+def test_run_malformed_extension_is_parse_error(name, extension, tmp_path):
+    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
+    spec["catalog_extension"] = name
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    if extension is not None:
+        (tmp_path / "ext.json").write_text(json.dumps(extension), encoding="utf-8")
+    text, code = run(path)
+    assert code == EXIT_INVALID
+    assert text.startswith("parse error: ") and text.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "cusp_map, mark_map",
+    [
+        ({"c1": "c1", "c2": "c2", "zz": "c1"}, {"c0": ["vertex", "v0"]}),
+        ({"c1": "c1", "c2": "c2"}, {"c0": ["vertex", "v0"], "zz": ["vertex", "v1"]}),
+    ],
+    ids=["cusp-key-without-partner", "mark-key-not-an-edge-tree-cusp"],
+)
+def test_run_printed_traces_with_stray_keys_are_rejected(cusp_map, mark_map, tmp_path):
+    # An extension A5 tree (replacing the built-in one) whose fold trace into
+    # the built-in D10 names an edge-tree cusp the D10 side does not map.
+    def g(kind, **params):
+        return dict(kind=kind, **params)
+
+    entry = {
+        "group": g("icosahedral"),
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "v0", "group": g("icosahedral")}, {"id": "v1", "group": g("dihedral", n=5)}],
+        "internal_edges": [{"id": "e0", "ends": ["v0", "v1"], "group": g("dihedral", n=5)}],
+        "cusps": [
+            {"id": "c0", "base": "v0", "group": g("cyclic", n=3)},
+            {"id": "c1", "base": "v1", "group": g("cyclic", n=2)},
+            {"id": "c2", "base": "v1", "group": g("cyclic", n=5)},
+        ],
+        "embed_traces": [
+            {
+                "edge_group": g("dihedral", n=5),
+                "kind": "fold",
+                "vertex_map": {"v0": "v1"},
+                "cusp_map": cusp_map,
+                "mark_map": mark_map,
+            }
+        ],
+    }
+    spec = {
+        "field": {"char_K": 0, "p": 5},
+        "catalog_extension": "ext.json",
+        "vertices": [{"id": "a", "group": g("icosahedral")}, {"id": "d", "group": g("dihedral", n=10)}],
+        "edges": [{"id": "e0", "from": "a", "to": "d", "group": g("dihedral", n=5)}],
+    }
+    (tmp_path / "ext.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
+    text, code = run(tmp_path / "in.json")
+    assert code == EXIT_INVALID
+    assert text == "realization rejected: edge e0: printed traces disagree on the edge-tree cusps\n"
 
 
 _HUGE_T = 10**9
