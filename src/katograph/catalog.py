@@ -3,9 +3,12 @@
 Characteristic p entries follow the classification proposition item by item;
 characteristic 0 splits into the generic star shapes (residue characteristic
 above 5, or group order prime to it), which are the characteristic-p shapes,
-and the printed small-residue instances (the D5 / A5 / D_{10m} family at
-residue characteristic 5). Further
-small-residue entries load from an extension file; see ``parse_extension``.
+and the printed small-residue instances. Each printed instance is one
+``PrintedEntry``: its tree and its gluing traces, keyed by edge group. The
+built-in ones are the D5 / A5 / D_{10m} family at residue characteristic 5;
+further entries load from an extension file (see ``parse_extension``). A
+lookup tries the extension entry first, then the built-in one, and an
+extension entry with no traces for an edge group keeps the built-in ones.
 
 All trees and traces are immutable. A Catalog builds each tree once, on
 first request, and keeps it in its own table; it is still safe to share freely.
@@ -30,6 +33,7 @@ from .groups import (
     dihedral,
     is_admissible,
     is_borel_form,
+    json_scalar,
     order,
     pl_invariants,
     symbol_contains,
@@ -42,7 +46,6 @@ from .groups import (
     KIND_PROJ_LINEAR,
     KIND_TETRAHEDRAL,
     KIND_TRIVIAL,
-    ICOSAHEDRAL,
     TRIVIAL,
 )
 
@@ -136,31 +139,24 @@ class AttachmentTrace:
 
 
 @dataclass(frozen=True)
-class ExtensionEntry:
-    group: GroupSymbol
+class PrintedEntry:
+    """A printed small-residue tree at residue characteristic p, with its
+    gluings: each trace paired with the edge group it glues in."""
+
     p: int
-    vertices: tuple[TreeVertex, ...]
-    internal_edges: tuple[TreeEdge, ...]
-    cusps: tuple[CuspSite, ...]
-    embed_traces: tuple["ExtensionEmbedTrace", ...] = ()
-
-
-@dataclass(frozen=True)
-class ExtensionEmbedTrace:
-    edge_group: GroupSymbol
-    kind: str
-    maps: EmbedMaps
+    tree: ElementaryTree
+    traces: tuple[tuple[GroupSymbol, AttachmentTrace], ...] = ()
 
 
 class Catalog:
     """Built-in elementary trees plus optional extension entries (read-only)."""
 
-    def __init__(self, extensions: Iterable[ExtensionEntry] = ()):
-        self._extensions: dict[tuple[GroupSymbol, int], ExtensionEntry] = {}
+    def __init__(self, extensions: Iterable[PrintedEntry] = ()):
+        self._extensions: dict[tuple[GroupSymbol, int], PrintedEntry] = {}
         for entry in extensions:
-            key = (entry.group, entry.p)
+            key = (entry.tree.group, entry.p)
             if key in self._extensions:
-                raise CatalogError(f"duplicate extension entry for {entry.group} at p={entry.p}")
+                raise CatalogError(f"duplicate extension entry for {key[0]} at p={entry.p}")
             self._extensions[key] = entry
         self._trees: dict[tuple[GroupSymbol, FieldContext], ElementaryTree] = {}
 
@@ -231,39 +227,13 @@ class Catalog:
 
     def _char_zero_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
         """Residue characteristic p <= 5 dividing the group order."""
-        p = ctx.p
-        entry = self._extensions.get((g, p))
-        if entry is not None:
-            return _tree_from_entry(entry)
-        built = self._char_zero_printed(g, ctx)
-        if built is not None:
-            return built
-        raise CatalogError(
-            f"catalog entry required: {g} at char 0 with residue characteristic {p} "
-            "(group order divisible by p; supply an extension catalog entry)"
-        )
-
-    def _char_zero_printed(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree | None:
-        """The instances printed for residue characteristic 5: D5, D_{10m}, A5."""
-        if ctx.p != 5:
-            return None
-        if g.kind == KIND_DIHEDRAL and (g.n == 5 or g.n % 10 == 0):
-            c2 = cyclic(2)
-            return _tree(
-                g, [(g,)], [],
-                [(0, c2, c2, True), (0, c2), (0, cyclic(g.n))],
-                printed=True,
+        entry = self._extensions.get((g, ctx.p)) or _builtin_printed(g, ctx.p)
+        if entry is None:
+            raise CatalogError(
+                f"catalog entry required: {g} at char 0 with residue characteristic {ctx.p} "
+                "(group order divisible by p; supply an extension catalog entry)"
             )
-        if g.kind == KIND_ICOSAHEDRAL:
-            d5 = dihedral(5)
-            return _tree(
-                g,
-                [(g,), (d5,)],
-                [((0, 1), d5)],
-                [(0, cyclic(3)), (1, cyclic(2)), (1, cyclic(5))],
-                printed=True,
-            )
-        return None
+        return entry.tree
 
     # -- traces ---------------------------------------------------------------
 
@@ -327,15 +297,12 @@ class Catalog:
     def _embed_traces(self, e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
         if ctx.positive_char or ctx.p > 5:
             return ()
-        entry = self._extensions.get((v, ctx.p))
-        if entry is not None:
-            out = []
-            for spec in entry.embed_traces:
-                if spec.edge_group == e:
-                    out.append(_embed_trace(spec.kind, spec.maps))
-            if out:
-                return tuple(out)
-        return _builtin_embed_traces(e, v, ctx)
+        # An extension entry without traces for e keeps the built-in ones.
+        for entry in (self._extensions.get((v, ctx.p)), _builtin_printed(v, ctx.p)):
+            traces = tuple(t for g, t in entry.traces if g == e) if entry else ()
+            if traces:
+                return traces
+        return ()
 
 
 def _tree(g, vertices, edges, cusps, printed=False) -> ElementaryTree:
@@ -373,31 +340,36 @@ def _embed_trace(kind: str, maps: EmbedMaps) -> AttachmentTrace:
     return AttachmentTrace(site, kind, embed=maps)
 
 
-def _builtin_embed_traces(e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
-    """The printed residue-characteristic-5 gluings of the triangle family."""
-    if ctx.p != 5 or e != dihedral(5):
-        return ()
-    if v == ICOSAHEDRAL:
-        maps = EmbedMaps(
-            vertex_map=(("v0", "v1"),),
-            cusp_map=(("c1", "c1"), ("c2", "c2")),
-            mark_map=(("c0", ("vertex", "v0")),),
+def _builtin_printed(g: GroupSymbol, p: int) -> PrintedEntry | None:
+    """The instances printed for residue characteristic 5: D5, D_{10m} and A5,
+    each with its gluing of the D5 edge tree."""
+    if p != 5:
+        return None
+    d5 = dihedral(5)
+    if g.kind == KIND_DIHEDRAL and (g.n == 5 or g.n % 10 == 0):
+        c2 = cyclic(2)
+        tree = _tree(
+            g, [(g,)], [], [(0, c2, c2, True), (0, c2), (0, cyclic(g.n))], printed=True
         )
-        return (_embed_trace(KIND_FOLD, maps),)
-    if v.kind == KIND_DIHEDRAL and (v.n == 5 or v.n % 10 == 0):
-        maps = EmbedMaps(
-            vertex_map=(("v0", "v0"),),
-            cusp_map=(("c1", "c1"), ("c2", "c2")),
-            mark_map=(("c0", ("mark", "c0")),),
+        maps = EmbedMaps((("v0", "v0"),), (("c1", "c1"), ("c2", "c2")), (("c0", ("mark", "c0")),))
+        return PrintedEntry(p, tree, ((d5, _embed_trace(KIND_ISO, maps)),))
+    if g.kind == KIND_ICOSAHEDRAL:
+        tree = _tree(
+            g,
+            [(g,), (d5,)],
+            [((0, 1), d5)],
+            [(0, cyclic(3)), (1, cyclic(2)), (1, cyclic(5))],
+            printed=True,
         )
-        return (_embed_trace(KIND_ISO, maps),)
-    return ()
+        maps = EmbedMaps((("v0", "v1"),), (("c1", "c1"), ("c2", "c2")), (("c0", ("vertex", "v0")),))
+        return PrintedEntry(p, tree, ((d5, _embed_trace(KIND_FOLD, maps)),))
+    return None
 
 
 # -- extension files ----------------------------------------------------------
 
 
-def parse_extension(data: Mapping, *, source: str = "<extension>") -> tuple[ExtensionEntry, ...]:
+def parse_extension(data: Mapping, *, source: str = "<extension>") -> tuple[PrintedEntry, ...]:
     """Parse and validate an extension catalog document (see README for schema).
 
     Raises CatalogError, naming the entry, for any malformed or invalid entry.
@@ -418,12 +390,11 @@ def parse_extension(data: Mapping, *, source: str = "<extension>") -> tuple[Exte
     return tuple(entries)
 
 
-def _parse_entry(raw) -> ExtensionEntry:
+def _parse_entry(raw) -> PrintedEntry:
     group = canonicalize(raw["group"])
     e_ctx = raw.get("context", {})
-    char_K = int(e_ctx.get("char_K", 0))
-    p = int(e_ctx["p"])
-    if char_K != 0:
+    p = json_scalar(e_ctx["p"], int, "p")
+    if json_scalar(e_ctx.get("char_K", 0), int, "char_K") != 0:
         raise CatalogError("extension entries are char-0 instances")
     vertices = tuple(
         TreeVertex(str(vr["id"]), canonicalize(vr["group"])) for vr in raw["vertices"]
@@ -441,71 +412,56 @@ def _parse_entry(raw) -> ExtensionEntry:
                 str(cr["base"]),
                 canonicalize(cr["group"]),
                 canonicalize(mark["group"]) if mark else None,
-                bool(cr.get("fold_on_attach", False)),
+                json_scalar(cr.get("fold_on_attach", False), bool, "fold_on_attach"),
             )
         )
     traces = []
     for tr in raw.get("embed_traces", []):
         if tr.get("kind") not in (KIND_FOLD, KIND_ISO):
             raise CatalogError("embed trace kind must be fold or iso")
-        traces.append(
-            ExtensionEmbedTrace(
-                canonicalize(tr["edge_group"]),
-                tr["kind"],
-                EmbedMaps(
-                    tuple((str(a), str(b)) for a, b in tr.get("vertex_map", {}).items()),
-                    tuple((str(a), str(b)) for a, b in tr.get("cusp_map", {}).items()),
-                    tuple(
-                        (str(a), (str(kind_), str(loc)))
-                        for a, (kind_, loc) in tr.get("mark_map", {}).items()
-                    ),
-                ),
-            )
+        maps = EmbedMaps(
+            tuple((str(a), str(b)) for a, b in tr.get("vertex_map", {}).items()),
+            tuple((str(a), str(b)) for a, b in tr.get("cusp_map", {}).items()),
+            tuple(
+                (str(a), (str(kind_), str(loc)))
+                for a, (kind_, loc) in tr.get("mark_map", {}).items()
+            ),
         )
-    return ExtensionEntry(group, p, vertices, edges, tuple(cusps), tuple(traces))
+        traces.append((canonicalize(tr["edge_group"]), _embed_trace(tr["kind"], maps)))
+    tree = ElementaryTree(group, vertices, edges, tuple(cusps), printed=True)
+    return PrintedEntry(p, tree, tuple(traces))
 
 
-def load_extension_file(path) -> tuple[ExtensionEntry, ...]:
+def load_extension_file(path) -> tuple[PrintedEntry, ...]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return parse_extension(data, source=str(path))
 
 
-def _validate_entry(entry: ExtensionEntry) -> None:
-    ctx = FieldContext(0, entry.p, 1)
-    if not is_admissible(entry.group, ctx):
-        raise CatalogError(f"{entry.group} is not admissible at char 0, p={entry.p}")
-    vids = {v.id for v in entry.vertices}
-    if len(vids) != len(entry.vertices) or not entry.vertices:
+def _validate_entry(entry: PrintedEntry) -> None:
+    from .graphs import betti  # graphs imports this module
+
+    tree, ctx = entry.tree, FieldContext(0, entry.p, 1)
+    if not is_admissible(tree.group, ctx):
+        raise CatalogError(f"{tree.group} is not admissible at char 0, p={entry.p}")
+    vids = {v.id for v in tree.vertices}
+    if len(vids) != len(tree.vertices) or not tree.vertices:
         raise CatalogError("vertex ids must be unique and non-empty")
-    # Tree check: connected and acyclic over the internal edges.
-    adj: dict[str, list[str]] = {v: [] for v in vids}
-    for ed in entry.internal_edges:
-        a, b = ed.ends
-        if a not in vids or b not in vids:
+    for ed in tree.internal_edges:
+        if not set(ed.ends) <= vids:
             raise CatalogError(f"edge {ed.id} references unknown vertex")
-        adj[a].append(b)
-        adj[b].append(a)
-    if len(entry.internal_edges) != len(vids) - 1:
+    if len(tree.internal_edges) != len(vids) - 1:
         raise CatalogError("underlying graph is not a tree")
-    seen = set()
-    stack = [next(iter(vids))]
-    while stack:
-        x = stack.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        stack.extend(adj[x])
-    if seen != vids:
+    if betti(vids, [ed.ends for ed in tree.internal_edges]) != 0:
         raise CatalogError("underlying graph is not connected")
-    expect = 2 if entry.group.kind == KIND_CYCLIC else 3
-    if len(entry.cusps) != expect:
+    expect = 2 if tree.group.kind == KIND_CYCLIC else 3
+    if len(tree.cusps) != expect:
         raise CatalogError(
-            f"char-0 entry for {entry.group} must have {expect} cusps, got {len(entry.cusps)}"
+            f"char-0 entry for {tree.group} must have {expect} cusps, got {len(tree.cusps)}"
         )
-    group_order = order(entry.group, ctx)
+    group_order = order(tree.group, ctx)
     cids = set()
-    for c in entry.cusps:
+    for c in tree.cusps:
         if c.id in cids:
             raise CatalogError(f"duplicate cusp id {c.id}")
         cids.add(c.id)
@@ -517,29 +473,24 @@ def _validate_entry(entry: ExtensionEntry) -> None:
             raise CatalogError(f"cusp stabilizer {c.stabilizer} inadmissible")
         if group_order % order(c.stabilizer, ctx) != 0:
             raise CatalogError(
-                f"cusp stabilizer {c.stabilizer} order does not divide |{entry.group}|"
+                f"cusp stabilizer {c.stabilizer} order does not divide |{tree.group}|"
             )
         if c.marked_point is not None and not symbol_contains(c.marked_point, c.stabilizer, ctx):
             raise CatalogError(
                 f"marked point stabilizer must contain the cusp stabilizer on {c.id}"
             )
-    for v in entry.vertices:
+    for v in tree.vertices:
         if not is_admissible(v.stabilizer, ctx):
             raise CatalogError(f"vertex stabilizer {v.stabilizer} inadmissible")
     targets = {"vertex": vids, "mark": cids}
-    for tr in entry.embed_traces:
-        locations = [(loc, vids) for _, loc in tr.maps.vertex_map]
-        locations += [(loc, cids) for _, loc in tr.maps.cusp_map]
-        locations += [(loc, targets.get(kind, ())) for _, (kind, loc) in tr.maps.mark_map]
+    for edge_group, trace in entry.traces:
+        maps = trace.embed
+        locations = [(loc, vids) for _, loc in maps.vertex_map]
+        locations += [(loc, cids) for _, loc in maps.cusp_map]
+        locations += [(loc, targets.get(kind, ())) for _, (kind, loc) in maps.mark_map]
         for loc, known in locations:
             if loc not in known:
-                raise CatalogError(f"embed trace of {tr.edge_group} maps to unknown location {loc}")
-
-
-def _tree_from_entry(entry: ExtensionEntry) -> ElementaryTree:
-    return ElementaryTree(
-        entry.group, entry.vertices, entry.internal_edges, entry.cusps, printed=True
-    )
+                raise CatalogError(f"embed trace of {edge_group} maps to unknown location {loc}")
 
 
 DEFAULT_CATALOG = Catalog()

@@ -47,6 +47,7 @@ from .groups import (
     TRIVIAL,
     canonicalize,
     format_symbol,
+    json_scalar,
     symbol_to_dict,
 )
 
@@ -97,8 +98,9 @@ def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
         raise ParseError(f"{source}: top level must be an object")
     try:
         f = data["field"]
-        ctx = FieldContext(int(f["char_K"]), int(f["p"]), int(f.get("m", 1)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        char_K, p = (json_scalar(f[k], int, k) for k in ("char_K", "p"))
+        ctx = FieldContext(char_K, p, json_scalar(f.get("m", 1), int, "m"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: field: {exc}") from exc
     vertices = []
     for i, raw in enumerate(_require_list(data, "vertices", source)):
@@ -110,7 +112,7 @@ def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
     for i, raw in enumerate(_require_list(data, "edges", source)):
         try:
             _require_object(raw, "an edge")
-            derive = bool(raw.get("derive", False))
+            derive = json_scalar(raw.get("derive", False), bool, "derive")
             group = None
             if not derive:
                 if "group" not in raw:
@@ -233,6 +235,11 @@ class RunReport:
             return False
         return True
 
+    @property
+    def passed(self) -> bool:
+        """The verdict: formulas agree, the structure is sound and nothing is non-ordinary."""
+        return self.formulas_agree and self.structure.ok and self.ordinary is not False
+
     def render(self) -> str:
         ctx = self.graph.ctx
         fmt = lambda g: format_symbol(g, ctx)
@@ -351,15 +358,7 @@ def run(path, out_dir=None, dot=False, do_contract=False, strict=False) -> tuple
             return (f"formula failure: {exc}\n", EXIT_CHECK_FAILED)
         return (f"realization rejected: {exc}\n", EXIT_INVALID)
     text = report.render()
-    code = EXIT_OK
-    if not report.formulas_agree:
-        code = EXIT_CHECK_FAILED
-    if not report.structure.ok:
-        code = EXIT_CHECK_FAILED
-    if report.ordinary is False:
-        code = EXIT_CHECK_FAILED
-    if strict and report.warnings:
-        code = EXIT_CHECK_FAILED
+    code = EXIT_OK if report.passed and not (strict and report.warnings) else EXIT_CHECK_FAILED
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -382,9 +381,9 @@ def run_fuzz(count: int, seed: int) -> tuple[str, int]:
             failures += 1
             print(f"input {i}: failed to realize: {exc}", file=sys.stderr)
             continue
-        if not (report.formulas_agree and report.structure.ok):
+        if not report.passed:
             failures += 1
-            print(f"input {i}: formula/structure mismatch", file=sys.stderr)
+            print(f"input {i}: formula, structure or ordinarity check failed", file=sys.stderr)
     text = f"fuzz: {count} inputs, {failures} failures (seed {seed})\n"
     return (text, EXIT_OK if failures == 0 else EXIT_CHECK_FAILED)
 

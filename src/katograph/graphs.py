@@ -316,10 +316,9 @@ class _Builder:
         self.checked = checked
         self.ctx = checked.ctx
         self.catalog = checked.catalog
-        self.verts = _UnionFind()
-        self.vstab: dict[str, GroupSymbol] = {}
-        self.cusps = _UnionFind()
-        self.cstab: dict[str, GroupSymbol] = {}
+        # Realized vertices and cusps share one id table; cusps are the ids in cbase.
+        self.ids = _UnionFind()
+        self.stab: dict[str, GroupSymbol] = {}
         self.cbase: dict[str, str] = {}
         self.consumed: set[str] = set()
         self.edges: list[tuple[str, str, str, GroupSymbol]] = []
@@ -331,14 +330,14 @@ class _Builder:
 
     # -- primitives --
 
-    def add_vertex(self, vid: str, stab: GroupSymbol):
-        self.verts.add(vid)
-        self.vstab[vid] = stab
-
-    def add_cusp(self, cid: str, base: str, stab: GroupSymbol):
-        self.cusps.add(cid)
-        self.cstab[cid] = stab
-        self.cbase[cid] = base
+    def add(self, xid: str, stab: GroupSymbol, base: str | None = None):
+        """A realized vertex, or a cusp based at the vertex ``base``."""
+        if xid in self.ids.parent:
+            raise RealizeError(f"realized id {xid} names two vertices or cusps; rename an id")
+        self.ids.add(xid)
+        self.stab[xid] = stab
+        if base is not None:
+            self.cbase[xid] = base
 
     def merge_stabs(self, a: GroupSymbol, b: GroupSymbol, what: str) -> GroupSymbol:
         if a == b:
@@ -349,40 +348,30 @@ class _Builder:
             return b
         raise RealizeError(f"stabilizer merge without containment: {a} vs {b} ({what})")
 
-    def merge_vertices(self, a: str, b: str) -> str:
-        ra, rb = self.verts.find(a), self.verts.find(b)
-        if ra == rb:
-            return ra
-        stab = self.merge_stabs(self.vstab[ra], self.vstab[rb], f"vertices {ra}, {rb}")
-        root = self.verts.union(ra, rb)
-        self.vstab[root] = stab
-        other = rb if root == ra else ra
-        self.vstab.pop(other, None)
-        return root
-
-    def merge_cusps(self, ids: Iterable[str], what: str) -> str:
+    def merge(self, ids: Iterable[str], what: str | None = None) -> str:
+        """Identify realized vertices, or cusps glued by ``what``; returns the root."""
         roots = []
-        for cid in ids:
-            r = self.cusps.find(cid)
+        for xid in ids:
+            r = self.ids.find(xid)
             if r in self.consumed:
-                raise RealizeError(f"attachment site already used: {cid} ({what})")
+                raise RealizeError(f"attachment site already used: {xid} ({what})")
             if r not in roots:
                 roots.append(r)
-        stab = self.cstab[roots[0]]
+        stab = self.stab[roots[0]]
         for r in roots[1:]:
-            stab = self.merge_stabs(stab, self.cstab[r], what)
+            stab = self.merge_stabs(stab, self.stab[r], what or f"vertices {roots[0]}, {r}")
         root = roots[0]
         for r in roots[1:]:
-            root = self.cusps.union(root, r)
+            root = self.ids.union(root, r)
         for r in roots:
             if r != root:
-                self.cstab.pop(r, None)
-        self.cstab[root] = stab
+                self.stab.pop(r)
+        self.stab[root] = stab
         return root
 
     def resolve_site(self, input_vid: str, local_cusp: str, edge_id: str) -> str:
         cid = f"{input_vid}:{local_cusp}"
-        root = self.cusps.find(cid)
+        root = self.ids.find(cid)
         if root in self.consumed:
             raise RealizeError(
                 f"edge {edge_id}: attachment site {cid} already used by an earlier gluing"
@@ -390,7 +379,7 @@ class _Builder:
         return root
 
     def consume(self, root: str):
-        self.consumed.add(self.cusps.find(root))
+        self.consumed.add(self.ids.find(root))
 
     # -- placement --
 
@@ -399,13 +388,13 @@ class _Builder:
             tree = self.catalog.elementary_tree(v.group, self.ctx)
             self.trees[v.id] = tree
             for tv in tree.vertices:
-                self.add_vertex(f"{v.id}:{tv.id}", tv.stabilizer)
+                self.add(f"{v.id}:{tv.id}", tv.stabilizer)
             for te in tree.internal_edges:
                 self.edges.append(
                     (f"{v.id}:{te.id}", f"{v.id}:{te.ends[0]}", f"{v.id}:{te.ends[1]}", te.stabilizer)
                 )
             for c in tree.cusps:
-                self.add_cusp(f"{v.id}:{c.id}", f"{v.id}:{c.base_vertex}", c.stabilizer)
+                self.add(f"{v.id}:{c.id}", c.stabilizer, f"{v.id}:{c.base_vertex}")
 
     def anchor(self, input_vid: str) -> str:
         return f"{input_vid}:{self.trees[input_vid].vertices[0].id}"
@@ -446,11 +435,11 @@ class _Builder:
                 root = self.resolve_site(vid, t.site, edge.id)
                 # Earlier gluings may have merged the site into a cusp with a
                 # larger stabilizer; the trace then no longer applies.
-                if self.cstab[root] != tree.cusp(t.site).stabilizer:
+                if self.stab[root] != tree.cusp(t.site).stabilizer:
                     continue
                 if t.partner_site:
                     proot = self.resolve_site(vid, t.partner_site, edge.id)
-                    if self.cstab[proot] != tree.cusp(t.partner_site).stabilizer:
+                    if self.stab[proot] != tree.cusp(t.partner_site).stabilizer:
                         continue
             except RealizeError:
                 continue
@@ -505,8 +494,8 @@ class _Builder:
         if su == sv:
             raise RealizeError(f"edge {edge.id}: both ends resolve to one attachment site")
         w = f"{edge.id}:w"
-        self.add_vertex(w, edge.group)
-        self.add_cusp(f"{edge.id}:c", w, edge.group)
+        self.add(w, edge.group)
+        self.add(f"{edge.id}:c", edge.group, w)
         self.edges.append((f"{edge.id}:a", self.cbase[su], w, edge.group))
         self.edges.append((f"{edge.id}:b", w, self.cbase[sv], edge.group))
         self.consume(su)
@@ -528,7 +517,7 @@ class _Builder:
         sv = self.resolve_site(vid, tv.site, edge.id)
         if tu.fold_at_mark:
             w = f"{edge.id}:w"
-            self.add_vertex(w, self.trees[uid].cusp(tu.site).marked_point)
+            self.add(w, self.trees[uid].cusp(tu.site).marked_point)
             self.edges.append((f"{edge.id}:a", self.cbase[su], w, edge.group))
             self.edges.append((f"{edge.id}:b", w, self.cbase[sv], edge.group))
         else:
@@ -543,9 +532,9 @@ class _Builder:
         fv = self.resolve_site(vid, tv.site, edge.id)
         if len({lu, fu}) < 2 or len({lv, fv}) < 2:
             raise RealizeError(f"edge {edge.id}: attachment sites exhausted at an endpoint")
-        self.merge_vertices(self.anchor(uid), self.anchor(vid))
-        self.merge_cusps([lu, lv], f"edge {edge.id}")
-        self.merge_cusps([fu, fv], f"edge {edge.id}")
+        self.merge([self.anchor(uid), self.anchor(vid)])
+        self.merge([lu, lv], f"edge {edge.id}")
+        self.merge([fu, fv], f"edge {edge.id}")
 
     def glue_fold_iso(self, edge, fid, tf, iid, ti):
         sf = self.resolve_site(fid, tf.site, edge.id)
@@ -555,14 +544,14 @@ class _Builder:
             raise RealizeError(f"edge {edge.id}: attachment sites exhausted at {iid}")
         if tf.fold_at_mark:
             w = f"{edge.id}:w"
-            self.add_vertex(w, self.trees[fid].cusp(tf.site).marked_point)
+            self.add(w, self.trees[fid].cusp(tf.site).marked_point)
             self.edges.append((edge.id, self.cbase[sf], w, edge.group))
             self.consume(sf)
-            self.merge_vertices(w, self.anchor(iid))
-            self.merge_cusps([li, fi], f"edge {edge.id}")
+            self.merge([w, self.anchor(iid)])
+            self.merge([li, fi], f"edge {edge.id}")
         else:
-            self.merge_vertices(self.cbase[sf], self.anchor(iid))
-            self.merge_cusps([sf, li, fi], f"edge {edge.id}")
+            self.merge([self.cbase[sf], self.anchor(iid)])
+            self.merge([sf, li, fi], f"edge {edge.id}")
 
     def glue_embed(self, edge, uid, tu, vid, tv):
         flavors = {tu.kind, tv.kind}
@@ -592,7 +581,7 @@ class _Builder:
                 raise RealizeError(
                     f"edge {edge.id}: printed trace does not cover edge-tree vertex {ev.id}"
                 )
-            self.merge_vertices(f"{fid}:{fmap[ev.id]}", f"{iid}:{imap[ev.id]}")
+            self.merge([f"{fid}:{fmap[ev.id]}", f"{iid}:{imap[ev.id]}"])
         cusp_ids = {c.id for c in edge_tree.cusps}
         for ec in sorted(cusp_ids):
             in_cusp = ec in fcusp and ec in icusp
@@ -607,7 +596,7 @@ class _Builder:
         for ec, target in sorted(fcusp.items()):
             a = self.resolve_site(fid, target, edge.id)
             b = self.resolve_site(iid, icusp[ec], edge.id)
-            self.merge_cusps([a, b], f"edge {edge.id}")
+            self.merge([a, b], f"edge {edge.id}")
         for ec, (fkind, floc) in sorted(fmarks.items()):
             ikind, iloc = imarks[ec]
             if fkind != "vertex" or ikind != "mark":
@@ -616,22 +605,22 @@ class _Builder:
                     f"({fkind} vs {ikind})"
                 )
             cut = self.resolve_site(iid, iloc, edge.id)
-            mark_stab = self.trees[iid].cusp(iloc).marked_point or self.cstab[cut]
+            mark_stab = self.trees[iid].cusp(iloc).marked_point or self.stab[cut]
             w = f"{edge.id}:w:{ec}"
-            self.add_vertex(w, mark_stab)
+            self.add(w, mark_stab)
             fold_base = f"{fid}:{fmap[edge_tree.cusp(ec).base_vertex]}"
             fold_top = f"{fid}:{floc}"
             if not self._has_edge_between(fold_base, fold_top):
                 self.edges.append((f"{edge.id}:{ec}", self.cbase[cut], w, edge.group))
             self.consume(cut)
-            self.merge_vertices(w, fold_top)
+            self.merge([w, fold_top])
         self.embedded.add(fid)
         self.embedded.add(iid)
 
     def _has_edge_between(self, a: str, b: str) -> bool:
-        ra, rb = self.verts.find(a), self.verts.find(b)
+        ra, rb = self.ids.find(a), self.ids.find(b)
         for _, x, y, _stab in self.edges:
-            if {self.verts.find(x), self.verts.find(y)} == {ra, rb}:
+            if {self.ids.find(x), self.ids.find(y)} == {ra, rb}:
                 return True
         return False
 
@@ -654,21 +643,20 @@ class _Builder:
             self.glue(edge, traces.get(edge.id))
         for ge in sorted(self.checked.genus_edges, key=lambda g: g.id):
             self.loops.append((ge.id, self.anchor(ge.ends[0]), self.anchor(ge.ends[1])))
-        vertices = tuple(
-            GraphVertex(r, self.vstab[r])
-            for r in sorted(set(self.verts.find(x) for x in self.verts.parent))
-        )
+        # The roots are exactly the ids that keep a stabilizer.
+        roots = sorted(self.stab)
+        vertices = tuple(GraphVertex(r, self.stab[r]) for r in roots if r not in self.cbase)
         edges = tuple(
-            GraphEdge(eid, (self.verts.find(a), self.verts.find(b)), stab)
+            GraphEdge(eid, (self.ids.find(a), self.ids.find(b)), stab)
             for eid, a, b, stab in sorted(self.edges)
         )
         cusps = tuple(
-            GraphCusp(r, self.verts.find(self.cbase[r]), self.cstab[r])
-            for r in sorted(set(self.cusps.find(x) for x in self.cusps.parent))
-            if r not in self.consumed
+            GraphCusp(r, self.ids.find(self.cbase[r]), self.stab[r])
+            for r in roots
+            if r in self.cbase and r not in self.consumed
         )
         loops = tuple(
-            GraphLoop(lid, (self.verts.find(a), self.verts.find(b)))
+            GraphLoop(lid, (self.ids.find(a), self.ids.find(b)))
             for lid, a, b in sorted(self.loops)
         )
         graph = KatoGraph(self.ctx, vertices, edges, cusps, loops, tuple(self.notes))

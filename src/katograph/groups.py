@@ -148,6 +148,17 @@ def proj_linear(variant: str, t: int) -> GroupSymbol:
 RawSymbol = Union[GroupSymbol, Mapping]
 
 
+def json_scalar(value, kind: type, what: str):
+    """``value`` if it is a JSON integer or boolean, as ``kind`` says; else TypeError.
+
+    Nothing is coerced: a float, a string or (for an integer) a boolean is refused.
+    """
+    if type(value) is not kind:
+        name = "an integer" if kind is int else "true or false"
+        raise TypeError(f"{what} must be {name}, got {type(value).__name__}")
+    return value
+
+
 def canonicalize(raw: RawSymbol) -> GroupSymbol:
     """Return the canonical form of a symbol or of a mapping description.
 
@@ -159,9 +170,9 @@ def canonicalize(raw: RawSymbol) -> GroupSymbol:
     elif isinstance(raw, Mapping):
         kind = raw.get("kind")
         try:
-            n = int(raw.get("n", 0))
-            t = int(raw.get("t", 0))
-        except (ValueError, OverflowError) as exc:
+            n = json_scalar(raw.get("n", 0), int, "n")
+            t = json_scalar(raw.get("t", 0), int, "t")
+        except TypeError as exc:
             raise SymbolError(f"group parameters must be integers: {exc}") from exc
         variant = raw.get("variant", "")
     else:

@@ -430,3 +430,76 @@ def test_extension_embed_trace_glues_against_builtin():
     assert sorted(str(v.stabilizer) for v in g.vertices) == ["A5", "D15"]
     assert sorted(str(c.stabilizer) for c in g.cusps) == ["C15", "C2", "C3"]
     assert len(g.finite_edges) == 1 and g.finite_edges[0].stabilizer == dihedral(5)
+
+
+def d10_entry(**changes):
+    """An extension D10 at residue characteristic 5: a plain star, no marked cusp."""
+    entry = {
+        "group": {"kind": "dihedral", "n": 10},
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "v0", "group": {"kind": "dihedral", "n": 10}}],
+        "cusps": [
+            {"id": "c0", "base": "v0", "group": {"kind": "cyclic", "n": 2}},
+            {"id": "c1", "base": "v0", "group": {"kind": "cyclic", "n": 2}},
+            {"id": "c2", "base": "v0", "group": {"kind": "cyclic", "n": 10}},
+        ],
+    }
+    entry.update(changes)
+    return {"entries": [entry]}
+
+
+def test_extension_replaces_a_builtin_tree():
+    ctx = FieldContext(0, 5, 1)
+    tree = Catalog(parse_extension(d10_entry())).elementary_tree(dihedral(10), ctx)
+    assert tree.printed
+    assert [c.marked_point for c in tree.cusps] == [None, None, None]
+    assert CAT.elementary_tree(dihedral(10), ctx).cusps[0].marked_point == cyclic(2)
+
+
+def test_extension_without_traces_keeps_the_builtin_traces():
+    ctx = FieldContext(0, 5, 1)
+    cat = Catalog(parse_extension(d10_entry()))
+    traces = cat.attachment_traces(dihedral(5), dihedral(10), ctx)
+    assert traces == CAT.attachment_traces(dihedral(5), dihedral(10), ctx)
+    assert [t.kind for t in traces] == [KIND_ISO]
+
+
+def test_extension_traces_replace_the_builtin_traces():
+    ctx = FieldContext(0, 5, 1)
+    trace = {
+        "edge_group": {"kind": "dihedral", "n": 5},
+        "kind": "fold",
+        "vertex_map": {"v0": "v0"},
+        "cusp_map": {"c1": "c1", "c2": "c2"},
+        "mark_map": {"c0": ["vertex", "v0"]},
+    }
+    cat = Catalog(parse_extension(d10_entry(embed_traces=[trace])))
+    traces = cat.attachment_traces(dihedral(5), dihedral(10), ctx)
+    assert [(t.kind, t.site) for t in traces] == [(KIND_FOLD, "c1")]
+    assert traces[0].embed.mark_map == (("c0", ("vertex", "v0")),)
+
+
+def test_extension_rejects_disconnected_tree():
+    # Edges number vertices - 1, but v0-v1 twice leaves v2 alone.
+    doc = d10_entry(
+        vertices=[{"id": v, "group": {"kind": "dihedral", "n": 10}} for v in ("v0", "v1", "v2")],
+        internal_edges=[
+            {"id": e, "ends": ["v0", "v1"], "group": {"kind": "cyclic", "n": 2}} for e in ("e0", "e1")
+        ],
+    )
+    with pytest.raises(CatalogError, match="not connected"):
+        parse_extension(doc)
+
+
+def test_extension_rejects_edge_to_unknown_vertex():
+    doc = d10_entry(
+        internal_edges=[{"id": "e0", "ends": ["v0", "v9"], "group": {"kind": "cyclic", "n": 2}}]
+    )
+    with pytest.raises(CatalogError, match="e0 references unknown vertex"):
+        parse_extension(doc)
+
+
+def test_extension_rejects_two_entries_for_one_group():
+    entries = parse_extension(d10_entry())
+    with pytest.raises(CatalogError, match="duplicate extension entry for D10 at p=5"):
+        Catalog(entries + entries)

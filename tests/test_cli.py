@@ -160,12 +160,25 @@ _VERTICES = [{"id": "a", "group": {"kind": "cyclic", "n": 2}}, {"id": "b", "grou
         b'{"field": {"char_K": 0, "p": ' + b"9" * 5000 + b'}, "vertices": []}',
         b"[" * 100000 + b"]" * 100000,
         b"\xff\xfe{}",
+        # Numbers and flags are checked, not coerced: 2.7 is not C2, "false" is not false.
+        {"field": _FIELD, "vertices": [{"id": "a", "group": {"kind": "cyclic", "n": 2.7}}]},
+        {"field": {"char_K": 0, "p": 7.9}, "vertices": []},
+        {"field": _FIELD, "vertices": [{"id": "a", "group": {"kind": "cyclic", "n": True}}]},
+        {
+            "field": _FIELD,
+            "vertices": _VERTICES,
+            "edges": [
+                {"id": "e", "from": "a", "to": "b", "group": {"kind": "trivial"}, "derive": "false"}
+            ],
+        },
+        {"field": {"char_K": 0, "p": "7"}, "vertices": []},
     ],
     ids=[
         "top-level-list", "non-integer-n", "edge-as-list", "site-hints-as-list",
         "vertices-not-a-list", "edges-null", "genus-edges-not-a-list",
         "p-1e400", "char-K-infinity", "m-minus-infinity", "n-1e400", "t-infinity",
         "integer-too-long", "nesting-too-deep", "not-utf-8",
+        "n-float", "p-float", "n-bool", "derive-string", "p-numeric-string",
     ],
 )
 def test_run_malformed_shapes_are_parse_errors(data, tmp_path):
@@ -184,6 +197,8 @@ def _d15_extension(**changes):
 
 _NO_VERTICES = _d15_extension()
 del _NO_VERTICES["entries"][0]["vertices"]
+_FOLD_FLAG_STRING = _d15_extension()
+_FOLD_FLAG_STRING["entries"][0]["cusps"][0]["fold_on_attach"] = "false"
 
 
 @pytest.mark.parametrize(
@@ -219,11 +234,13 @@ del _NO_VERTICES["entries"][0]["vertices"]
                 ]
             ),
         ),
+        ("ext.json", _FOLD_FLAG_STRING),
+        ("ext.json", _d15_extension(context={"char_K": 0, "p": 5.5})),
     ],
     ids=[
         "name-not-a-string", "name-with-nul", "entries-not-a-list", "entry-without-vertices",
         "context-not-an-object", "p-not-prime", "mark-map-value-not-a-pair",
-        "embed-trace-to-unknown-cusp",
+        "embed-trace-to-unknown-cusp", "fold-on-attach-string", "p-float",
     ],
 )
 def test_run_malformed_extension_is_parse_error(name, extension, tmp_path):
@@ -434,3 +451,17 @@ def test_main_fuzz_smoke(capsys):
 def test_run_fuzz_function():
     text, code = run_fuzz(40, 11)
     assert code == EXIT_OK and "0 failures" in text
+
+
+def test_run_fuzz_counts_non_ordinary_reports(monkeypatch, capsys):
+    import dataclasses
+
+    import katograph.cli as cli
+
+    real = cli.build_report
+    monkeypatch.setattr(
+        cli, "build_report", lambda raw, cat: dataclasses.replace(real(raw, cat), ordinary=False)
+    )
+    text, code = run_fuzz(5, 11)
+    assert (text, code) == ("fuzz: 5 inputs, 5 failures (seed 11)\n", EXIT_CHECK_FAILED)
+    assert capsys.readouterr().err.count("ordinarity") == 5

@@ -1,4 +1,5 @@
-"""Golden digests: the fixture reports and the acceptance corpus, byte for byte.
+"""Golden digests: the fixture reports and the acceptance corpus, byte for byte,
+and the output of ``katograph --fuzz 500 --seed 7``.
 
 The digests were recorded before the engine's code was simplified; any change
 to report text, DOT text or exit codes makes this test fail. A change that is
@@ -66,6 +67,13 @@ def test_fixture_reports_unchanged(monkeypatch):
 
 def test_corpus_outputs_unchanged():
     assert corpus_digest() == CORPUS_DIGEST
+
+
+def test_fuzz_run_unchanged(capsys):
+    from katograph.cli import main
+
+    assert main(["--fuzz", "500", "--seed", "7"]) == 0
+    assert capsys.readouterr() == ("fuzz: 500 inputs, 0 failures (seed 7)\n", "")
 
 
 if __name__ == "__main__":

@@ -242,7 +242,7 @@ def test_realize_merge_without_containment_fails():
         (InputEdge("e0", ("a", "b"), cyclic(5)),),
     )
     checked = check_input(raw)
-    with pytest.raises(RealizeError, match="containment"):
+    with pytest.raises(RealizeError, match=r"containment: D5 vs B\(4,5\) \(vertices a:v0, b:v0\)$"):
         realize(checked)
 
 
@@ -274,6 +274,48 @@ def test_realize_rejects_site_reuse():
     )
     checked = check_input(raw)
     with pytest.raises(RealizeError, match="already used|sites"):
+        realize(checked)
+
+
+def test_realize_rejects_colliding_realized_ids():
+    # Gluing the printed edge e makes the vertex e:w:c0, and cusp c0 of the
+    # input vertex e:w has that name too: one of them would vanish.
+    raw = InputGraphOfGroups(
+        CTX5,
+        triangle_input().vertices + (InputVertex("e:w", cyclic(2)),),
+        (InputEdge("e", ("a", "d"), dihedral(5)),),
+    )
+    with pytest.raises(RealizeError, match="realized id e:w:c0 names two vertices or cusps"):
+        realize(check_input(raw))
+
+
+def test_realize_rejects_a_catalog_vertex_named_like_a_gluing_vertex():
+    # The fold at the marked cusp of edge e makes the vertex e:w; the extension
+    # tree of input vertex e has a vertex w, realized as e:w too. Unchecked, the
+    # D15 vertex took the C2 stabilizer and the edge became a loop.
+    from katograph.catalog import Catalog, parse_extension
+
+    def g(kind, **params):
+        return dict(kind=kind, **params)
+
+    mark = {"marked_point": {"group": g("cyclic", n=2)}, "fold_on_attach": True}
+    entry = {
+        "group": g("dihedral", n=15),
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "w", "group": g("dihedral", n=15)}],
+        "cusps": [
+            {"id": "c0", "base": "w", "group": g("cyclic", n=2), **mark},
+            {"id": "c1", "base": "w", "group": g("cyclic", n=2)},
+            {"id": "c2", "base": "w", "group": g("cyclic", n=15)},
+        ],
+    }
+    raw = InputGraphOfGroups(
+        CTX5,
+        (InputVertex("e", dihedral(15)), InputVertex("b", dihedral(6))),
+        (InputEdge("e", ("e", "b"), cyclic(2), site_hints=("c0", None)),),
+    )
+    checked = check_input(raw, Catalog(parse_extension({"entries": [entry]})))
+    with pytest.raises(RealizeError, match="realized id e:w names two vertices or cusps"):
         realize(checked)
 
 
