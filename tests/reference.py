@@ -1,0 +1,95 @@
+"""Slow reference implementations used as oracles.
+
+``contract`` is the quotient-skeleton contraction as first written: after
+every collapse it recounts valencies over all edges, renames the removed
+vertex in every edge and rescans the edges in ascending id order. It is at
+least quadratic, which is why the engine's ``analysis.contract`` keeps a
+worklist instead; the two must give the same skeleton, warnings included.
+"""
+
+from __future__ import annotations
+
+from katograph.analysis import QuotientSkeleton
+from katograph.graphs import GraphEdge, GraphVertex, KatoGraph, betti
+from katograph.groups import TRIVIAL, GroupSymbol, order
+
+
+def contract(g: KatoGraph) -> QuotientSkeleton:
+    """Cut the cusps, then collapse edges equal to an endpoint stabilizer.
+
+    Edges are scanned in ascending id order and collapsed onto the endpoint
+    with the larger group when that endpoint's valency (over the remaining
+    edges, genus loops included) is below three; the scan iterates to a
+    fixpoint. Equal-order but distinct endpoint groups abort the collapse of
+    that edge; a warning records every edge whose fate would differ if the
+    valency of the removed endpoint were consulted instead. Because of the
+    id-order scan, the skeleton can depend on how the input's edges are named.
+    """
+    ctx = g.ctx
+    stab = {v.id: v.stabilizer for v in g.vertices}
+    # Genus loops enter the edge pool as ordinary trivial-stabilizer edges;
+    # only actual self-loops are exempt from collapsing.
+    edges: dict[str, tuple[str, str, GroupSymbol]] = {
+        e.id: (e.ends[0], e.ends[1], e.stabilizer) for e in g.finite_edges
+    }
+    for l in g.genus_loops:
+        edges[l.id] = (l.ends[0], l.ends[1], TRIVIAL)
+    warnings: list[str] = []
+
+    def valency(v: str) -> int:
+        n = 0
+        for a, b, _ in edges.values():
+            n += (a == v) + (b == v)
+        return n
+
+    def substitute(old: str, new: str):
+        for eid, (a, b, s) in list(edges.items()):
+            edges[eid] = (new if a == old else a, new if b == old else b, s)
+
+    changed = True
+    while changed:
+        changed = False
+        for eid in sorted(edges):
+            a, b, s = edges[eid]
+            if a == b:
+                continue
+            eq_a, eq_b = s == stab[a], s == stab[b]
+            if not (eq_a or eq_b):
+                continue
+            if eq_a and eq_b:
+                # Same symbol on both endpoints: no substantive tie; keep the
+                # lexicographically smaller vertex.
+                survivor, removed = (a, b) if a < b else (b, a)
+            else:
+                removed, survivor = (a, b) if eq_a else (b, a)
+                na = order(stab[survivor], ctx)
+                nb = order(stab[removed], ctx)
+                if na == nb and stab[survivor] != stab[removed]:
+                    warnings.append(
+                        f"edge {eid}: 'larger group' is ambiguous "
+                        f"({stab[removed]} vs {stab[survivor]}, equal orders); "
+                        "contraction of this edge aborted"
+                    )
+                    continue
+            literal = valency(survivor) < 3
+            other = valency(removed) < 3
+            if literal != other:
+                warnings.append(
+                    f"edge {eid}: contraction decision depends on the valency reading "
+                    f"(survivor {survivor}: {'collapse' if literal else 'keep'}, "
+                    f"removed {removed}: {'collapse' if other else 'keep'}); "
+                    "the literal reading (survivor) is applied"
+                )
+            if not literal:
+                continue
+            del edges[eid]
+            substitute(removed, survivor)
+            del stab[removed]
+            changed = True
+            break
+    vertices = tuple(GraphVertex(v, stab[v]) for v in sorted(stab))
+    out_edges = tuple(
+        GraphEdge(eid, (edges[eid][0], edges[eid][1]), edges[eid][2]) for eid in sorted(edges)
+    )
+    b1 = betti(stab, [(a, b) for a, b, _ in edges.values()])
+    return QuotientSkeleton(ctx, vertices, out_edges, b1, tuple(warnings))
