@@ -8,7 +8,9 @@ properties, and the branch-point separation plan.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass
 
 from .catalog import Catalog, CatalogError, DEFAULT_CATALOG
@@ -111,13 +113,21 @@ class QuotientSkeleton:
 def contract(g: KatoGraph) -> QuotientSkeleton:
     """Cut the cusps, then collapse edges equal to an endpoint stabilizer.
 
-    Edges are scanned in ascending id order and collapsed onto the endpoint
-    with the larger group when that endpoint's valency (over the remaining
-    edges, genus loops included) is below three; the scan iterates to a
-    fixpoint. Equal-order but distinct endpoint groups abort the collapse of
-    that edge; a warning records every edge whose fate would differ if the
-    valency of the removed endpoint were consulted instead. Because of the
-    id-order scan, the skeleton can depend on how the input's edges are named.
+    Each pass collapses the edge of smallest id whose group equals an
+    endpoint's and whose survivor, the endpoint with the larger group, has
+    valency below three (genus loops included, a self-loop counting twice).
+    Equal-order but distinct endpoint groups abort the collapse of that edge;
+    a warning records every edge whose fate would differ if the valency of
+    the removed endpoint were consulted instead. A pass repeats the warnings
+    of the edges it reads, in id order: those up to the one it collapses, or
+    all in the last pass. So the output equals an id-order rescan after each
+    collapse, and the skeleton can depend on how the input's edges are named.
+
+    Nothing is rescanned: a decision reads only its edge's ends (names,
+    groups, valencies), so decisions are cached, collapsible ids wait in a
+    heap and warned ids in a sorted list, and a collapse re-decides only the
+    edges at its survivor. Cost: O((V + E) log E), plus those re-decisions,
+    plus the warning lines emitted.
     """
     ctx = g.ctx
     stab = {v.id: v.stabilizer for v in g.vertices}
@@ -128,59 +138,84 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
     }
     for l in g.genus_loops:
         edges[l.id] = (l.ends[0], l.ends[1], TRIVIAL)
+    incident: dict[str, set[str]] = {v: set() for v in stab}
+    valency = dict.fromkeys(stab, 0)
+    for eid, (a, b, _) in edges.items():
+        for end in (a, b):
+            incident[end].add(eid)
+            valency[end] += 1
+    decision: dict[str, tuple[str | None, tuple[str, str] | None]] = {}
+    heap: list[str] = []  # collapsible ids, stale entries skipped when met
+    warned: list[str] = []  # sorted ids of the edges whose decision warns
     warnings: list[str] = []
 
-    def valency(v: str) -> int:
-        n = 0
-        for a, b, _ in edges.values():
-            n += (a == v) + (b == v)
-        return n
+    def _decide(eid: str) -> tuple[str | None, tuple[str, str] | None]:
+        """The edge's warning or None, and (survivor, removed) or None."""
+        a, b, s = edges[eid]
+        if a == b:
+            return None, None
+        eq_a, eq_b = s == stab[a], s == stab[b]
+        if not (eq_a or eq_b):
+            return None, None
+        if eq_a and eq_b:
+            # Same symbol on both endpoints: no substantive tie; keep the
+            # lexicographically smaller vertex.
+            survivor, removed = (a, b) if a < b else (b, a)
+        else:
+            removed, survivor = (a, b) if eq_a else (b, a)
+            na = order(stab[survivor], ctx)
+            nb = order(stab[removed], ctx)
+            if na == nb and stab[survivor] != stab[removed]:
+                return (
+                    f"edge {eid}: 'larger group' is ambiguous "
+                    f"({stab[removed]} vs {stab[survivor]}, equal orders); "
+                    "contraction of this edge aborted"
+                ), None
+        literal = valency[survivor] < 3
+        other = valency[removed] < 3
+        warning = None
+        if literal != other:
+            warning = (
+                f"edge {eid}: contraction decision depends on the valency reading "
+                f"(survivor {survivor}: {'collapse' if literal else 'keep'}, "
+                f"removed {removed}: {'collapse' if other else 'keep'}); "
+                "the literal reading (survivor) is applied"
+            )
+        return warning, ((survivor, removed) if literal else None)
 
-    def substitute(old: str, new: str):
-        for eid, (a, b, s) in list(edges.items()):
-            edges[eid] = (new if a == old else a, new if b == old else b, s)
+    def redecide(eid: str) -> None:
+        old = decision[eid][0] if eid in decision else None
+        warning, pair = decision[eid] = _decide(eid)
+        if pair:
+            heappush(heap, eid)
+        if old is None and warning is not None:
+            insort(warned, eid)
+        elif old is not None and warning is None:
+            del warned[bisect_left(warned, eid)]
 
-    changed = True
-    while changed:
-        changed = False
-        for eid in sorted(edges):
-            a, b, s = edges[eid]
-            if a == b:
-                continue
-            eq_a, eq_b = s == stab[a], s == stab[b]
-            if not (eq_a or eq_b):
-                continue
-            if eq_a and eq_b:
-                # Same symbol on both endpoints: no substantive tie; keep the
-                # lexicographically smaller vertex.
-                survivor, removed = (a, b) if a < b else (b, a)
-            else:
-                removed, survivor = (a, b) if eq_a else (b, a)
-                na = order(stab[survivor], ctx)
-                nb = order(stab[removed], ctx)
-                if na == nb and stab[survivor] != stab[removed]:
-                    warnings.append(
-                        f"edge {eid}: 'larger group' is ambiguous "
-                        f"({stab[removed]} vs {stab[survivor]}, equal orders); "
-                        "contraction of this edge aborted"
-                    )
-                    continue
-            literal = valency(survivor) < 3
-            other = valency(removed) < 3
-            if literal != other:
-                warnings.append(
-                    f"edge {eid}: contraction decision depends on the valency reading "
-                    f"(survivor {survivor}: {'collapse' if literal else 'keep'}, "
-                    f"removed {removed}: {'collapse' if other else 'keep'}); "
-                    "the literal reading (survivor) is applied"
-                )
-            if not literal:
-                continue
-            del edges[eid]
-            substitute(removed, survivor)
-            del stab[removed]
-            changed = True
+    for eid in edges:
+        redecide(eid)
+    while True:
+        while heap and (heap[0] not in decision or decision[heap[0]][1] is None):
+            heappop(heap)
+        read = bisect_right(warned, heap[0]) if heap else len(warned)  # ids this pass reads
+        warnings.extend(decision[w][0] for w in warned[:read])
+        if not heap:
             break
+        eid = heappop(heap)
+        warning, (survivor, removed) = decision.pop(eid)
+        if warning is not None:
+            del warned[bisect_left(warned, eid)]
+        del edges[eid]
+        incident[survivor].discard(eid)
+        valency[survivor] += valency.pop(removed) - 2
+        for f in incident.pop(removed) - {eid}:
+            a, b, s = edges[f]
+            edges[f] = (survivor if a == removed else a, survivor if b == removed else b, s)
+            incident[survivor].add(f)
+        del stab[removed]
+        for f in incident[survivor]:
+            redecide(f)
     vertices = tuple(GraphVertex(v, stab[v]) for v in sorted(stab))
     out_edges = tuple(
         GraphEdge(eid, (edges[eid][0], edges[eid][1]), edges[eid][2]) for eid in sorted(edges)

@@ -388,6 +388,17 @@ def run_fuzz(count: int, seed: int) -> tuple[str, int]:
     return (text, EXIT_OK if failures == 0 else EXIT_CHECK_FAILED)
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer that is zero or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of zero or more, got {text!r}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="katograph",
@@ -402,7 +413,7 @@ def main(argv=None) -> int:
     parser.add_argument("--strict", action="store_true", help="treat warnings as errors")
     parser.add_argument("--seed", type=int, default=0, help="seed for --fuzz")
     parser.add_argument(
-        "--fuzz", type=int, metavar="K", help="run the random formula-agreement suite"
+        "--fuzz", type=_count, metavar="K", help="run the random formula-agreement suite"
     )
     args = parser.parse_args(argv)
     if args.fuzz is not None:

@@ -448,6 +448,16 @@ def test_main_fuzz_smoke(capsys):
     assert "25 inputs, 0 failures" in out
 
 
+@pytest.mark.parametrize("count", ["-3", "x"])
+def test_main_fuzz_count_must_be_a_count(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--fuzz", count])
+    assert exc.value.code == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --fuzz: expected a count of zero or more, got '{count}'" in err
+
+
 def test_run_fuzz_function():
     text, code = run_fuzz(40, 11)
     assert code == EXIT_OK and "0 failures" in text
