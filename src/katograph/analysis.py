@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from heapq import heappop, heappush
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .catalog import Catalog, CatalogError, DEFAULT_CATALOG
 from .graphs import GraphEdge, GraphVertex, KatoGraph, betti, cusp_count_general  # re-exported
@@ -141,12 +141,10 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
     incident: dict[str, set[str]] = {v: set() for v in stab}
     valency = dict.fromkeys(stab, 0)
     for eid, (a, b, _) in edges.items():
-        for end in (a, b):
-            incident[end].add(eid)
-            valency[end] += 1
-    decision: dict[str, tuple[str | None, tuple[str, str] | None]] = {}
-    heap: list[str] = []  # collapsible ids, stale entries skipped when met
-    warned: list[str] = []  # sorted ids of the edges whose decision warns
+        incident[a].add(eid)
+        incident[b].add(eid)
+        valency[a] += 1
+        valency[b] += 1
     warnings: list[str] = []
 
     def _decide(eid: str) -> tuple[str | None, tuple[str, str] | None]:
@@ -173,18 +171,21 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
                 ), None
         literal = valency[survivor] < 3
         other = valency[removed] < 3
-        warning = None
-        if literal != other:
-            warning = (
-                f"edge {eid}: contraction decision depends on the valency reading "
-                f"(survivor {survivor}: {'collapse' if literal else 'keep'}, "
-                f"removed {removed}: {'collapse' if other else 'keep'}); "
-                "the literal reading (survivor) is applied"
-            )
+        warning = None if literal == other else (
+            f"edge {eid}: contraction decision depends on the valency reading "
+            f"(survivor {survivor}: {'collapse' if literal else 'keep'}, "
+            f"removed {removed}: {'collapse' if other else 'keep'}); "
+            "the literal reading (survivor) is applied"
+        )
         return warning, ((survivor, removed) if literal else None)
 
+    decision = {eid: _decide(eid) for eid in edges}
+    heap = [eid for eid, (_, pair) in decision.items() if pair]  # collapsible ids
+    heapify(heap)  # entries that went stale are skipped when met
+    warned = sorted(eid for eid, (warning, _) in decision.items() if warning)
+
     def redecide(eid: str) -> None:
-        old = decision[eid][0] if eid in decision else None
+        old = decision[eid][0]
         warning, pair = decision[eid] = _decide(eid)
         if pair:
             heappush(heap, eid)
@@ -193,13 +194,11 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
         elif old is not None and warning is None:
             del warned[bisect_left(warned, eid)]
 
-    for eid in edges:
-        redecide(eid)
     while True:
         while heap and (heap[0] not in decision or decision[heap[0]][1] is None):
             heappop(heap)
         read = bisect_right(warned, heap[0]) if heap else len(warned)  # ids this pass reads
-        warnings.extend(decision[w][0] for w in warned[:read])
+        warnings += [decision[w][0] for w in warned[:read]]
         if not heap:
             break
         eid = heappop(heap)
