@@ -11,7 +11,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .catalog import Catalog, CatalogError, DEFAULT_CATALOG
 from .graphs import GraphEdge, GraphVertex, KatoGraph, betti, cusp_count_general  # re-exported
@@ -138,13 +138,12 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
     }
     for l in g.genus_loops:
         edges[l.id] = (l.ends[0], l.ends[1], TRIVIAL)
-    incident: dict[str, set[str]] = {v: set() for v in stab}
-    valency = dict.fromkeys(stab, 0)
+    # One entry per edge end, so a vertex's valency is its list's length and
+    # a self-loop counts twice.
+    incident: dict[str, list[str]] = {v: [] for v in stab}
     for eid, (a, b, _) in edges.items():
-        incident[a].add(eid)
-        incident[b].add(eid)
-        valency[a] += 1
-        valency[b] += 1
+        incident[a].append(eid)
+        incident[b].append(eid)
     warnings: list[str] = []
 
     def _decide(eid: str) -> tuple[str | None, tuple[str, str] | None]:
@@ -169,8 +168,8 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
                     f"({stab[removed]} vs {stab[survivor]}, equal orders); "
                     "contraction of this edge aborted"
                 ), None
-        literal = valency[survivor] < 3
-        other = valency[removed] < 3
+        literal = len(incident[survivor]) < 3
+        other = len(incident[removed]) < 3
         warning = None if literal == other else (
             f"edge {eid}: contraction decision depends on the valency reading "
             f"(survivor {survivor}: {'collapse' if literal else 'keep'}, "
@@ -179,20 +178,15 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
         )
         return warning, ((survivor, removed) if literal else None)
 
-    decision = {eid: _decide(eid) for eid in edges}
-    heap = [eid for eid, (_, pair) in decision.items() if pair]  # collapsible ids
-    heapify(heap)  # entries that went stale are skipped when met
-    warned = sorted(eid for eid, (warning, _) in decision.items() if warning)
-
-    def redecide(eid: str) -> None:
-        old = decision[eid][0]
+    decision: dict[str, tuple[str | None, tuple[str, str] | None]] = {}
+    heap: list[str] = []  # collapsible ids; entries gone stale are skipped when met
+    warned: list[str] = []  # sorted ids of the edges whose decision warns
+    for eid in sorted(edges):  # in id order, so both lists start sorted
         warning, pair = decision[eid] = _decide(eid)
         if pair:
-            heappush(heap, eid)
-        if old is None and warning is not None:
-            insort(warned, eid)
-        elif old is not None and warning is None:
-            del warned[bisect_left(warned, eid)]
+            heap.append(eid)
+        if warning is not None:
+            warned.append(eid)
 
     while True:
         while heap and (heap[0] not in decision or decision[heap[0]][1] is None):
@@ -205,16 +199,23 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
         warning, (survivor, removed) = decision.pop(eid)
         if warning is not None:
             del warned[bisect_left(warned, eid)]
-        del edges[eid]
-        incident[survivor].discard(eid)
-        valency[survivor] += valency.pop(removed) - 2
-        for f in incident.pop(removed) - {eid}:
+        del edges[eid], stab[removed]
+        incident[survivor].remove(eid)
+        moved = incident.pop(removed)
+        moved.remove(eid)
+        for f in moved:
             a, b, s = edges[f]
             edges[f] = (survivor if a == removed else a, survivor if b == removed else b, s)
-            incident[survivor].add(f)
-        del stab[removed]
+        incident[survivor] += moved
         for f in incident[survivor]:
-            redecide(f)
+            old = decision[f][0]
+            warning, pair = decision[f] = _decide(f)
+            if pair:
+                heappush(heap, f)
+            if old is None and warning is not None:
+                insort(warned, f)
+            elif old is not None and warning is None:
+                del warned[bisect_left(warned, f)]
     vertices = tuple(GraphVertex(v, stab[v]) for v in sorted(stab))
     out_edges = tuple(
         GraphEdge(eid, (edges[eid][0], edges[eid][1]), edges[eid][2]) for eid in sorted(edges)

@@ -389,14 +389,10 @@ def run_fuzz(count: int, seed: int) -> tuple[str, int]:
 
 
 def _count(text: str) -> int:
-    """An argparse type: an integer that is zero or more."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
+    """An argparse type: a decimal integer that is zero or more."""
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a count of zero or more, got {text!r}")
-    return n
+    return int(text)
 
 
 def main(argv=None) -> int:

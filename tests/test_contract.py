@@ -33,10 +33,8 @@ def _graph(vertices, edges, loops=(), ctx=CTX7) -> KatoGraph:
     )
 
 
-def _shape(sk, g):
-    """The skeleton's vertices, edges and genus, after checking that the
-    reference gives the same skeleton on ``g``."""
-    assert sk == reference.contract(g)
+def _shape(sk):
+    """The skeleton's vertices, edges and genus as plain tuples."""
     return (
         tuple((v.id, str(v.stabilizer)) for v in sk.vertices),
         tuple((e.id, *e.ends, str(e.stabilizer)) for e in sk.edges),
@@ -63,7 +61,8 @@ def test_tie_warning_repeats_once_per_pass():
         [("e0", "a", "b", C4), ("e1", "x", "y", C2), ("e2", "y", "z", C2)],
     )
     sk = contract(g)
-    assert _shape(sk, g) == ((("a", "C4"), ("b", "D2"), ("x", "C2")), (("e0", "a", "b", "C4"),), 0)
+    assert sk == reference.contract(g)
+    assert _shape(sk) == ((("a", "C4"), ("b", "D2"), ("x", "C2")), (("e0", "a", "b", "C4"),), 0)
     assert sk.warnings == (TIE_E0,) * 3
 
 
@@ -75,7 +74,8 @@ def test_parallel_edge_becomes_a_self_loop():
         [("e0", "u", "v", C2), ("e1", "u", "v", TRIVIAL), ("e2", "v", "w", C2)],
     )
     sk = contract(g)
-    assert _shape(sk, g) == (
+    assert sk == reference.contract(g)
+    assert _shape(sk) == (
         (("u", "C2"), ("w", "C2")),
         (("e1", "u", "u", "1"), ("e2", "u", "w", "C2")),
         1,
@@ -93,7 +93,8 @@ def test_genus_loop_ends_merge():
         [("g0", "a", "c")],
     )
     sk = contract(g)
-    assert _shape(sk, g) == ((("a", "1"),), (("g0", "a", "a", "1"),), 1)
+    assert sk == reference.contract(g)
+    assert _shape(sk) == ((("a", "1"),), (("g0", "a", "a", "1"),), 1)
     assert sk.warnings == ()
 
 
@@ -111,7 +112,8 @@ def test_collapse_raises_survivor_valency_and_flips_a_warning():
         ],
     )
     sk = contract(g)
-    assert _shape(sk, g) == (
+    assert sk == reference.contract(g)
+    assert _shape(sk) == (
         (("s", "D2"), ("t", "C2"), ("x", "D2"), ("y", "D2")),
         (("e1", "s", "x", "1"), ("e2", "s", "y", "1"), ("e5", "s", "t", "C2")),
         0,
