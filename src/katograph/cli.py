@@ -182,7 +182,7 @@ def input_echo(raw: InputGraphOfGroups) -> dict:
 # -- DOT ---------------------------------------------------------------------------
 
 
-def emit_dot(obj: KatoGraph | QuotientSkeleton, path=None) -> str:
+def emit_dot(obj: KatoGraph | QuotientSkeleton) -> str:
     """Deterministic DOT text: ellipse vertices, solid labeled edges, cusp
     arrows into point-shaped sinks, dashed genus loops."""
     ctx = obj.ctx
@@ -205,10 +205,7 @@ def emit_dot(obj: KatoGraph | QuotientSkeleton, path=None) -> str:
         for l in sorted(obj.genus_loops, key=lambda l: l.id):
             lines.append(f'  "{l.ends[0]}" -> "{l.ends[1]}" [dir=none, style=dashed];')
     lines.append("}")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+    return "\n".join(lines) + "\n"
 
 
 # -- report ------------------------------------------------------------------------
@@ -342,7 +339,7 @@ def build_report(raw: InputGraphOfGroups, catalog: Catalog) -> RunReport:
     )
 
 
-def run(path, out_dir=None, dot=False, do_contract=False, strict=False) -> tuple[str, int]:
+def run(path, out_dir=None, strict=False) -> tuple[str, int]:
     """Execute the full pipeline on an input file; returns (report text, exit code)."""
     try:
         raw, catalog = parse_spec(path)
@@ -363,10 +360,8 @@ def run(path, out_dir=None, dot=False, do_contract=False, strict=False) -> tuple
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(text, encoding="utf-8")
-        if dot:
-            emit_dot(report.graph, out / "kato.dot")
-            if do_contract:
-                emit_dot(report.skeleton, out / "skeleton.dot")
+        (out / "kato.dot").write_text(emit_dot(report.graph), encoding="utf-8")
+        (out / "skeleton.dot").write_text(emit_dot(report.skeleton), encoding="utf-8")
     return (text, code)
 
 
@@ -401,10 +396,8 @@ def main(argv=None) -> int:
         description="Realize a graph of groups as a Kato graph and run every check.",
     )
     parser.add_argument("input", nargs="?", help="input file (JSON syntax)")
-    parser.add_argument("--out", metavar="DIR", help="write report and diagrams to DIR")
-    parser.add_argument("--dot", action="store_true", help="emit DOT diagrams (with --out)")
     parser.add_argument(
-        "--contract", action="store_true", help="also emit the contracted skeleton diagram"
+        "--out", metavar="DIR", help="write the report and the Kato graph and skeleton DOT to DIR"
     )
     parser.add_argument("--strict", action="store_true", help="treat warnings as errors")
     parser.add_argument("--seed", type=int, default=0, help="seed for --fuzz")
@@ -418,13 +411,7 @@ def main(argv=None) -> int:
         return code
     if args.input is None:
         parser.error("an input file is required unless --fuzz is given")
-    text, code = run(
-        args.input,
-        out_dir=args.out,
-        dot=args.dot,
-        do_contract=args.contract,
-        strict=args.strict,
-    )
+    text, code = run(args.input, out_dir=args.out, strict=args.strict)
     sys.stdout.write(text)
     return code
 

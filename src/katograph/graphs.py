@@ -1,10 +1,11 @@
 """Input graphs of groups, validation, and realization into Kato graphs.
 
 Realization places one elementary tree per input vertex and performs one
-gluing step per non-trivial edge, printed gluings first, dispatching on the
-pair of attachment trace kinds. Identifiers of the realized graph are derived
-deterministically from input ids plus catalog-local ids, so two runs on the
-same input produce byte-identical graphs.
+gluing step per non-trivial edge, printed gluings first. A printed edge tree
+is mapped through its embed maps; every other edge pastes the line of its tree
+between the trees of its two ends. Identifiers of the realized graph are
+derived deterministically from input ids plus catalog-local ids, so two runs
+on the same input produce byte-identical graphs.
 """
 
 from __future__ import annotations
@@ -422,139 +423,120 @@ class _Builder:
             out.append(traces)
         return out
 
-    def select_trace(self, edge: InputEdge, end_index: int, traces: tuple) -> AttachmentTrace:
-        """The candidate that still applies after the earlier gluings."""
+    def select_trace(self, edge: InputEdge, end_index: int, traces: tuple):
+        """The candidate that still applies after the earlier gluings, with the
+        roots of its partner site and site (none for a printed trace)."""
         vid = edge.ends[end_index]
         tree = self.trees[vid]
         live = []
         for t in traces:
-            if t.embed is not None:
-                live.append(t)
-                continue
-            try:
-                root = self.resolve_site(vid, t.site, edge.id)
-                # Earlier gluings may have merged the site into a cusp with a
-                # larger stabilizer; the trace then no longer applies.
-                if self.stab[root] != tree.cusp(t.site).stabilizer:
-                    continue
-                if t.partner_site:
-                    proot = self.resolve_site(vid, t.partner_site, edge.id)
-                    if self.stab[proot] != tree.cusp(t.partner_site).stabilizer:
-                        continue
-            except RealizeError:
-                continue
-            live.append(t)
+            roots = ()
+            sites = () if t.embed is not None else filter(None, (t.partner_site, t.site))
+            for site in sites:
+                root = self.ids.find(f"{vid}:{site}")
+                # Earlier gluings may have used the site, or merged it into a cusp
+                # with a larger stabilizer; the trace then no longer applies.
+                if root in self.consumed or self.stab[root] != tree.cusp(site).stabilizer:
+                    break
+                roots += (root,)
+            else:
+                live.append((t, roots))
         if not live:
             raise RealizeError(
                 f"edge {edge.id}: all matching attachment sites at {vid} already used"
             )
         if len(live) == 1:
             return live[0]
-        first = live[0]
-        if all(t.equivalent(first) for t in live[1:]):
-            return min(live, key=lambda t: t.site)
+        first = live[0][0]
+        if all(t.equivalent(first) for t, _ in live[1:]):
+            return min(live, key=lambda live_trace: live_trace[0].site)
         raise RealizeError(
             f"edge {edge.id}: ambiguous attachment at {vid} "
-            f"(sites {sorted(t.site for t in live)}); give a site hint"
+            f"(sites {sorted(t.site for t, _ in live)}); give a site hint"
         )
 
-    # -- gluing cases --
+    # -- gluing --
 
     def glue(self, edge: InputEdge, traces):
         uid, vid = edge.ends
         if edge.group == TRIVIAL:
             self.edges.append((edge.id, self.anchor(uid), self.anchor(vid), TRIVIAL))
             return
-        tu = self.select_trace(edge, 0, traces[0])
-        tv = self.select_trace(edge, 1, traces[1])
-        kinds = (tu.kind, tv.kind)
-        if tu.embed is not None or tv.embed is not None:
-            if tu.embed is None or tv.embed is None:
-                raise RealizeError(
-                    f"edge {edge.id}: printed-tree gluing requires printed trees on both sides"
-                )
-            self.glue_embed(edge, uid, tu, vid, tv)
-        elif kinds == (KIND_INJECTIVE, KIND_INJECTIVE):
-            self.glue_injective(edge, uid, tu, vid, tv)
-        elif tu.kind == KIND_INJECTIVE or tv.kind == KIND_INJECTIVE:
-            raise RealizeError(f"edge {edge.id}: inconsistent trace kinds {kinds}")
-        elif kinds == (KIND_FOLD, KIND_FOLD):
-            self.glue_fold_fold(edge, uid, tu, vid, tv)
-        elif kinds == (KIND_ISO, KIND_ISO):
-            self.glue_iso_iso(edge, uid, tu, vid, tv)
-        else:
-            if tu.kind == KIND_FOLD:
-                self.glue_fold_iso(edge, uid, tu, vid, tv)
-            else:
-                self.glue_fold_iso(edge, vid, tv, uid, tu)
-
-    def glue_injective(self, edge, uid, tu, vid, tv):
-        su = self.resolve_site(uid, tu.site, edge.id)
-        sv = self.resolve_site(vid, tv.site, edge.id)
-        if su == sv:
-            raise RealizeError(f"edge {edge.id}: both ends resolve to one attachment site")
-        w = f"{edge.id}:w"
-        self.add(w, edge.group)
-        self.add(f"{edge.id}:c", edge.group, w)
-        self.edges.append((f"{edge.id}:a", self.cbase[su], w, edge.group))
-        self.edges.append((f"{edge.id}:b", w, self.cbase[sv], edge.group))
-        self.consume(su)
-        self.consume(sv)
-        self.notes.append(
-            f"edge {edge.id}: one-cusped edge group {edge.group} realized as a tripod "
-            "junction (relative position of the endpoint trees is a modeling choice)"
-        )
-
-    def glue_fold_fold(self, edge, uid, tu, vid, tv):
+        tu, ru = self.select_trace(edge, 0, traces[0])
+        tv, rv = self.select_trace(edge, 1, traces[1])
+        printed = tu.embed is not None
+        if printed != (tv.embed is not None):
+            raise RealizeError(
+                f"edge {edge.id}: printed-tree gluing requires printed trees on both sides"
+            )
+        if (tu.kind == KIND_INJECTIVE) != (tv.kind == KIND_INJECTIVE):
+            raise RealizeError(f"edge {edge.id}: inconsistent trace kinds {(tu.kind, tv.kind)}")
         if tu.fold_at_mark and tv.fold_at_mark:
             raise RealizeError(
                 f"edge {edge.id}: unsupported gluing; both sides fold at marked points "
                 "(the two fold points of a line gluing must differ)"
             )
-        if tv.fold_at_mark:
-            uid, tu, vid, tv = vid, tv, uid, tu
-        su = self.resolve_site(uid, tu.site, edge.id)
-        sv = self.resolve_site(vid, tv.site, edge.id)
+        # A fold end goes before an iso end, and a fold at a marked point before a plain fold.
+        first, second = sorted(
+            [(uid, tu, ru), (vid, tv, rv)],
+            key=lambda end: (end[1].kind == KIND_ISO, not end[1].fold_at_mark),
+        )
+        if printed:
+            self.glue_embed(edge, *first[:2], *second[:2])
+        else:
+            self.paste(edge, first, second)
+
+    def paste(self, edge: InputEdge, first, second):
+        """Paste the line T*(N_e) between two ends ordered as in ``glue``; an end is
+        its input vertex, its trace and the roots ``select_trace`` gave.
+
+        A fold or injective end attaches the line at the base of its site. A
+        junction e:w sits on the line when the edge tree is one-cusped (with the
+        cusp e:c) or when the first end folds at a marked point. An iso end
+        absorbs the line: its anchor merges onto the other end's point, and its
+        partner site and site onto the other end's images of them. These are the
+        other end's two sites (iso) or its fold site (plain fold); a marked fold
+        has used its site up, so the iso end's two sites merge with each other.
+        """
+        (uid, tu, ru), (vid, tv, rv) = first, second
+        if ru[-1] == rv[-1]:
+            raise RealizeError(f"edge {edge.id}: both ends resolve to one attachment site")
+        for xid, t, roots in (first, second):
+            if t.kind == KIND_ISO and roots[0] == roots[1]:
+                raise RealizeError(f"edge {edge.id}: attachment sites exhausted at {xid}")
+        line = [] if tu.kind == KIND_ISO else [self.cbase[ru[-1]]]
+        if tu.kind == KIND_INJECTIVE:
+            line.append(f"{edge.id}:w")
+            self.add(line[-1], edge.group)
+            self.add(f"{edge.id}:c", edge.group, line[-1])
+            self.notes.append(
+                f"edge {edge.id}: one-cusped edge group {edge.group} realized as a tripod "
+                "junction (relative position of the endpoint trees is a modeling choice)"
+            )
+        elif tu.fold_at_mark:
+            line.append(f"{edge.id}:w")
+            self.add(line[-1], self.trees[uid].cusp(tu.site).marked_point)
+        if tv.kind != KIND_ISO:
+            line.append(self.cbase[rv[-1]])
+        names = [edge.id] if len(line) == 2 else [f"{edge.id}:a", f"{edge.id}:b"]
+        self.edges.extend((name, a, b, edge.group) for name, a, b in zip(names, line, line[1:]))
+        if tv.kind != KIND_ISO or tu.fold_at_mark:
+            self.consume(ru[-1])
+        if tv.kind != KIND_ISO:
+            self.consume(rv[-1])
+            return
+        self.merge([line[-1] if line else self.anchor(uid), self.anchor(vid)])
         if tu.fold_at_mark:
-            w = f"{edge.id}:w"
-            self.add(w, self.trees[uid].cusp(tu.site).marked_point)
-            self.edges.append((f"{edge.id}:a", self.cbase[su], w, edge.group))
-            self.edges.append((f"{edge.id}:b", w, self.cbase[sv], edge.group))
+            merges = [rv]
+        elif tu.kind == KIND_ISO:
+            merges = zip(ru, rv)
         else:
-            self.edges.append((edge.id, self.cbase[su], self.cbase[sv], edge.group))
-        self.consume(su)
-        self.consume(sv)
+            merges = [ru + rv]
+        for ids in merges:
+            self.merge(ids, f"edge {edge.id}")
 
-    def glue_iso_iso(self, edge, uid, tu, vid, tv):
-        lu = self.resolve_site(uid, tu.partner_site, edge.id)
-        fu = self.resolve_site(uid, tu.site, edge.id)
-        lv = self.resolve_site(vid, tv.partner_site, edge.id)
-        fv = self.resolve_site(vid, tv.site, edge.id)
-        if len({lu, fu}) < 2 or len({lv, fv}) < 2:
-            raise RealizeError(f"edge {edge.id}: attachment sites exhausted at an endpoint")
-        self.merge([self.anchor(uid), self.anchor(vid)])
-        self.merge([lu, lv], f"edge {edge.id}")
-        self.merge([fu, fv], f"edge {edge.id}")
-
-    def glue_fold_iso(self, edge, fid, tf, iid, ti):
-        sf = self.resolve_site(fid, tf.site, edge.id)
-        li = self.resolve_site(iid, ti.partner_site, edge.id)
-        fi = self.resolve_site(iid, ti.site, edge.id)
-        if li == fi:
-            raise RealizeError(f"edge {edge.id}: attachment sites exhausted at {iid}")
-        if tf.fold_at_mark:
-            w = f"{edge.id}:w"
-            self.add(w, self.trees[fid].cusp(tf.site).marked_point)
-            self.edges.append((edge.id, self.cbase[sf], w, edge.group))
-            self.consume(sf)
-            self.merge([w, self.anchor(iid)])
-            self.merge([li, fi], f"edge {edge.id}")
-        else:
-            self.merge([self.cbase[sf], self.anchor(iid)])
-            self.merge([sf, li, fi], f"edge {edge.id}")
-
-    def glue_embed(self, edge, uid, tu, vid, tv):
-        flavors = {tu.kind, tv.kind}
+    def glue_embed(self, edge, fid, tf, iid, ti):
+        flavors = {tf.kind, ti.kind}
         if flavors == {KIND_FOLD}:
             raise RealizeError(
                 f"edge {edge.id}: unsupported printed gluing (both morphisms fold)"
@@ -564,9 +546,6 @@ class _Builder:
                 f"edge {edge.id}: unsupported printed gluing (both morphisms are tree "
                 "isomorphisms)"
             )
-        if tu.kind == KIND_ISO:
-            uid, tu, vid, tv = vid, tv, uid, tu
-        fid, iid, tf, ti = uid, vid, tu, tv
         for side in (fid, iid):
             if side in self.embedded:
                 raise RealizeError(
@@ -692,21 +671,16 @@ def irreducible_components(g: KatoGraph) -> tuple[IrreducibleComponent, ...]:
     for e in g.finite_edges:
         if e.stabilizer != TRIVIAL:
             uf.union(e.ends[0], e.ends[1])
-    groups: dict[str, list[str]] = {}
+    groups: dict[str, tuple[list[str], list[str]]] = {}
     for v in g.vertices:
-        groups.setdefault(uf.find(v.id), []).append(v.id)
-    comps = []
-    for root in sorted(groups):
-        vs = tuple(sorted(groups[root]))
-        es = tuple(
-            sorted(
-                e.id
-                for e in g.finite_edges
-                if e.stabilizer != TRIVIAL and uf.find(e.ends[0]) == root
-            )
-        )
-        comps.append(IrreducibleComponent(vs, es))
-    return tuple(comps)
+        groups.setdefault(uf.find(v.id), ([], []))[0].append(v.id)
+    for e in g.finite_edges:
+        if e.stabilizer != TRIVIAL:
+            groups[uf.find(e.ends[0])][1].append(e.id)
+    return tuple(
+        IrreducibleComponent(tuple(sorted(vs)), tuple(sorted(es)))
+        for _, (vs, es) in sorted(groups.items())
+    )
 
 
 def genus(g: KatoGraph) -> int:

@@ -387,8 +387,8 @@ def test_criterion_8_contraction(corpus):
 def test_criterion_9_cli(tmp_path):
     ok = True
     for name in ("triangle_k5.json", "borel_p2_t2_s4.json", "schottky_genus2.json", "d15_chain_k5.json"):
-        t1, c1 = run(FIXTURES / name, out_dir=tmp_path / "r1", dot=True, do_contract=True)
-        t2, c2 = run(FIXTURES / name, out_dir=tmp_path / "r2", dot=True, do_contract=True)
+        t1, c1 = run(FIXTURES / name, out_dir=tmp_path / "r1")
+        t2, c2 = run(FIXTURES / name, out_dir=tmp_path / "r2")
         ok = ok and t1 == t2 and c1 == c2 == 0
         for f in ("report.txt", "kato.dot", "skeleton.dot"):
             ok = ok and (tmp_path / "r1" / f).read_bytes() == (tmp_path / "r2" / f).read_bytes()

@@ -382,11 +382,12 @@ def test_run_strict_turns_warnings_into_failure(tmp_path):
 
 def test_run_writes_outputs(tmp_path):
     out = tmp_path / "out"
-    text, code = run(fixture("triangle_k5.json"), out_dir=out, dot=True, do_contract=True)
+    text, code = run(fixture("triangle_k5.json"), out_dir=out)
     assert code == EXIT_OK
     assert (out / "report.txt").read_text(encoding="utf-8") == text
-    assert (out / "kato.dot").exists()
-    assert (out / "skeleton.dot").exists()
+    report = build_report(*parse_spec(fixture("triangle_k5.json")))
+    assert (out / "kato.dot").read_text(encoding="utf-8") == emit_dot(report.graph)
+    assert (out / "skeleton.dot").read_text(encoding="utf-8") == emit_dot(report.skeleton)
 
 
 # -- determinism -----------------------------------------------------------------------
@@ -396,8 +397,8 @@ def test_run_writes_outputs(tmp_path):
     "name", ["triangle_k5.json", "borel_p2_t2_s4.json", "schottky_genus2.json"]
 )
 def test_byte_identical_across_runs(name, tmp_path):
-    t1, c1 = run(fixture(name), out_dir=tmp_path / "r1", dot=True, do_contract=True)
-    t2, c2 = run(fixture(name), out_dir=tmp_path / "r2", dot=True, do_contract=True)
+    t1, c1 = run(fixture(name), out_dir=tmp_path / "r1")
+    t2, c2 = run(fixture(name), out_dir=tmp_path / "r2")
     assert t1 == t2 and c1 == c2
     for f in ("report.txt", "kato.dot", "skeleton.dot"):
         assert (tmp_path / "r1" / f).read_bytes() == (tmp_path / "r2" / f).read_bytes()

@@ -1,10 +1,13 @@
 import random
+import time
 
 import pytest
 
 from katograph.fuzz import random_input
 from katograph.graphs import (
     GenusEdge,
+    GraphEdge,
+    GraphVertex,
     InputEdge,
     InputGraphOfGroups,
     InputVertex,
@@ -258,6 +261,48 @@ def test_realize_rejects_double_marked_fold():
         realize(checked)
 
 
+def test_realize_fold_at_marked_cusp_puts_a_junction_on_the_line():
+    # The C2 edge folds at the marked cusp c0 of the printed D10 tree and
+    # plainly at an order-2 cusp of D2: the line passes through the mark e0:w.
+    raw = InputGraphOfGroups(
+        CTX5,
+        (InputVertex("d", dihedral(10)), InputVertex("b", dihedral(2))),
+        (InputEdge("e0", ("d", "b"), cyclic(2), site_hints=("c0", None)),),
+    )
+    g = realize(check_input(raw))
+    assert [(v.id, str(v.stabilizer)) for v in g.vertices] == [
+        ("b:v0", "D2"),
+        ("d:v0", "D10"),
+        ("e0:w", "C2"),
+    ]
+    assert [(e.id, e.ends, str(e.stabilizer)) for e in g.finite_edges] == [
+        ("e0:a", ("d:v0", "e0:w"), "C2"),
+        ("e0:b", ("e0:w", "b:v0"), "C2"),
+    ]
+    assert [(c.id, c.base, str(c.stabilizer)) for c in g.cusps] == [
+        ("b:c1", "b:v0", "C2"),
+        ("b:c2", "b:v0", "C2"),
+        ("d:c1", "d:v0", "C2"),
+        ("d:c2", "d:v0", "C10"),
+    ]
+    assert g.notes == ()
+
+
+def test_realize_iso_iso_at_an_absorbed_vertex_exhausts_its_sites():
+    # e0 absorbs w into a's tree, merging both cusps of w into a's C3 cusp;
+    # e1 then finds one site where the iso gluing needs two.
+    raw = InputGraphOfGroups(
+        CTX7,
+        (InputVertex("a", dihedral(3)), InputVertex("w", cyclic(3)), InputVertex("x", cyclic(3))),
+        (
+            InputEdge("e0", ("a", "w"), cyclic(3)),
+            InputEdge("e1", ("w", "x"), cyclic(3)),
+        ),
+    )
+    with pytest.raises(RealizeError, match=r"^edge e1: attachment sites exhausted at w$"):
+        realize(check_input(raw))
+
+
 def test_realize_rejects_site_reuse():
     ctx = FieldContext(2, 2, 2)
     raw = InputGraphOfGroups(
@@ -392,6 +437,23 @@ def test_components_split_by_trivial_edge():
 def test_components_empty_graph():
     g = KatoGraph(CTX7, (), (), (), ())
     assert irreducible_components(g) == ()
+
+
+def test_components_of_a_long_trivial_path_in_near_linear_time():
+    n = 20_000
+    ids = [f"v{i:05d}" for i in range(n)]
+    g = KatoGraph(
+        CTX7,
+        tuple(GraphVertex(v, cyclic(3)) for v in ids),
+        tuple(GraphEdge(f"e{i:05d}", (ids[i], ids[i + 1]), TRIVIAL) for i in range(n - 1)),
+        (),
+        (),
+    )
+    start = time.perf_counter()
+    comps = irreducible_components(g)
+    assert time.perf_counter() - start < 10
+    assert len(comps) == n
+    assert all(c.vertices == (v,) and c.edges == () for c, v in zip(comps, ids))
 
 
 def test_genus_counts():
