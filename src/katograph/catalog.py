@@ -247,7 +247,8 @@ class Catalog:
         site (at its marked point when the catalog marks one) unless the
         target tree is Borel-form and extends the edge group, which is the
         tree-isomorphism case. Printed noncyclic edge groups use explicit
-        embed maps. Returns the empty tuple when nothing matches.
+        embed maps. Returns () when T*(vertex_group) has no site for the edge
+        group; raises CatalogError when the edge group glues nowhere in ctx.
         """
         for g in (edge_group, vertex_group):
             if not is_admissible(g, ctx):
@@ -256,8 +257,8 @@ class Catalog:
             raise SymbolError("trivial edges do not attach through the catalog")
         if ctx.positive_char:
             if not is_borel_form(edge_group):
-                raise SymbolError(
-                    f"edge group {edge_group} is not of Borel form (required in char p)"
+                raise CatalogError(
+                    f"edge group not Borel/cyclic/printed ({edge_group} in this context)"
                 )
             return self._char_p_traces(edge_group, vertex_group, ctx)
         if edge_group.kind == KIND_CYCLIC:
@@ -295,8 +296,14 @@ class Catalog:
         return tuple(_fold_trace(c) for c in tree_v.cusps if c.stabilizer == e)
 
     def _embed_traces(self, e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
-        if ctx.positive_char or ctx.p > 5:
-            return ()
+        try:
+            printed = self.elementary_tree(e, ctx).printed
+        except CatalogError:
+            printed = False
+        if not printed:
+            raise CatalogError(
+                f"edge group not Borel/cyclic/printed ({e} has no gluing data in this context)"
+            )
         # An extension entry without traces for e keeps the built-in ones.
         for entry in (self._extensions.get((v, ctx.p)), _builtin_printed(v, ctx.p)):
             traces = tuple(t for g, t in entry.traces if g == e) if entry else ()

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .catalog import Catalog, CatalogError, DEFAULT_CATALOG
+from .catalog import CatalogError, DEFAULT_CATALOG
 from .graphs import GenusEdge, InputEdge, InputGraphOfGroups, InputVertex
 from .groups import (
     ContextError,
@@ -61,24 +61,20 @@ def random_context(rng: random.Random) -> FieldContext:
     return FieldContext(p, p, m)
 
 
-def random_input(
-    rng: random.Random,
-    max_vertices: int = 8,
-    max_genus: int = 3,
-    catalog: Catalog = DEFAULT_CATALOG,
-    ctx: FieldContext | None = None,
-) -> InputGraphOfGroups:
+MAX_VERTICES = 8
+MAX_GENUS = 3
+
+
+def random_input(rng: random.Random, ctx: FieldContext | None = None) -> InputGraphOfGroups:
     if ctx is None:
         ctx = random_context(rng)
-    gen = _Generator(rng, ctx, catalog)
-    return gen.build(max_vertices, max_genus)
+    return _Generator(rng, ctx).build()
 
 
 class _Generator:
-    def __init__(self, rng: random.Random, ctx: FieldContext, catalog: Catalog):
+    def __init__(self, rng: random.Random, ctx: FieldContext):
         self.rng = rng
         self.ctx = ctx
-        self.catalog = catalog
         self.verts: list[_Vert] = []
         self.edges: list[InputEdge] = []
         self.next_v = 0
@@ -90,12 +86,8 @@ class _Generator:
         vid = f"v{self.next_v}"
         self.next_v += 1
         vert = _Vert(vid, group)
-        if group == TRIVIAL:
-            pass
-        elif is_borel_form(group):
-            vert.iso_open = True
-        else:
-            tree = self.catalog.elementary_tree(group, self.ctx)
+        if not is_borel_form(group):
+            tree = DEFAULT_CATALOG.elementary_tree(group, self.ctx)
             for c in tree.cusps:
                 params = borel_params(c.stabilizer) if is_borel_form(c.stabilizer) else None
                 if params is not None and params[1] == 1:
@@ -177,18 +169,10 @@ class _Generator:
         """New-vertex groups with a free plain cyclic cusp of order k: (group, site id)."""
         ctx = self.ctx
         out: list[tuple[GroupSymbol, str]] = []
-        candidates: list[GroupSymbol] = []
+        candidates = [TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL]
         if k == 2:
-            candidates += [TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL]
             candidates += [dihedral(n) for n in (2, 3, 4, 5, 6, 7, 8, 12)]
-        if k == 3:
-            candidates += [TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL]
-        if k == 4:
-            candidates.append(OCTAHEDRAL)
-        if k == 5:
-            candidates.append(ICOSAHEDRAL)
-        if k >= 2:
-            candidates.append(dihedral(k))
+        candidates.append(dihedral(k))
         if ctx.positive_char:
             for t in _divisors(ctx.m):
                 for variant in ("PGL",) if ctx.p == 2 else ("PGL", "PSL"):
@@ -199,7 +183,7 @@ class _Generator:
             if not is_admissible(g, ctx):
                 continue
             try:
-                tree = self.catalog.elementary_tree(g, ctx)
+                tree = DEFAULT_CATALOG.elementary_tree(g, ctx)
             except (CatalogError, ContextError):
                 continue
             for c in tree.cusps:
@@ -217,12 +201,11 @@ class _Generator:
             partners = self.cyclic_partners(k)
             can_absorb = True
             try:
-                self.catalog.elementary_tree(cyclic(k), ctx)
+                DEFAULT_CATALOG.elementary_tree(cyclic(k), ctx)
             except (CatalogError, ContextError):
                 can_absorb = False
             if can_absorb and (rng.random() < 0.2 or not partners):
                 w = self.new_vertex(cyclic(k))
-                w.iso_open = False
                 self.new_edge(vert, w, cyclic(k), (site.cusp_id, None))
             elif partners:
                 g, target_site = rng.choice(partners)
@@ -240,7 +223,6 @@ class _Generator:
             # Equal-rank edges keep the generation property on both endpoints.
             t = borel_params(site.stab)[0]
             w = self.new_vertex(borel(t, 1))
-            w.iso_open = False
             self.new_edge(vert, w, borel(t, 1), (site.cusp_id, None))
             site.used = True
             return True
@@ -257,7 +239,6 @@ class _Generator:
                 return False
             s = rng.choice(mult)
             w = self.new_vertex(borel(s, n))
-            w.iso_open = False
             self.new_edge(vert, w, borel(t, n), (site.cusp_id, None))
             site.used = True
             return True
@@ -270,7 +251,6 @@ class _Generator:
         if n == 1:
             # E_s vertex: one-cusped; glue an equal-rank E edge injectively.
             w = self.new_vertex(borel(s, 1))
-            w.iso_open = False
             self.new_edge(vert, w, borel(s, 1))
             vert.iso_open = False
             return True
@@ -292,7 +272,6 @@ class _Generator:
             self.new_edge(vert, w, edge_group)
         else:
             w = self.new_vertex(edge_group if t >= 1 else cyclic(n))
-            w.iso_open = False
             self.new_edge(vert, w, edge_group if t >= 1 else cyclic(n))
         vert.iso_open = False
         return True
@@ -311,11 +290,11 @@ class _Generator:
 
     # -- main loop --
 
-    def build(self, max_vertices: int, max_genus: int) -> InputGraphOfGroups:
+    def build(self) -> InputGraphOfGroups:
         rng, ctx = self.rng, self.ctx
         n_components = rng.randint(1, 2)
         component_roots: list[_Vert] = []
-        budget = rng.randint(1, max_vertices)
+        budget = rng.randint(1, MAX_VERTICES)
         for _ in range(n_components):
             if len(self.verts) >= budget:
                 break
@@ -328,7 +307,9 @@ class _Generator:
             ):
                 self.add_triangle()
             else:
-                self.new_vertex(self.seed_group())
+                seed = self.new_vertex(self.seed_group())
+                # A Borel-form seed grows through its tree isomorphism.
+                seed.iso_open = seed.group != TRIVIAL and is_borel_form(seed.group)
             component_roots.append(self.verts[start])
             for _ in range(rng.randint(0, 4)):
                 if len(self.verts) >= budget:
@@ -347,15 +328,12 @@ class _Generator:
                     self.grow_from_iso(v)
                 else:
                     self.grow_from_site(v, s)
-        if not self.verts:
-            self.new_vertex(TRIVIAL)
-            component_roots.append(self.verts[0])
         for a, b in zip(component_roots, component_roots[1:]):
             self.new_edge(a, b, TRIVIAL)
         # The trivial connectors above make the input connected, so any two
         # vertices close a loop.
         genus_edges = []
-        for i in range(rng.randint(0, max_genus)):
+        for i in range(rng.randint(0, MAX_GENUS)):
             a = rng.choice(self.verts)
             b = rng.choice(self.verts)
             genus_edges.append(GenusEdge(f"g{i}", (a.id, b.id)))
@@ -368,6 +346,4 @@ class _Generator:
 
 
 def _divisors(n: int) -> list[int]:
-    if n <= 0:
-        return [1]
     return [d for d in range(1, n + 1) if n % d == 0]

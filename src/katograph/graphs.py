@@ -31,8 +31,6 @@ from .groups import (
     SymbolError,
     TRIVIAL,
     derive_edge_group,
-    is_borel_form,
-    is_cyclic,
     symbol_contains,
     validate_in_context,
 )
@@ -188,9 +186,9 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
     """Check the input contract and resolve derived edge groups.
 
     The contract is all that needs no gluing: ids, endpoints, a forest of edges,
-    admissible groups with trees, gluable edge groups, genus edges closing
-    loops. Raises ValidationError listing every violation; ``realize`` checks
-    the attachment traces.
+    admissible groups with trees, genus edges closing loops. Raises
+    ValidationError listing every violation; ``realize`` reports the edge groups
+    that glue nowhere and the missing attachment traces.
     """
     bad: list[str] = []
     ctx = raw.ctx
@@ -235,33 +233,10 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
                 bad.append(f"edge {e.id}: {exc}")
                 continue
         edges.append(e)
-        group = e.group
-        if group is None:
+        if e.group is None:
             bad.append(f"edge {e.id}: no group given and derive not requested")
-            continue
-        if group == TRIVIAL:
-            continue  # component connector; no attachment needed
-        violations = validate_in_context(group, ctx)
-        if violations:
-            bad.extend(f"edge {e.id}: {msg}" for msg in violations)
-            continue
-        if ctx.positive_char:
-            if not is_borel_form(group):
-                bad.append(
-                    f"edge {e.id}: edge group not Borel/cyclic/printed ({group} in this context)"
-                )
-        elif not is_cyclic(group):
-            # Characteristic zero admits cyclic edge groups, plus the printed
-            # (or extension-supplied) small-residue instances.
-            try:
-                printed = catalog.elementary_tree(group, ctx).printed
-            except CatalogError:
-                printed = False
-            if not printed:
-                bad.append(
-                    f"edge {e.id}: edge group not Borel/cyclic/printed "
-                    f"({group} has no gluing data in this context)"
-                )
+        elif e.group != TRIVIAL:  # a trivial edge is a component connector
+            bad.extend(f"edge {e.id}: {msg}" for msg in validate_in_context(e.group, ctx))
     for ge in raw.genus_edges:
         if ge.id in ids:
             bad.append(f"genus edge {ge.id}: duplicate id")
@@ -404,11 +379,16 @@ class _Builder:
 
     def candidates(self, edge: InputEdge) -> list[tuple[AttachmentTrace, ...]]:
         """Per end of ``edge``, the traces that may glue it: all, or those its site
-        hint names. Where there are none, the reason goes to ``violations``."""
+        hint names. Where there are none, the reason goes to ``violations``, once
+        for an edge group that glues nowhere."""
         out = []
         for vid, hint, side in zip(edge.ends, edge.site_hints, ("from", "to")):
             gv = self.trees[vid].group
-            traces = self.catalog.attachment_traces(edge.group, gv, self.ctx)
+            try:
+                traces = self.catalog.attachment_traces(edge.group, gv, self.ctx)
+            except CatalogError as exc:
+                self.violations.append(f"edge {edge.id}: {exc}")
+                return out
             if not traces:
                 self.violations.append(
                     f"edge {edge.id}: no attachment trace of T*({edge.group}) into T*({gv}) "
@@ -425,7 +405,8 @@ class _Builder:
 
     def select_trace(self, edge: InputEdge, end_index: int, traces: tuple):
         """The candidate that still applies after the earlier gluings, with the
-        roots of its partner site and site (none for a printed trace)."""
+        roots of its partner site and site (none for a printed trace). An iso
+        trace whose two sites an earlier gluing merged is a plain fold there."""
         vid = edge.ends[end_index]
         tree = self.trees[vid]
         live = []
@@ -445,15 +426,15 @@ class _Builder:
             raise RealizeError(
                 f"edge {edge.id}: all matching attachment sites at {vid} already used"
             )
-        if len(live) == 1:
-            return live[0]
-        first = live[0][0]
-        if all(t.equivalent(first) for t, _ in live[1:]):
-            return min(live, key=lambda live_trace: live_trace[0].site)
-        raise RealizeError(
-            f"edge {edge.id}: ambiguous attachment at {vid} "
-            f"(sites {sorted(t.site for t, _ in live)}); give a site hint"
-        )
+        if not all(t.equivalent(live[0][0]) for t, _ in live[1:]):
+            raise RealizeError(
+                f"edge {edge.id}: ambiguous attachment at {vid} "
+                f"(sites {sorted(t.site for t, _ in live)}); give a site hint"
+            )
+        t, roots = min(live, key=lambda live_trace: live_trace[0].site)
+        if t.kind == KIND_ISO and len(set(roots)) == 1:
+            return AttachmentTrace(t.site, KIND_FOLD), roots[1:]
+        return t, roots
 
     # -- gluing --
 
@@ -464,13 +445,6 @@ class _Builder:
             return
         tu, ru = self.select_trace(edge, 0, traces[0])
         tv, rv = self.select_trace(edge, 1, traces[1])
-        printed = tu.embed is not None
-        if printed != (tv.embed is not None):
-            raise RealizeError(
-                f"edge {edge.id}: printed-tree gluing requires printed trees on both sides"
-            )
-        if (tu.kind == KIND_INJECTIVE) != (tv.kind == KIND_INJECTIVE):
-            raise RealizeError(f"edge {edge.id}: inconsistent trace kinds {(tu.kind, tv.kind)}")
         if tu.fold_at_mark and tv.fold_at_mark:
             raise RealizeError(
                 f"edge {edge.id}: unsupported gluing; both sides fold at marked points "
@@ -481,7 +455,7 @@ class _Builder:
             [(uid, tu, ru), (vid, tv, rv)],
             key=lambda end: (end[1].kind == KIND_ISO, not end[1].fold_at_mark),
         )
-        if printed:
+        if tu.embed is not None:
             self.glue_embed(edge, *first[:2], *second[:2])
         else:
             self.paste(edge, first, second)
@@ -501,9 +475,6 @@ class _Builder:
         (uid, tu, ru), (vid, tv, rv) = first, second
         if ru[-1] == rv[-1]:
             raise RealizeError(f"edge {edge.id}: both ends resolve to one attachment site")
-        for xid, t, roots in (first, second):
-            if t.kind == KIND_ISO and roots[0] == roots[1]:
-                raise RealizeError(f"edge {edge.id}: attachment sites exhausted at {xid}")
         line = [] if tu.kind == KIND_ISO else [self.cbase[ru[-1]]]
         if tu.kind == KIND_INJECTIVE:
             line.append(f"{edge.id}:w")
@@ -552,6 +523,13 @@ class _Builder:
                     f"edge {edge.id}: vertex {side} already used by a printed-tree gluing"
                 )
         edge_tree = self.catalog.elementary_tree(edge.group, self.ctx)
+        # Printed gluings go first and each vertex joins at most one, so only the
+        # two trees' internal edges and the edges added here can join their vertices.
+        inner = [
+            (f"{v}:{te.ends[0]}", f"{v}:{te.ends[1]}")
+            for v in (fid, iid)
+            for te in self.trees[v].internal_edges
+        ]
         fmap, imap = dict(tf.embed.vertex_map), dict(ti.embed.vertex_map)
         fcusp, icusp = dict(tf.embed.cusp_map), dict(ti.embed.cusp_map)
         fmarks, imarks = dict(tf.embed.mark_map), dict(ti.embed.mark_map)
@@ -589,36 +567,30 @@ class _Builder:
             self.add(w, mark_stab)
             fold_base = f"{fid}:{fmap[edge_tree.cusp(ec).base_vertex]}"
             fold_top = f"{fid}:{floc}"
-            if not self._has_edge_between(fold_base, fold_top):
+            ends = {self.ids.find(fold_base), self.ids.find(fold_top)}
+            if all({self.ids.find(x), self.ids.find(y)} != ends for x, y in inner):
                 self.edges.append((f"{edge.id}:{ec}", self.cbase[cut], w, edge.group))
+                inner.append(self.edges[-1][1:3])
             self.consume(cut)
             self.merge([w, fold_top])
         self.embedded.add(fid)
         self.embedded.add(iid)
 
-    def _has_edge_between(self, a: str, b: str) -> bool:
-        ra, rb = self.ids.find(a), self.ids.find(b)
-        for _, x, y, _stab in self.edges:
-            if {self.ids.find(x), self.ids.find(y)} == {ra, rb}:
-                return True
-        return False
-
     # -- output --
-
-    def printed(self, edge: InputEdge) -> bool:
-        return not self.ctx.positive_char and edge.group != TRIVIAL and not is_cyclic(edge.group)
 
     def build(self) -> KatoGraph:
         self.place_trees()
-        # Printed (embed) gluings go first: a fold glued earlier could take a
-        # cusp that the embed must merge. Within each phase, edge id sets the order.
-        gluing = sorted(self.checked.edges, key=lambda e: (not self.printed(e), e.id))
+        edges = sorted(self.checked.edges, key=lambda e: e.id)
         # Every end's traces are looked up before anything is glued, so missing
         # gluing data is reported whole and never masked by a gluing conflict.
-        traces = {e.id: self.candidates(e) for e in gluing if e.group != TRIVIAL}
+        traces = {e.id: self.candidates(e) for e in edges if e.group != TRIVIAL}
         if self.violations:
             raise ValidationError(self.violations)
-        for edge in gluing:
+        # Printed gluings, whose traces carry embed maps, go first: a fold glued
+        # earlier could take a cusp that the embed must merge. Within each phase,
+        # edge id sets the order.
+        printed = {eid for eid, ends in traces.items() if ends[0][0].embed is not None}
+        for edge in sorted(edges, key=lambda e: e.id not in printed):
             self.glue(edge, traces.get(edge.id))
         for ge in sorted(self.checked.genus_edges, key=lambda g: g.id):
             self.loops.append((ge.id, self.anchor(ge.ends[0]), self.anchor(ge.ends[1])))
@@ -651,8 +623,9 @@ class _Builder:
 def realize(checked: CheckedInput) -> KatoGraph:
     """Glue the elementary trees of a checked input into its Kato graph.
 
-    Raises ValidationError listing every edge end the input gives no gluing
-    data for (no attachment trace, or a site hint matching none), and
+    Raises ValidationError listing every edge whose group glues nowhere in
+    the context and every edge end the input gives no gluing data for (no
+    attachment trace, or a site hint matching none), and
     RealizeError when a gluing conflicts with an earlier one. It re-checks the
     cusp conservation identity sum_v #bd T*(N_v) - sum_e #bd T*(N_e) against
     the direct count and refuses to return a graph violating it.

@@ -72,7 +72,7 @@ def corpus():
     t0 = time.perf_counter()
     items = []
     for _ in range(1000):
-        raw = random_input(rng, max_vertices=8, max_genus=3)
+        raw = random_input(rng)
         checked = check_input(raw)
         graph = realize(checked)
         items.append((raw, checked, graph))

@@ -66,7 +66,7 @@ def corpus_digest() -> str:
     catalog = Catalog()
     total = hashlib.sha256()
     for _ in range(1000):
-        report = build_report(random_input(rng, max_vertices=8, max_genus=3), catalog)
+        report = build_report(random_input(rng), catalog)
         for part in (report.render(), emit_dot(report.graph), emit_dot(report.skeleton)):
             total.update(part.encode() + b"\0")
     return total.hexdigest()

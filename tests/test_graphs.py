@@ -115,6 +115,71 @@ def test_validate_reports_missing_trace():
     assert any("no attachment trace" in m for m in msgs)
 
 
+_D6_PAIR = (InputVertex("a", dihedral(6)), InputVertex("b", dihedral(6)))
+_C6_EDGE = InputEdge("e0", ("a", "b"), cyclic(6))
+
+
+@pytest.mark.parametrize(
+    "raw, violations",
+    [
+        (
+            InputGraphOfGroups(CTX7, (InputVertex("a", cyclic(3)), InputVertex("a", cyclic(3)))),
+            ["vertex a: duplicate id"],
+        ),
+        (InputGraphOfGroups(CTX7, _D6_PAIR, (_C6_EDGE, _C6_EDGE)), ["edge e0: duplicate id"]),
+        (
+            InputGraphOfGroups(CTX7, _D6_PAIR, (InputEdge("e0", ("a", "a"), cyclic(6)),)),
+            ["edge e0: self-loops must be genus edges"],
+        ),
+        (
+            InputGraphOfGroups(CTX7, _D6_PAIR, (InputEdge("e0", ("a", "b"), None),)),
+            ["edge e0: no group given and derive not requested"],
+        ),
+        (
+            InputGraphOfGroups(
+                FieldContext(7, 7, 1), _D6_PAIR, (InputEdge("e0", ("a", "b"), cyclic(7)),)
+            ),
+            ["edge e0: C7: order must be prime to p=7"],
+        ),
+        (
+            InputGraphOfGroups(CTX7, _D6_PAIR, (InputEdge("e0", ("a", "b"), dihedral(3)),)),
+            ["edge e0: edge group not Borel/cyclic/printed (D3 has no gluing data in this context)"],
+        ),
+        (
+            InputGraphOfGroups(
+                CTX7, _D6_PAIR, (_C6_EDGE,), (GenusEdge("g0", ("a", "b")),) * 2
+            ),
+            ["genus edge g0: duplicate id"],
+        ),
+        (
+            InputGraphOfGroups(CTX7, _D6_PAIR, (_C6_EDGE,), (GenusEdge("e0", ("a", "b")),)),
+            ["genus edge e0: duplicate id"],
+        ),
+        (
+            InputGraphOfGroups(
+                CTX5,
+                triangle_input().vertices + (InputVertex("e:w", cyclic(2)),),
+                (InputEdge("e", ("a", "d"), dihedral(5)),),
+            ),
+            ["realized id e:w:c0 names two vertices or cusps; rename an id"],
+        ),
+    ],
+    ids=[
+        "duplicate-vertex",
+        "duplicate-edge",
+        "self-loop",
+        "no-group",
+        "edge-order-divisible-by-p",
+        "char0-edge-without-gluing-data",
+        "duplicate-genus-edge",
+        "genus-edge-named-like-an-edge",
+        "colliding-realized-ids",
+    ],
+)
+def test_validate_lists_each_violation(raw, violations):
+    assert validate_input(raw) == violations
+
+
 _HINTED_C6 = InputEdge("e0", ("a", "b"), cyclic(6), site_hints=("c9", None))
 
 
@@ -288,19 +353,26 @@ def test_realize_fold_at_marked_cusp_puts_a_junction_on_the_line():
     assert g.notes == ()
 
 
-def test_realize_iso_iso_at_an_absorbed_vertex_exhausts_its_sites():
-    # e0 absorbs w into a's tree, merging both cusps of w into a's C3 cusp;
-    # e1 then finds one site where the iso gluing needs two.
+@pytest.mark.parametrize("aw, wx", [("e0", "e1"), ("e1", "e0")])
+def test_realize_iso_at_an_absorbed_vertex_folds_through_its_cusp(aw, wx):
+    # When a-w goes first, it absorbs w into a's tree and merges both cusps of w
+    # into a's C3 cusp; w-x then folds through that cusp. Either order gives a's tree.
     raw = InputGraphOfGroups(
         CTX7,
         (InputVertex("a", dihedral(3)), InputVertex("w", cyclic(3)), InputVertex("x", cyclic(3))),
         (
-            InputEdge("e0", ("a", "w"), cyclic(3)),
-            InputEdge("e1", ("w", "x"), cyclic(3)),
+            InputEdge(aw, ("a", "w"), cyclic(3)),
+            InputEdge(wx, ("w", "x"), cyclic(3)),
         ),
     )
-    with pytest.raises(RealizeError, match=r"^edge e1: attachment sites exhausted at w$"):
-        realize(check_input(raw))
+    g = realize(check_input(raw))
+    assert [(v.id, str(v.stabilizer)) for v in g.vertices] == [("a:v0", "D3")]
+    assert g.finite_edges == ()
+    assert [(c.id, c.base, str(c.stabilizer)) for c in g.cusps] == [
+        ("a:c0", "a:v0", "C2"),
+        ("a:c1", "a:v0", "C2"),
+        ("a:c2", "a:v0", "C3"),
+    ]
 
 
 def test_realize_rejects_site_reuse():
@@ -454,6 +526,24 @@ def test_components_of_a_long_trivial_path_in_near_linear_time():
     assert time.perf_counter() - start < 10
     assert len(comps) == n
     assert all(c.vertices == (v,) and c.edges == () for c, v in zip(comps, ids))
+
+
+def test_realize_a_long_chain_of_printed_gluings_in_near_linear_time():
+    # Each printed D5 gluing checks for an edge between its own two trees only.
+    n = 10_000
+    vertices, edges = [], []
+    for i in range(n):
+        a, d = f"a{i:05d}", f"d{i:05d}"
+        vertices += [InputVertex(a, ICOSAHEDRAL), InputVertex(d, dihedral(10))]
+        edges.append(InputEdge(f"e{i:05d}", (a, d), dihedral(5)))
+        if i:
+            edges.append(InputEdge(f"t{i:05d}", (f"a{i - 1:05d}", a), TRIVIAL))
+    checked = check_input(InputGraphOfGroups(CTX5, tuple(vertices), tuple(edges)))
+    start = time.perf_counter()
+    g = realize(checked)
+    assert time.perf_counter() - start < 10
+    assert len(g.vertices) == 2 * n and len(g.finite_edges) == 2 * n - 1
+    assert len(g.cusps) == 3 * n
 
 
 def test_genus_counts():
