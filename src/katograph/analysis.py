@@ -8,6 +8,7 @@ properties, and the branch-point separation plan.
 from __future__ import annotations
 
 import math
+from itertools import permutations
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
@@ -318,21 +319,15 @@ def _whitelist_patterns(gv, ctx, catalog) -> list[list[tuple[GroupSymbol, bool]]
 
 
 def _matches_pattern(inc, pattern, ctx) -> bool:
-    if len(inc) != len(pattern):
-        return False
-    return _match_rec(list(inc), list(pattern), ctx)
-
-
-def _match_rec(inc, pattern, ctx) -> bool:
-    if not pattern:
-        return not inc
-    stab, marked = pattern[0]
-    rest = pattern[1:]
-    for i, s in enumerate(inc):
-        okay = s == stab or (marked and symbol_contains(s, stab, ctx))
-        if okay and _match_rec(inc[:i] + inc[i + 1 :], rest, ctx):
-            return True
-    return False
+    """Whether some order of ``inc`` meets ``pattern`` entry by entry; a marked
+    entry also accepts a group containing its stabilizer."""
+    return len(inc) == len(pattern) and any(
+        all(
+            s == stab or (marked and symbol_contains(s, stab, ctx))
+            for s, (stab, marked) in zip(order, pattern)
+        )
+        for order in permutations(inc)
+    )
 
 
 # -- separation -----------------------------------------------------------------------

@@ -225,6 +225,27 @@ class Catalog:
             return _tree(g, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(5))])
         raise CatalogError(f"no star-shaped tree for {g}")
 
+    def _star_traces(self, e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
+        """Gluings of the star tree of e = B(t, n). For n = 1, injective at each
+        E-site that e extends into; else the isomorphism into a non-trivial
+        Borel-form v that extends e, none into any other, and elsewhere a fold at
+        each site with stabilizer e, only at marked ones when t >= 1."""
+        t, n = borel_params(e)
+        tree_v = self.elementary_tree(v, ctx)
+        if n == 1:
+            return tuple(
+                AttachmentTrace(c.id, KIND_INJECTIVE)
+                for c in tree_v.cusps
+                if borel_extends(e, c.stabilizer)
+            )
+        if is_borel_form(v) and v.kind != KIND_TRIVIAL:
+            return (_iso_trace(tree_v),) if borel_extends(e, v) else ()
+        return tuple(
+            _fold_trace(c)
+            for c in tree_v.cusps
+            if c.stabilizer == e and (t == 0 or c.marked_point is not None)
+        )
+
     def _char_zero_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
         """Residue characteristic p <= 5 dividing the group order."""
         entry = self._extensions.get((g, ctx.p)) or _builtin_printed(g, ctx.p)
@@ -242,13 +263,12 @@ class Catalog:
     ) -> tuple[AttachmentTrace, ...]:
         """All admissible gluings of T*(edge_group) into T*(vertex_group).
 
-        The kind follows the case analysis of the gluing proofs: one-cusped
-        edge groups embed injectively; two-cusped ones fold at a matching
-        site (at its marked point when the catalog marks one) unless the
-        target tree is Borel-form and extends the edge group, which is the
-        tree-isomorphism case. Printed noncyclic edge groups use explicit
-        embed maps. Returns () when T*(vertex_group) has no site for the edge
-        group; raises CatalogError when the edge group glues nowhere in ctx.
+        Every char-p edge group and every cyclic char-0 one has a star-shaped
+        tree, and ``_star_traces`` gives its gluings; a non-cyclic char-0 edge
+        group glues by the embed maps of its printed tree (``_embed_traces``).
+        Returns () when T*(vertex_group) has no site for the edge group; raises
+        CatalogError when the edge group glues nowhere in ctx: in char p when it
+        is not of Borel form, in char 0 when its tree is missing or not printed.
         """
         for g in (edge_group, vertex_group):
             if not is_admissible(g, ctx):
@@ -260,40 +280,9 @@ class Catalog:
                 raise CatalogError(
                     f"edge group not Borel/cyclic/printed ({edge_group} in this context)"
                 )
-            return self._char_p_traces(edge_group, vertex_group, ctx)
-        if edge_group.kind == KIND_CYCLIC:
-            return self._cyclic_traces(edge_group, vertex_group, ctx)
-        return self._embed_traces(edge_group, vertex_group, ctx)
-
-    def _char_p_traces(self, e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
-        te, ne = borel_params(e)
-        tree_v = self.elementary_tree(v, ctx)
-        if ne == 1:
-            # One-cusped edge tree: injective into any Borel-extending E-site.
-            return tuple(
-                AttachmentTrace(c.id, KIND_INJECTIVE)
-                for c in tree_v.cusps
-                if is_borel_form(c.stabilizer)
-                and borel_extends(e, c.stabilizer)
-                and borel_params(c.stabilizer)[1] == 1
-            )
-        if is_borel_form(v) and v.kind != KIND_TRIVIAL and borel_extends(e, v):
-            return (_iso_trace(tree_v),)
-        if te >= 1:
-            return tuple(
-                _fold_trace(c)
-                for c in tree_v.cusps
-                if c.stabilizer == e and c.marked_point is not None
-            )
-        return self._cyclic_traces(e, v, ctx)
-
-    def _cyclic_traces(self, e, v, ctx):
-        tree_v = self.elementary_tree(v, ctx)
-        if is_borel_form(v) and v.kind != KIND_TRIVIAL:
-            if borel_extends(e, v):
-                return (_iso_trace(tree_v),)
-            return ()
-        return tuple(_fold_trace(c) for c in tree_v.cusps if c.stabilizer == e)
+        elif edge_group.kind != KIND_CYCLIC:
+            return self._embed_traces(edge_group, vertex_group, ctx)
+        return self._star_traces(edge_group, vertex_group, ctx)
 
     def _embed_traces(self, e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
         try:

@@ -88,16 +88,11 @@ class _Generator:
         vert = _Vert(vid, group)
         if not is_borel_form(group):
             tree = DEFAULT_CATALOG.elementary_tree(group, self.ctx)
+            # Every cusp is of Borel form, and every char-p marked cusp is B(t, n), t >= 1.
             for c in tree.cusps:
-                params = borel_params(c.stabilizer) if is_borel_form(c.stabilizer) else None
-                if params is not None and params[1] == 1:
+                if borel_params(c.stabilizer)[1] == 1:
                     flavor = "e"
-                elif (
-                    c.marked_point is not None
-                    and self.ctx.positive_char
-                    and params is not None
-                    and params[0] >= 1
-                ):
+                elif c.marked_point is not None and self.ctx.positive_char:
                     flavor = "markB"
                 elif c.marked_point is not None:
                     continue  # printed marked cusps are reserved for embed gluings
@@ -180,8 +175,6 @@ class _Generator:
                     if is_admissible(g, ctx) and pl_invariants(g, ctx).n_plus == k:
                         candidates.append(g)
         for g in candidates:
-            if not is_admissible(g, ctx):
-                continue
             try:
                 tree = DEFAULT_CATALOG.elementary_tree(g, ctx)
             except (CatalogError, ContextError):

@@ -345,15 +345,6 @@ class _Builder:
         self.stab[root] = stab
         return root
 
-    def resolve_site(self, input_vid: str, local_cusp: str, edge_id: str) -> str:
-        cid = f"{input_vid}:{local_cusp}"
-        root = self.ids.find(cid)
-        if root in self.consumed:
-            raise RealizeError(
-                f"edge {edge_id}: attachment site {cid} already used by an earlier gluing"
-            )
-        return root
-
     def consume(self, root: str):
         self.consumed.add(self.ids.find(root))
 
@@ -507,15 +498,15 @@ class _Builder:
             self.merge(ids, f"edge {edge.id}")
 
     def glue_embed(self, edge, fid, tf, iid, ti):
-        flavors = {tf.kind, ti.kind}
-        if flavors == {KIND_FOLD}:
+        """Glue a printed edge tree by its embed maps: ``fid``'s trace folds and
+        ``iid``'s is a tree isomorphism. Printed gluings go first and each vertex
+        joins at most one, so both trees are as placed and the maps name their own
+        ids. A mark uses up the iso side's marked site and must cover an internal
+        edge of the fold tree, from its cusp's base to the vertex it lands on."""
+        if tf.kind == ti.kind:
+            both = "fold" if tf.kind == KIND_FOLD else "are tree isomorphisms"
             raise RealizeError(
-                f"edge {edge.id}: unsupported printed gluing (both morphisms fold)"
-            )
-        if flavors == {KIND_ISO}:
-            raise RealizeError(
-                f"edge {edge.id}: unsupported printed gluing (both morphisms are tree "
-                "isomorphisms)"
+                f"edge {edge.id}: unsupported printed gluing (both morphisms {both})"
             )
         for side in (fid, iid):
             if side in self.embedded:
@@ -523,13 +514,6 @@ class _Builder:
                     f"edge {edge.id}: vertex {side} already used by a printed-tree gluing"
                 )
         edge_tree = self.catalog.elementary_tree(edge.group, self.ctx)
-        # Printed gluings go first and each vertex joins at most one, so only the
-        # two trees' internal edges and the edges added here can join their vertices.
-        inner = [
-            (f"{v}:{te.ends[0]}", f"{v}:{te.ends[1]}")
-            for v in (fid, iid)
-            for te in self.trees[v].internal_edges
-        ]
         fmap, imap = dict(tf.embed.vertex_map), dict(ti.embed.vertex_map)
         fcusp, icusp = dict(tf.embed.cusp_map), dict(ti.embed.cusp_map)
         fmarks, imarks = dict(tf.embed.mark_map), dict(ti.embed.mark_map)
@@ -551,9 +535,8 @@ class _Builder:
         if not (fcusp.keys() <= icusp.keys() and fmarks.keys() <= imarks.keys() & cusp_ids):
             raise RealizeError(f"edge {edge.id}: printed traces disagree on the edge-tree cusps")
         for ec, target in sorted(fcusp.items()):
-            a = self.resolve_site(fid, target, edge.id)
-            b = self.resolve_site(iid, icusp[ec], edge.id)
-            self.merge([a, b], f"edge {edge.id}")
+            self.merge([f"{fid}:{target}", f"{iid}:{icusp[ec]}"], f"edge {edge.id}")
+        fold_tree = self.trees[fid]
         for ec, (fkind, floc) in sorted(fmarks.items()):
             ikind, iloc = imarks[ec]
             if fkind != "vertex" or ikind != "mark":
@@ -561,18 +544,23 @@ class _Builder:
                     f"edge {edge.id}: unsupported printed mark correspondence "
                     f"({fkind} vs {ikind})"
                 )
-            cut = self.resolve_site(iid, iloc, edge.id)
-            mark_stab = self.trees[iid].cusp(iloc).marked_point or self.stab[cut]
+            base = fmap[edge_tree.cusp(ec).base_vertex]
+            if all(set(te.ends) != {base, floc} for te in fold_tree.internal_edges):
+                raise RealizeError(
+                    f"edge {edge.id}: the mark of edge-tree cusp {ec} covers no internal "
+                    f"edge of T*({fold_tree.group}) (from {base} to {floc})"
+                )
+            # The trees are fresh, so only an earlier mark can have used the site.
+            cut = self.ids.find(f"{iid}:{iloc}")
+            if cut in self.consumed:
+                raise RealizeError(
+                    f"edge {edge.id}: attachment site {iid}:{iloc} already used by "
+                    "another mark"
+                )
             w = f"{edge.id}:w:{ec}"
-            self.add(w, mark_stab)
-            fold_base = f"{fid}:{fmap[edge_tree.cusp(ec).base_vertex]}"
-            fold_top = f"{fid}:{floc}"
-            ends = {self.ids.find(fold_base), self.ids.find(fold_top)}
-            if all({self.ids.find(x), self.ids.find(y)} != ends for x, y in inner):
-                self.edges.append((f"{edge.id}:{ec}", self.cbase[cut], w, edge.group))
-                inner.append(self.edges[-1][1:3])
+            self.add(w, self.trees[iid].cusp(iloc).marked_point or self.stab[cut])
             self.consume(cut)
-            self.merge([w, fold_top])
+            self.merge([w, f"{fid}:{floc}"])
         self.embedded.add(fid)
         self.embedded.add(iid)
 

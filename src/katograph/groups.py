@@ -380,8 +380,8 @@ def symbol_contains(large: GroupSymbol, small: GroupSymbol, ctx: FieldContext) -
         if small.kind == KIND_TETRAHEDRAL:
             return large.kind in (KIND_OCTAHEDRAL, KIND_ICOSAHEDRAL)
         if small.kind == KIND_BOREL and large.kind == KIND_ICOSAHEDRAL:
-            # B(1,2) = S3 = D3 sits in A5 (only sensible at p=3).
-            return (small.t, small.n) == (1, 2)
+            # B(1,2) is S3 = D3 at p = 3 only, where it sits in A5.
+            return (small.t, small.n) == (1, 2) and ctx.p == 3
         return False
     if large.kind == KIND_PROJ_LINEAR:
         inv = pl_invariants(large, ctx)

@@ -159,6 +159,9 @@ def test_is_ordinary():
     assert is_ordinary(sig2, ctx3)
     sig3 = BranchSignature((BranchPoint("b0", TETRAHEDRAL, "v"),))
     assert not is_ordinary(sig3, FieldContext(7, 7, 1))
+    # C3 has order divisible by p = 3; B(1,4) has 4 not dividing 3 - 1.
+    for g in (cyclic(3), borel(1, 4)):
+        assert not is_ordinary(BranchSignature((BranchPoint("b0", g, "v"),)), ctx3)
     with pytest.raises(ContextError):
         is_ordinary(sig, CTX7)
 
@@ -298,6 +301,32 @@ def test_structural_detects_nongenerating_pattern():
     )
     rep = structural_check(g)
     assert any("whitelist" in v for v in rep.generation_violations)
+
+
+def test_structural_flags_vertices_without_matching_incidences():
+    # A trivial vertex carrying a cusp, and a non-trivial vertex with nothing incident.
+    g = KatoGraph(
+        CTX7,
+        (GraphVertex("t", TRIVIAL), GraphVertex("v", dihedral(3))),
+        (),
+        (GraphCusp("c0", "t", cyclic(2)),),
+        (),
+    )
+    assert structural_check(g).generation_violations == (
+        "vertex t: trivial stabilizer with non-trivial incidences",
+        "vertex v: stabilizer D3 with no incident groups",
+    )
+    # B(1,2) has order 2p = 14 at p = 7, so A5 does not contain it.
+    a5 = KatoGraph(
+        FieldContext(7, 7, 2),
+        (GraphVertex("v", ICOSAHEDRAL),),
+        (),
+        (GraphCusp("c0", "v", borel(1, 2)),),
+        (),
+    )
+    assert structural_check(a5).generation_violations == (
+        "vertex v: incident stabilizer B(1,2) is not contained in A5",
+    )
 
 
 def test_structural_lcm_violation():

@@ -255,33 +255,27 @@ def test_run_malformed_extension_is_parse_error(name, extension, tmp_path):
     assert text.startswith("parse error: ") and text.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "cusp_map, mark_map",
-    [
-        ({"c1": "c1", "c2": "c2", "zz": "c1"}, {"c0": ["vertex", "v0"]}),
-        ({"c1": "c1", "c2": "c2"}, {"c0": ["vertex", "v0"], "zz": ["vertex", "v1"]}),
-    ],
-    ids=["cusp-key-without-partner", "mark-key-not-an-edge-tree-cusp"],
-)
-def test_run_printed_traces_with_stray_keys_are_rejected(cusp_map, mark_map, tmp_path):
-    # An extension A5 tree (replacing the built-in one) whose fold trace into
-    # the built-in D10 names an edge-tree cusp the D10 side does not map.
-    def g(kind, **params):
-        return dict(kind=kind, **params)
+def _g(kind, **params):
+    return dict(kind=kind, **params)
 
-    entry = {
-        "group": g("icosahedral"),
+
+def _run_a5_extension(tmp_path, cusp_map, mark_map, *entries):
+    """Run A5 -[D5]- D10 at p = 5 with an extension A5 tree (replacing the
+    built-in one) whose fold trace into D10 has the given maps; ``entries``
+    are further extension entries."""
+    a5 = {
+        "group": _g("icosahedral"),
         "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "v0", "group": g("icosahedral")}, {"id": "v1", "group": g("dihedral", n=5)}],
-        "internal_edges": [{"id": "e0", "ends": ["v0", "v1"], "group": g("dihedral", n=5)}],
+        "vertices": [{"id": "v0", "group": _g("icosahedral")}, {"id": "v1", "group": _g("dihedral", n=5)}],
+        "internal_edges": [{"id": "e0", "ends": ["v0", "v1"], "group": _g("dihedral", n=5)}],
         "cusps": [
-            {"id": "c0", "base": "v0", "group": g("cyclic", n=3)},
-            {"id": "c1", "base": "v1", "group": g("cyclic", n=2)},
-            {"id": "c2", "base": "v1", "group": g("cyclic", n=5)},
+            {"id": "c0", "base": "v0", "group": _g("cyclic", n=3)},
+            {"id": "c1", "base": "v1", "group": _g("cyclic", n=2)},
+            {"id": "c2", "base": "v1", "group": _g("cyclic", n=5)},
         ],
         "embed_traces": [
             {
-                "edge_group": g("dihedral", n=5),
+                "edge_group": _g("dihedral", n=5),
                 "kind": "fold",
                 "vertex_map": {"v0": "v1"},
                 "cusp_map": cusp_map,
@@ -292,14 +286,64 @@ def test_run_printed_traces_with_stray_keys_are_rejected(cusp_map, mark_map, tmp
     spec = {
         "field": {"char_K": 0, "p": 5},
         "catalog_extension": "ext.json",
-        "vertices": [{"id": "a", "group": g("icosahedral")}, {"id": "d", "group": g("dihedral", n=10)}],
-        "edges": [{"id": "e0", "from": "a", "to": "d", "group": g("dihedral", n=5)}],
+        "vertices": [{"id": "a", "group": _g("icosahedral")}, {"id": "d", "group": _g("dihedral", n=10)}],
+        "edges": [{"id": "e0", "from": "a", "to": "d", "group": _g("dihedral", n=5)}],
     }
-    (tmp_path / "ext.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    (tmp_path / "ext.json").write_text(json.dumps({"entries": [a5, *entries]}), encoding="utf-8")
     (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
-    text, code = run(tmp_path / "in.json")
+    return run(tmp_path / "in.json")
+
+
+@pytest.mark.parametrize(
+    "cusp_map, mark_map",
+    [
+        ({"c1": "c1", "c2": "c2", "zz": "c1"}, {"c0": ["vertex", "v0"]}),
+        ({"c1": "c1", "c2": "c2"}, {"c0": ["vertex", "v0"], "zz": ["vertex", "v1"]}),
+    ],
+    ids=["cusp-key-without-partner", "mark-key-not-an-edge-tree-cusp"],
+)
+def test_run_printed_traces_with_stray_keys_are_rejected(cusp_map, mark_map, tmp_path):
+    # The fold trace names an edge-tree cusp the D10 side does not map.
+    text, code = _run_a5_extension(tmp_path, cusp_map, mark_map)
     assert code == EXIT_INVALID
     assert text == "realization rejected: edge e0: printed traces disagree on the edge-tree cusps\n"
+
+
+def test_run_printed_mark_covering_no_fold_tree_edge_is_rejected(tmp_path):
+    # The mark of c0 lands on v1, the base of c0's image: the initial segment
+    # would be a self-loop at v1 instead of the A5 tree's edge v0 -- v1.
+    text, code = _run_a5_extension(tmp_path, {"c1": "c1", "c2": "c2"}, {"c0": ["vertex", "v1"]})
+    assert code == EXIT_INVALID
+    assert text.startswith("realization rejected: edge e0: ") and text.count("\n") == 1
+
+
+def test_run_printed_marks_naming_one_site_twice_are_rejected(tmp_path):
+    # An extension D10 tree whose iso trace sends the marks of c0 and c1 to its
+    # one marked site c0; the A5 fold trace marks both as well.
+    c2 = _g("cyclic", n=2)
+    d10 = {
+        "group": _g("dihedral", n=10),
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "v0", "group": _g("dihedral", n=10)}],
+        "cusps": [
+            {"id": "c0", "base": "v0", "group": c2, "marked_point": {"group": c2}, "fold_on_attach": True},
+            {"id": "c1", "base": "v0", "group": c2},
+            {"id": "c2", "base": "v0", "group": _g("cyclic", n=10)},
+        ],
+        "embed_traces": [
+            {
+                "edge_group": _g("dihedral", n=5),
+                "kind": "iso",
+                "vertex_map": {"v0": "v0"},
+                "cusp_map": {"c2": "c2"},
+                "mark_map": {"c0": ["mark", "c0"], "c1": ["mark", "c0"]},
+            }
+        ],
+    }
+    marks = {"c0": ["vertex", "v0"], "c1": ["vertex", "v0"]}
+    text, code = _run_a5_extension(tmp_path, {"c2": "c2"}, marks, d10)
+    assert code == EXIT_INVALID
+    assert text == "realization rejected: edge e0: attachment site d:c0 already used by another mark\n"
 
 
 _HUGE_T = 10**9

@@ -1,6 +1,7 @@
 """Golden digests: the fixture reports and the acceptance corpus, byte for byte,
-the output of ``katograph --fuzz 500 --seed 7``, and the quotient skeletons of
-eight large disjoint unions, which take hundreds of collapses each.
+the output of ``katograph --fuzz 500 --seed 7``, the quotient skeletons of
+eight large disjoint unions, which take hundreds of collapses each, and the
+inputs that the fuzz generator draws from two seeds.
 
 The digests were recorded before the engine's code was simplified; any change
 to report text, DOT text or exit codes makes this test fail. A change that is
@@ -44,6 +45,8 @@ UNION_DIGESTS = [
     "793ac51e2323e8e8a239b555b31ae1c08eafcbfee7d2b385208bc64ee82f3621",
 ]
 
+STREAM_DIGEST = "109e4559dadfb5d24ee533d9f4cb1763f2d5c6005b6b5ed6fc3d05dc04aad4b7"
+
 
 def fixture_digests() -> dict[str, tuple[int, str]]:
     """``cli.run`` on each fixture, given as a path relative to the repo root."""
@@ -69,6 +72,19 @@ def corpus_digest() -> str:
         report = build_report(random_input(rng), catalog)
         for part in (report.render(), emit_dot(report.graph), emit_dot(report.skeleton)):
             total.update(part.encode() + b"\0")
+    return total.hexdigest()
+
+
+def stream_digest() -> str:
+    """The ``repr`` of the first 2000 ``random_input`` results from seeds
+    20260808 and 7: every generated input, not only the reports built from it."""
+    from katograph.fuzz import random_input
+
+    total = hashlib.sha256()
+    for seed in (20260808, 7):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            total.update(repr(random_input(rng)).encode() + b"\0")
     return total.hexdigest()
 
 
@@ -131,6 +147,10 @@ def test_corpus_outputs_unchanged():
     assert corpus_digest() == CORPUS_DIGEST
 
 
+def test_fuzz_stream_unchanged():
+    assert stream_digest() == STREAM_DIGEST
+
+
 def test_fuzz_run_unchanged(capsys):
     from katograph.cli import main
 
@@ -149,6 +169,7 @@ if __name__ == "__main__":
         sys.stdout.write(f'    "{name}": ({code}, "{digest}"),\n')
     sys.stdout.write("}\n\n")
     sys.stdout.write(f'CORPUS_DIGEST = "{corpus_digest()}"\n\n')
+    sys.stdout.write(f'STREAM_DIGEST = "{stream_digest()}"\n\n')
     sys.stdout.write("UNION_DIGESTS = [\n")
     for digest in union_digests():
         sys.stdout.write(f'    "{digest}",\n')

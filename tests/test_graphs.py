@@ -394,6 +394,18 @@ def test_realize_rejects_site_reuse():
         realize(checked)
 
 
+def test_realize_rejects_a5_absorbing_a_borel_off_p3():
+    # The iso end B(1,2) merges its anchor onto the A5 vertex. At p = 7,
+    # B(1,2) has order 14 and does not sit in A5, so no vertex can carry both.
+    raw = InputGraphOfGroups(
+        FieldContext(7, 7, 2),
+        (InputVertex("a", ICOSAHEDRAL), InputVertex("b", borel(1, 2))),
+        (InputEdge("e0", ("a", "b"), cyclic(2)),),
+    )
+    with pytest.raises(RealizeError, match=r"without containment: A5 vs B\(1,2\)"):
+        realize(check_input(raw))
+
+
 def test_realize_rejects_colliding_realized_ids():
     # Gluing the printed edge e makes the vertex e:w:c0, and cusp c0 of the
     # input vertex e:w has that name too: one of them would vanish.

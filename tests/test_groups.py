@@ -317,3 +317,6 @@ def test_symbol_contains_spot_checks():
     assert symbol_contains(proj_linear("PGL", 2), borel(2, 3), ctxp)
     assert symbol_contains(dihedral(15), elementary(1), ctxp)
     assert not symbol_contains(borel(4, 3), dihedral(3), ctxp)
+    # B(1,2) has order 2p: it sits in A5 at p = 3 only.
+    assert symbol_contains(ICOSAHEDRAL, borel(1, 2), FieldContext(3, 3, 2))
+    assert not symbol_contains(ICOSAHEDRAL, borel(1, 2), FieldContext(7, 7, 2))
