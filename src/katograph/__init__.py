@@ -36,6 +36,7 @@ from .catalog import (
 from .fuzz import random_context, random_input
 from .graphs import (
     CheckedInput,
+    ConservationError,
     GenusEdge,
     GraphCusp,
     GraphEdge,

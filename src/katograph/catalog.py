@@ -7,8 +7,9 @@ and the printed small-residue instances. Each printed instance is one
 ``PrintedEntry``: its tree and its gluing traces, keyed by edge group. The
 built-in ones are the D5 / A5 / D_{10m} family at residue characteristic 5;
 further entries load from an extension file (see ``parse_extension``). A
-lookup tries the extension entry first, then the built-in one, and an
-extension entry with no traces for an edge group keeps the built-in ones.
+lookup tries the extension entry first, then the built-in one. The entry
+that gives a tree also gives every gluing into it: an extension entry with
+no traces for an edge group admits no gluing of that group.
 
 All trees and traces are immutable. A Catalog builds each tree once, on
 first request, and keeps it in its own table; it is still safe to share freely.
@@ -285,6 +286,7 @@ class Catalog:
         return self._star_traces(edge_group, vertex_group, ctx)
 
     def _embed_traces(self, e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
+        """The traces of e named by the entry that gives T*(v), and by no other entry."""
         try:
             printed = self.elementary_tree(e, ctx).printed
         except CatalogError:
@@ -293,12 +295,8 @@ class Catalog:
             raise CatalogError(
                 f"edge group not Borel/cyclic/printed ({e} has no gluing data in this context)"
             )
-        # An extension entry without traces for e keeps the built-in ones.
-        for entry in (self._extensions.get((v, ctx.p)), _builtin_printed(v, ctx.p)):
-            traces = tuple(t for g, t in entry.traces if g == e) if entry else ()
-            if traces:
-                return traces
-        return ()
+        entry = self._extensions.get((v, ctx.p)) or _builtin_printed(v, ctx.p)
+        return tuple(t for g, t in entry.traces if g == e) if entry else ()
 
 
 def _tree(g, vertices, edges, cusps, printed=False) -> ElementaryTree:
@@ -443,6 +441,8 @@ def _validate_entry(entry: PrintedEntry) -> None:
     vids = {v.id for v in tree.vertices}
     if len(vids) != len(tree.vertices) or not tree.vertices:
         raise CatalogError("vertex ids must be unique and non-empty")
+    if len({ed.id for ed in tree.internal_edges}) != len(tree.internal_edges):
+        raise CatalogError("internal edge ids must be unique")
     for ed in tree.internal_edges:
         if not set(ed.ends) <= vids:
             raise CatalogError(f"edge {ed.id} references unknown vertex")

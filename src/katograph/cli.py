@@ -29,6 +29,7 @@ from .analysis import (
 from .catalog import Catalog, DEFAULT_CATALOG, load_extension_file
 from .fuzz import random_input
 from .graphs import (
+    ConservationError,
     GenusEdge,
     InputEdge,
     InputGraphOfGroups,
@@ -350,9 +351,9 @@ def run(path, out_dir=None, strict=False) -> tuple[str, int]:
     except ValidationError as exc:
         lines = "\n".join(f"- {v}" for v in exc.violations)
         return (f"validation failed:\n{lines}\n", EXIT_INVALID)
+    except ConservationError as exc:
+        return (f"formula failure: {exc}\n", EXIT_CHECK_FAILED)
     except RealizeError as exc:
-        if str(exc).startswith("internal:"):
-            return (f"formula failure: {exc}\n", EXIT_CHECK_FAILED)
         return (f"realization rejected: {exc}\n", EXIT_INVALID)
     text = report.render()
     code = EXIT_OK if report.passed and not (strict and report.warnings) else EXIT_CHECK_FAILED

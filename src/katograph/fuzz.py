@@ -2,8 +2,9 @@
 
 The generator is constructive: it tracks the free attachment sites of every
 placed elementary tree and only emits edges whose gluings exist, with
-explicit site hints wherever a site choice is made. Everything is driven by
-a caller-supplied random.Random, so corpora are reproducible from a seed.
+explicit site hints wherever a site choice is made. Each growth move first
+closes the site or tree isomorphism it grows from. Everything is driven by a
+caller-supplied random.Random, so corpora are reproducible from a seed.
 """
 
 from __future__ import annotations
@@ -77,15 +78,11 @@ class _Generator:
         self.ctx = ctx
         self.verts: list[_Vert] = []
         self.edges: list[InputEdge] = []
-        self.next_v = 0
-        self.next_e = 0
 
     # -- plumbing --
 
     def new_vertex(self, group: GroupSymbol) -> _Vert:
-        vid = f"v{self.next_v}"
-        self.next_v += 1
-        vert = _Vert(vid, group)
+        vert = _Vert(f"v{len(self.verts)}", group)
         if not is_borel_form(group):
             tree = DEFAULT_CATALOG.elementary_tree(group, self.ctx)
             # Every cusp is of Borel form, and every char-p marked cusp is B(t, n), t >= 1.
@@ -102,16 +99,10 @@ class _Generator:
         self.verts.append(vert)
         return vert
 
-    def new_edge(self, a: _Vert, b: _Vert, group: GroupSymbol | None, hints=(None, None), derive=False):
-        eid = f"e{self.next_e}"
-        self.next_e += 1
-        self.edges.append(InputEdge(eid, (a.id, b.id), group, derive, hints))
+    def new_edge(self, a: _Vert, b: _Vert, group: GroupSymbol, hints=(None, None)) -> None:
+        self.edges.append(InputEdge(f"e{len(self.edges)}", (a.id, b.id), group, site_hints=hints))
 
     # -- vertex menus --
-
-    def seed_group(self) -> GroupSymbol:
-        picks = self.seed_menu()
-        return self.rng.choice(picks)
 
     def seed_menu(self) -> list[GroupSymbol]:
         ctx, rng = self.ctx, self.rng
@@ -121,37 +112,33 @@ class _Generator:
                 # Residue characteristic 5: the printed triangle family plus
                 # groups of order prime to 5.
                 out += [ICOSAHEDRAL, dihedral(5), dihedral(10 * rng.randint(1, 3))]
-                out += [cyclic(k) for k in (2, 3, 4, 6) ]
+                out += [cyclic(k) for k in (2, 3, 4, 6)]
                 out += [dihedral(rng.choice([2, 3, 4, 6])), TETRAHEDRAL, OCTAHEDRAL]
             else:
                 out += [cyclic(rng.randint(2, 12)), dihedral(rng.randint(2, 12))]
                 out += [TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL]
             return [g for g in out if is_admissible(g, ctx)]
-        p, m = ctx.p, ctx.m
         n = rng.randint(2, 30)
-        while n % p == 0:
+        while n % ctx.p == 0:
             n += 1
-        out.append(cyclic(n))
-        out.append(self.random_dihedral())
-        out.append(self.random_borel())
-        t = rng.choice(_divisors(m))
-        out.append(proj_linear("PGL", t))
-        if p != 2:
-            out.append(proj_linear("PSL", t))
+        out += [cyclic(n), self.random_dihedral(), self.random_borel()]
+        t = rng.choice(_divisors(ctx.m))
+        out += self.pl_groups([t])
         out += [TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL]
-        return [g for g in out if g is not None and is_admissible(g, ctx)]
+        return [g for g in out if is_admissible(g, ctx)]
 
-    def random_dihedral(self) -> GroupSymbol | None:
+    def random_dihedral(self) -> GroupSymbol:
         ctx, rng = self.ctx, self.rng
         p, m = ctx.p, ctx.m
         if p == 2:
             return dihedral(rng.choice([3, 5, 7, 9, 11, 15]))
+        # Never empty: for odd p, 2 divides p^m + 1.
         pool = [
             n
             for n in range(2, min(p ** m + 2, 60))
             if (p ** m - 1) % n == 0 or (p ** m + 1) % n == 0
         ]
-        return dihedral(rng.choice(pool)) if pool else None
+        return dihedral(rng.choice(pool))
 
     def random_borel(self) -> GroupSymbol:
         ctx, rng = self.ctx, self.rng
@@ -159,6 +146,12 @@ class _Generator:
         divs = _divisors(ctx.p ** math.gcd(s, ctx.m) - 1)
         n = rng.choice(divs)
         return borel(s, n)
+
+    def pl_groups(self, ts: list[int]) -> list[GroupSymbol]:
+        """PGL2(p^t), then PSL2(p^t), for each t in ts; ``is_admissible`` decides which
+        exist, so PSL2 (which is PGL2 at p = 2) never appears there."""
+        groups = [proj_linear(variant, t) for t in ts for variant in ("PGL", "PSL")]
+        return [g for g in groups if is_admissible(g, self.ctx)]
 
     def cyclic_partners(self, k: int) -> list[tuple[GroupSymbol, str]]:
         """New-vertex groups with a free plain cyclic cusp of order k: (group, site id)."""
@@ -169,11 +162,8 @@ class _Generator:
             candidates += [dihedral(n) for n in (2, 3, 4, 5, 6, 7, 8, 12)]
         candidates.append(dihedral(k))
         if ctx.positive_char:
-            for t in _divisors(ctx.m):
-                for variant in ("PGL",) if ctx.p == 2 else ("PGL", "PSL"):
-                    g = proj_linear(variant, t)
-                    if is_admissible(g, ctx) and pl_invariants(g, ctx).n_plus == k:
-                        candidates.append(g)
+            pl = self.pl_groups(_divisors(ctx.m))
+            candidates += [g for g in pl if pl_invariants(g, ctx).n_plus == k]
         for g in candidates:
             try:
                 tree = DEFAULT_CATALOG.elementary_tree(g, ctx)
@@ -187,7 +177,9 @@ class _Generator:
 
     # -- growth moves --
 
-    def grow_from_site(self, vert: _Vert, site: _Site) -> bool:
+    def grow_from_site(self, vert: _Vert, site: _Site) -> None:
+        """Close the site, then attach a new vertex there if any group fits."""
+        site.used = True
         rng, ctx = self.rng, self.ctx
         if site.flavor == "cyclic":
             k = site.stab.n
@@ -207,67 +199,42 @@ class _Generator:
                     if s.cusp_id == target_site:
                         s.used = True
                 self.new_edge(vert, w, cyclic(k), (site.cusp_id, target_site))
-            else:
-                site.used = True  # nothing attachable here; close the site
-                return False
-            site.used = True
-            return True
-        if site.flavor == "e":
+        elif site.flavor == "e":
             # Equal-rank edges keep the generation property on both endpoints.
             t = borel_params(site.stab)[0]
             w = self.new_vertex(borel(t, 1))
             self.new_edge(vert, w, borel(t, 1), (site.cusp_id, None))
-            site.used = True
-            return True
-        if site.flavor == "markB":
+        else:  # "markB": a Borel of any rank that t divides
             t, n = borel_params(site.stab)
-            p, m = ctx.p, ctx.m
-            mult = [
-                j
-                for j in range(t, m + 1)
-                if j % t == 0 and (p ** m - 1) % n == 0
-            ]
-            if not mult:
-                site.used = True
-                return False
-            s = rng.choice(mult)
-            w = self.new_vertex(borel(s, n))
-            self.new_edge(vert, w, borel(t, n), (site.cusp_id, None))
-            site.used = True
-            return True
-        return False
+            multiples = range(t, ctx.m + 1, t)
+            if multiples and (ctx.p ** ctx.m - 1) % n == 0:
+                s = rng.choice(multiples)
+                w = self.new_vertex(borel(s, n))
+                self.new_edge(vert, w, borel(t, n), (site.cusp_id, None))
 
-    def grow_from_iso(self, vert: _Vert) -> bool:
-        """Attach an edge to a Borel-form vertex through the tree isomorphism."""
+    def grow_from_iso(self, vert: _Vert) -> None:
+        """Close the tree isomorphism of a Borel-form vertex by attaching an edge through it."""
+        vert.iso_open = False
         rng, ctx = self.rng, self.ctx
         s, n = borel_params(vert.group)
         if n == 1:
             # E_s vertex: one-cusped; glue an equal-rank E edge injectively.
             w = self.new_vertex(borel(s, 1))
             self.new_edge(vert, w, borel(s, 1))
-            vert.iso_open = False
-            return True
-        choices = [d for d in _divisors(s) if (ctx.p ** d - 1) % n == 0] if s else []
+            return
+        choices = [d for d in _divisors(s) if (ctx.p ** d - 1) % n == 0]
         t = rng.choice([0] + choices) if choices else 0
         edge_group = borel(t, n)
-        partner_pl = None
-        if t >= 1 and ctx.positive_char:
-            for variant in ("PGL",) if ctx.p == 2 else ("PGL", "PSL"):
-                g = proj_linear(variant, t)
-                if is_admissible(g, ctx) and pl_invariants(g, ctx).n_minus == n:
-                    partner_pl = g
-                    break
-        if partner_pl is not None and rng.random() < 0.7:
-            w = self.new_vertex(partner_pl)
+        pl = self.pl_groups([t]) if t >= 1 else []
+        partners = [g for g in pl if pl_invariants(g, ctx).n_minus == n]
+        if partners and rng.random() < 0.7:
+            w = self.new_vertex(partners[0])
             for ws in w.sites:
                 if ws.flavor == "markB":
                     ws.used = True
-            self.new_edge(vert, w, edge_group)
         else:
-            w = self.new_vertex(edge_group if t >= 1 else cyclic(n))
-            self.new_edge(vert, w, edge_group if t >= 1 else cyclic(n))
-        vert.iso_open = False
-        return True
+            w = self.new_vertex(edge_group)
+        self.new_edge(vert, w, edge_group)
 
     def add_triangle(self) -> None:
         """The printed residue-5 gluing: A5 joined to D_{10m} along D5."""
@@ -300,7 +267,7 @@ class _Generator:
             ):
                 self.add_triangle()
             else:
-                seed = self.new_vertex(self.seed_group())
+                seed = self.new_vertex(rng.choice(self.seed_menu()))
                 # A Borel-form seed grows through its tree isomorphism.
                 seed.iso_open = seed.group != TRIVIAL and is_borel_form(seed.group)
             component_roots.append(self.verts[start])

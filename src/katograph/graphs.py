@@ -46,6 +46,10 @@ class RealizeError(ValueError):
     """Raised when a validated input cannot be glued (or an internal check fails)."""
 
 
+class ConservationError(RealizeError):
+    """The realized graph breaks cusp conservation: a fault of the engine, not of the input."""
+
+
 # -- input model ---------------------------------------------------------------
 
 
@@ -260,14 +264,14 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
 
 def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> list[str]:
     """A dry run of ``check_input`` and ``realize``: the violations they raise, empty
-    exactly when the input realizes. Internal errors (cusp conservation) propagate."""
+    exactly when the input realizes. A ConservationError propagates."""
     try:
         realize(check_input(raw, catalog))
     except ValidationError as exc:
         return exc.violations
+    except ConservationError:
+        raise
     except RealizeError as exc:
-        if str(exc).startswith("internal:"):
-            raise
         return [str(exc)]
     return []
 
@@ -598,10 +602,15 @@ class _Builder:
             GraphLoop(lid, (self.ids.find(a), self.ids.find(b)))
             for lid, a, b in sorted(self.loops)
         )
+        seen: set[str] = set()
+        for x in edges + loops:
+            if x.id in seen:
+                raise RealizeError(f"realized id {x.id} names two edges; rename an id")
+            seen.add(x.id)
         graph = KatoGraph(self.ctx, vertices, edges, cusps, loops, tuple(self.notes))
         expected = cusp_count_general(self.checked)
         if len(graph.cusps) != expected:
-            raise RealizeError(
+            raise ConservationError(
                 f"internal: cusp conservation violated (direct {len(graph.cusps)}, "
                 f"expected {expected})"
             )
@@ -614,9 +623,9 @@ def realize(checked: CheckedInput) -> KatoGraph:
     Raises ValidationError listing every edge whose group glues nowhere in
     the context and every edge end the input gives no gluing data for (no
     attachment trace, or a site hint matching none), and
-    RealizeError when a gluing conflicts with an earlier one. It re-checks the
-    cusp conservation identity sum_v #bd T*(N_v) - sum_e #bd T*(N_e) against
-    the direct count and refuses to return a graph violating it.
+    RealizeError when a gluing conflicts with an earlier one or two realized
+    edges or loops share a name; ConservationError when the direct cusp count
+    disagrees with sum_v #bd T*(N_v) - sum_e #bd T*(N_e).
     """
     return _Builder(checked).build()
 

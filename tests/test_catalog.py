@@ -456,12 +456,13 @@ def test_extension_replaces_a_builtin_tree():
     assert CAT.elementary_tree(dihedral(10), ctx).cusps[0].marked_point == cyclic(2)
 
 
-def test_extension_without_traces_keeps_the_builtin_traces():
+def test_extension_without_traces_admits_no_gluing():
+    # The built-in D5 trace into D10 names the built-in tree's marked cusp;
+    # the entry that replaces the tree gives every gluing into it.
     ctx = FieldContext(0, 5, 1)
     cat = Catalog(parse_extension(d10_entry()))
-    traces = cat.attachment_traces(dihedral(5), dihedral(10), ctx)
-    assert traces == CAT.attachment_traces(dihedral(5), dihedral(10), ctx)
-    assert [t.kind for t in traces] == [KIND_ISO]
+    assert cat.attachment_traces(dihedral(5), dihedral(10), ctx) == ()
+    assert [t.kind for t in CAT.attachment_traces(dihedral(5), dihedral(10), ctx)] == [KIND_ISO]
 
 
 def test_extension_traces_replace_the_builtin_traces():
@@ -488,6 +489,18 @@ def test_extension_rejects_disconnected_tree():
         ],
     )
     with pytest.raises(CatalogError, match="not connected"):
+        parse_extension(doc)
+
+
+def test_extension_rejects_duplicate_internal_edge_ids():
+    # Both edges would realize under one name, and contract keys edges by name.
+    doc = d10_entry(
+        vertices=[{"id": v, "group": {"kind": "dihedral", "n": 10}} for v in ("v0", "v1", "v2")],
+        internal_edges=[
+            {"id": "e0", "ends": ["v0", v], "group": {"kind": "cyclic", "n": 2}} for v in ("v1", "v2")
+        ],
+    )
+    with pytest.raises(CatalogError, match="internal edge ids must be unique"):
         parse_extension(doc)
 
 

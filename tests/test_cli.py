@@ -17,7 +17,7 @@ from katograph.cli import (
     run,
     run_fuzz,
 )
-from katograph.graphs import check_input, realize
+from katograph.graphs import check_input, cusp_count_general, realize
 from katograph.groups import dihedral
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -259,10 +259,23 @@ def _g(kind, **params):
     return dict(kind=kind, **params)
 
 
+def _run_triangle(tmp_path, *entries):
+    """Run A5 -[D5]- D10 at p = 5 with the given extension entries."""
+    spec = {
+        "field": {"char_K": 0, "p": 5},
+        "catalog_extension": "ext.json",
+        "vertices": [{"id": "a", "group": _g("icosahedral")}, {"id": "d", "group": _g("dihedral", n=10)}],
+        "edges": [{"id": "e0", "from": "a", "to": "d", "group": _g("dihedral", n=5)}],
+    }
+    (tmp_path / "ext.json").write_text(json.dumps({"entries": list(entries)}), encoding="utf-8")
+    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
+    return run(tmp_path / "in.json")
+
+
 def _run_a5_extension(tmp_path, cusp_map, mark_map, *entries):
-    """Run A5 -[D5]- D10 at p = 5 with an extension A5 tree (replacing the
-    built-in one) whose fold trace into D10 has the given maps; ``entries``
-    are further extension entries."""
+    """Run the triangle with an extension A5 tree (replacing the built-in
+    one) whose fold trace into D10 has the given maps; ``entries`` are
+    further extension entries."""
     a5 = {
         "group": _g("icosahedral"),
         "context": {"char_K": 0, "p": 5},
@@ -283,15 +296,52 @@ def _run_a5_extension(tmp_path, cusp_map, mark_map, *entries):
             }
         ],
     }
-    spec = {
-        "field": {"char_K": 0, "p": 5},
-        "catalog_extension": "ext.json",
-        "vertices": [{"id": "a", "group": _g("icosahedral")}, {"id": "d", "group": _g("dihedral", n=10)}],
-        "edges": [{"id": "e0", "from": "a", "to": "d", "group": _g("dihedral", n=5)}],
-    }
-    (tmp_path / "ext.json").write_text(json.dumps({"entries": [a5, *entries]}), encoding="utf-8")
-    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
-    return run(tmp_path / "in.json")
+    return _run_triangle(tmp_path, a5, *entries)
+
+
+_D10_RENAMED = {
+    "group": _g("dihedral", n=10),
+    "context": {"char_K": 0, "p": 5},
+    "vertices": [{"id": "x0", "group": _g("dihedral", n=10)}],
+    "cusps": [
+        {
+            "id": "k0",
+            "base": "x0",
+            "group": _g("cyclic", n=2),
+            "marked_point": {"group": _g("cyclic", n=2)},
+            "fold_on_attach": True,
+        },
+        {"id": "k1", "base": "x0", "group": _g("cyclic", n=2)},
+        {"id": "k2", "base": "x0", "group": _g("cyclic", n=10)},
+    ],
+}
+_A5_RENAMED = {
+    "group": _g("icosahedral"),
+    "context": {"char_K": 0, "p": 5},
+    "vertices": [{"id": "x0", "group": _g("icosahedral")}, {"id": "x1", "group": _g("dihedral", n=5)}],
+    "internal_edges": [{"id": "e0", "ends": ["x0", "x1"], "group": _g("dihedral", n=5)}],
+    "cusps": [
+        {"id": "c0", "base": "x0", "group": _g("cyclic", n=3)},
+        {"id": "c1", "base": "x1", "group": _g("cyclic", n=2)},
+        {"id": "c2", "base": "x1", "group": _g("cyclic", n=5)},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "entry, target",
+    [(_D10_RENAMED, "D10) at vertex d"), (_A5_RENAMED, "A5) at vertex a")],
+    ids=["d10", "a5"],
+)
+def test_run_extension_tree_without_traces_admits_no_gluing(entry, target, tmp_path):
+    # The built-in traces name the built-in tree's ids, so they never glue
+    # into an extension tree; these entries name no D5 trace of their own.
+    text, code = _run_triangle(tmp_path, entry)
+    assert code == EXIT_INVALID
+    assert text == (
+        "validation failed:\n"
+        f"- edge e0: no attachment trace of T*(D5) into T*({target}; gluing inadmissible\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -344,6 +394,29 @@ def test_run_printed_marks_naming_one_site_twice_are_rejected(tmp_path):
     text, code = _run_a5_extension(tmp_path, {"c2": "c2"}, marks, d10)
     assert code == EXIT_INVALID
     assert text == "realization rejected: edge e0: attachment site d:c0 already used by another mark\n"
+
+
+def test_run_genus_loop_named_like_a_tree_edge_is_rejected(tmp_path):
+    spec = json.loads(fixture("triangle_k5.json").read_text(encoding="utf-8"))
+    spec["genus_edges"] = [{"id": "a:e0", "from": "a", "to": "d"}]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    text, code = run(path)
+    assert (text, code) == (
+        "realization rejected: realized id a:e0 names two edges; rename an id\n",
+        EXIT_INVALID,
+    )
+
+
+def test_run_conservation_failure_is_a_formula_failure(monkeypatch):
+    monkeypatch.setattr(
+        "katograph.graphs.cusp_count_general", lambda checked: cusp_count_general(checked) + 1
+    )
+    text, code = run(fixture("triangle_k5.json"))
+    assert (text, code) == (
+        "formula failure: internal: cusp conservation violated (direct 3, expected 4)\n",
+        EXIT_CHECK_FAILED,
+    )
 
 
 _HUGE_T = 10**9

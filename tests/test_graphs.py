@@ -5,6 +5,7 @@ import pytest
 
 from katograph.fuzz import random_input
 from katograph.graphs import (
+    ConservationError,
     GenusEdge,
     GraphEdge,
     GraphVertex,
@@ -14,6 +15,7 @@ from katograph.graphs import (
     KatoGraph,
     RealizeError,
     check_input,
+    cusp_count_general,
     genus,
     irreducible_components,
     realize,
@@ -163,6 +165,14 @@ _C6_EDGE = InputEdge("e0", ("a", "b"), cyclic(6))
             ),
             ["realized id e:w:c0 names two vertices or cusps; rename an id"],
         ),
+        (
+            # The A5 tree's internal edge realizes as a:e0 too; contract keys
+            # edges by name and would keep one of the two.
+            InputGraphOfGroups(
+                CTX5, triangle_input().vertices, triangle_input().edges, (GenusEdge("a:e0", ("a", "d")),)
+            ),
+            ["realized id a:e0 names two edges; rename an id"],
+        ),
     ],
     ids=[
         "duplicate-vertex",
@@ -174,6 +184,7 @@ _C6_EDGE = InputEdge("e0", ("a", "b"), cyclic(6))
         "duplicate-genus-edge",
         "genus-edge-named-like-an-edge",
         "colliding-realized-ids",
+        "genus-loop-named-like-a-realized-edge",
     ],
 )
 def test_validate_lists_each_violation(raw, violations):
@@ -446,6 +457,15 @@ def test_realize_rejects_a_catalog_vertex_named_like_a_gluing_vertex():
     checked = check_input(raw, Catalog(parse_extension({"entries": [entry]})))
     with pytest.raises(RealizeError, match="realized id e:w names two vertices or cusps"):
         realize(checked)
+
+
+def test_validate_input_raises_a_conservation_failure(monkeypatch):
+    # A fault of the engine is not a violation of the input: it propagates.
+    monkeypatch.setattr(
+        "katograph.graphs.cusp_count_general", lambda checked: cusp_count_general(checked) + 1
+    )
+    with pytest.raises(ConservationError, match=r"violated \(direct 3, expected 4\)$"):
+        validate_input(triangle_input())
 
 
 def test_realize_ambiguous_requires_hint():
