@@ -11,6 +11,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analysis import (
@@ -44,6 +45,7 @@ from .graphs import (
 )
 from .groups import (
     FieldContext,
+    GroupSymbol,
     SymbolError,
     TRIVIAL,
     canonicalize,
@@ -160,7 +162,9 @@ def input_echo(raw: InputGraphOfGroups) -> dict:
         ],
         "edges": [],
         "genus_edges": [
-            {"id": g.id, "from": g.ends[0], "to": g.ends[1]} for g in raw.genus_edges
+            {"id": g.id, "from": g.ends[0], "to": g.ends[1]}
+            | ({} if g.group == TRIVIAL else {"group": symbol_to_dict(g.group)})
+            for g in raw.genus_edges
         ],
     }
     for e in raw.edges:
@@ -169,15 +173,58 @@ def input_echo(raw: InputGraphOfGroups) -> dict:
             d["derive"] = True
         else:
             d["group"] = symbol_to_dict(e.group)
-        hints = {}
-        if e.site_hints[0] is not None:
-            hints["from"] = e.site_hints[0]
-        if e.site_hints[1] is not None:
-            hints["to"] = e.site_hints[1]
+        hints = {side: h for side, h in zip(("from", "to"), e.site_hints) if h is not None}
         if hints:
             d["site_hints"] = hints
         out["edges"].append(d)
     return out
+
+
+def echo_text(raw: InputGraphOfGroups) -> str:
+    """``json.dumps(input_echo(raw), indent=2, sort_keys=True)`` for every input
+    whose ids and site hints are strings, as ``check_input`` requires. It is
+    written from the echo's fixed shape, because ``json`` falls back to its
+    pure-Python encoder when ``indent`` is set."""
+    q = encode_basestring_ascii
+    groups: dict[GroupSymbol, str] = {}
+
+    def group(g: GroupSymbol) -> str:
+        if g not in groups:
+            fields = ",\n".join(
+                f'        "{k}": {q(v) if isinstance(v, str) else v}'
+                for k, v in sorted(symbol_to_dict(g).items())
+            )
+            groups[g] = f'      "group": {{\n{fields}\n      }},\n'
+        return groups[g]
+
+    def listed(key: str, items: list[str]) -> str:
+        return f'  "{key}": [\n' + ",\n".join(items) + "\n  ]" if items else f'  "{key}": []'
+
+    edges = []
+    for e in raw.edges:
+        hints = ",\n".join(
+            f'        "{side}": {q(h)}'
+            for side, h in zip(("from", "to"), e.site_hints) if h is not None
+        )
+        edges.append(
+            ('    {\n      "derive": true,\n' if e.derive else "    {\n")
+            + f'      "from": {q(e.ends[0])},\n'
+            + ("" if e.derive else group(e.group))
+            + f'      "id": {q(e.id)},\n'
+            + (f'      "site_hints": {{\n{hints}\n      }},\n' if hints else "")
+            + f'      "to": {q(e.ends[1])}\n    }}'
+        )
+    genus_edges = [
+        f'    {{\n      "from": {q(g.ends[0])},\n'
+        + ("" if g.group == TRIVIAL else group(g.group))
+        + f'      "id": {q(g.id)},\n      "to": {q(g.ends[1])}\n    }}'
+        for g in raw.genus_edges
+    ]
+    vertices = [f'    {{\n{group(v.group)}      "id": {q(v.id)}\n    }}' for v in raw.vertices]
+    c = raw.ctx
+    field = f'  "field": {{\n    "char_K": {c.char_K},\n    "m": {c.m},\n    "p": {c.p}\n  }}'
+    parts = (listed("edges", edges), field, listed("genus_edges", genus_edges))
+    return "{\n" + ",\n".join(parts + (listed("vertices", vertices),)) + "\n}"
 
 
 # -- DOT ---------------------------------------------------------------------------
@@ -242,7 +289,7 @@ class RunReport:
         ctx = self.graph.ctx
         fmt = lambda g: format_symbol(g, ctx)
         out: list[str] = ["== input =="]
-        out.append(json.dumps(input_echo(self.raw), indent=2, sort_keys=True))
+        out.append(echo_text(self.raw))
         g = self.graph
         out.append("")
         out.append("== realized kato graph ==")
@@ -367,19 +414,22 @@ def run(path, out_dir=None, strict=False) -> tuple[str, int]:
 
 
 def run_fuzz(count: int, seed: int) -> tuple[str, int]:
+    """Check ``count`` inputs from ``seed``; a failure's input goes to stderr as JSON."""
     rng = random.Random(seed)
     failures = 0
     for i in range(count):
         raw = random_input(rng)
         try:
             report = build_report(raw, DEFAULT_CATALOG)
+            why = None if report.passed else "formula, structure or ordinarity check failed"
+        except ConservationError as exc:
+            why = f"formula failure: {exc}"
         except (ValidationError, RealizeError) as exc:
+            why = f"failed to realize: {exc}"
+        if why is not None:
             failures += 1
-            print(f"input {i}: failed to realize: {exc}", file=sys.stderr)
-            continue
-        if not report.passed:
-            failures += 1
-            print(f"input {i}: formula, structure or ordinarity check failed", file=sys.stderr)
+            print(f"input {i}: {why}", file=sys.stderr)
+            print(f"reproducer (seed {seed}, input {i}):\n{echo_text(raw)}", file=sys.stderr)
     text = f"fuzz: {count} inputs, {failures} failures (seed {seed})\n"
     return (text, EXIT_OK if failures == 0 else EXIT_CHECK_FAILED)
 

@@ -189,15 +189,24 @@ def betti(vertices: Iterable[str], edge_pairs: list[tuple[str, str]]) -> int:
 def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> CheckedInput:
     """Check the input contract and resolve derived edge groups.
 
-    The contract is all that needs no gluing: ids, endpoints, a forest of edges,
-    admissible groups with trees, genus edges closing loops. Raises
-    ValidationError listing every violation; ``realize`` reports the edge groups
-    that glue nowhere and the missing attachment traces.
+    The contract is all that needs no gluing: string ids and site hints,
+    endpoints, a forest of edges, admissible groups with trees, genus edges
+    closing loops. Raises ValidationError listing every violation; ``realize``
+    reports the edge groups that glue nowhere and the missing attachment traces.
     """
     bad: list[str] = []
     ctx = raw.ctx
+
+    def not_str(value, kind: str, xid, what: str = "id") -> bool:
+        if isinstance(value, str):
+            return False
+        bad.append(f"{kind} {xid}: {what} must be a string, got {type(value).__name__}")
+        return True
+
     seen_v: dict[str, GroupSymbol] = {}
     for v in raw.vertices:
+        if not_str(v.id, "vertex", v.id):
+            continue
         if v.id in seen_v:
             bad.append(f"vertex {v.id}: duplicate id")
             continue
@@ -216,6 +225,11 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
         uf.add(vid)
     edges = []
     for e in raw.edges:
+        if not_str(e.id, "edge", e.id):
+            continue
+        for hint in e.site_hints:
+            if hint is not None:
+                not_str(hint, "edge", e.id, "site hint")
         if e.id in ids:
             bad.append(f"edge {e.id}: duplicate id")
             continue
@@ -242,6 +256,8 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
         elif e.group != TRIVIAL:  # a trivial edge is a component connector
             bad.extend(f"edge {e.id}: {msg}" for msg in validate_in_context(e.group, ctx))
     for ge in raw.genus_edges:
+        if not_str(ge.id, "genus edge", ge.id):
+            continue
         if ge.id in ids:
             bad.append(f"genus edge {ge.id}: duplicate id")
             continue

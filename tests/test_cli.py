@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,18 @@ from katograph.cli import (
     run,
     run_fuzz,
 )
-from katograph.graphs import check_input, cusp_count_general, realize
-from katograph.groups import dihedral
+from katograph.fuzz import random_input
+from katograph.graphs import (
+    ConservationError,
+    GenusEdge,
+    InputGraphOfGroups,
+    InputVertex,
+    check_input,
+    cusp_count_general,
+    realize,
+    validate_input,
+)
+from katograph.groups import FieldContext, cyclic, dihedral
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -97,6 +108,15 @@ def test_input_echo_round_trip():
     assert echoed == raw
     raw2, _ = parse_spec(fixture("triangle_k5.json"))
     assert parse_spec_dict(input_echo(raw2)) == raw2
+    # A genus edge keeps a non-trivial group, so the echo is rejected like the input.
+    loop = GenusEdge("g", ("a", "a"), cyclic(2))
+    raw3 = InputGraphOfGroups(FieldContext(0, 7), (InputVertex("a", cyclic(3)),), (), (loop,))
+    echo = input_echo(raw3)
+    assert echo["genus_edges"] == [
+        {"id": "g", "from": "a", "to": "a", "group": {"kind": "cyclic", "n": 2}}
+    ]
+    assert parse_spec_dict(echo) == raw3
+    assert "genus edge g: genus edges must have trivial stabilizer" in validate_input(raw3)
 
 
 # -- run and exit codes --------------------------------------------------------------
@@ -458,6 +478,36 @@ def test_run_huge_field_parameters_are_rejected(data, expected, tmp_path):
     assert text.startswith(expected)
 
 
+def test_run_rejects_a_site_hint_that_is_not_a_string(tmp_path):
+    # A trivial edge's hints are never matched against sites, so only the
+    # contract check stops them before the report echoes them.
+    path = tmp_path / "hints.json"
+    path.write_text(
+        json.dumps(
+            {
+                "field": {"char_K": 0, "p": 5},
+                "vertices": [
+                    {"id": "a", "group": {"kind": "trivial"}},
+                    {"id": "b", "group": {"kind": "trivial"}},
+                ],
+                "edges": [
+                    {
+                        "id": "e", "from": "a", "to": "b", "group": {"kind": "trivial"},
+                        "site_hints": {"from": [1, {"z": 2}], "to": 5},
+                    }
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert run(path) == (
+        "validation failed:\n"
+        "- edge e: site hint must be a string, got list\n"
+        "- edge e: site hint must be a string, got int\n",
+        EXIT_INVALID,
+    )
+
+
 def test_run_validation_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -593,3 +643,32 @@ def test_run_fuzz_counts_non_ordinary_reports(monkeypatch, capsys):
     text, code = run_fuzz(5, 11)
     assert (text, code) == ("fuzz: 5 inputs, 5 failures (seed 11)\n", EXIT_CHECK_FAILED)
     assert capsys.readouterr().err.count("ordinarity") == 5
+
+
+def test_run_fuzz_prints_a_reproducer_for_each_failure(monkeypatch, capsys):
+    import katograph.cli as cli
+
+    real = cli.build_report
+    calls = []
+
+    def fail_every_other(raw, cat):
+        calls.append(raw)
+        if len(calls) % 2:
+            return real(raw, cat)
+        raise ConservationError("internal: cusp conservation violated (direct 1, expected 2)")
+
+    monkeypatch.setattr(cli, "build_report", fail_every_other)
+    text, code = run_fuzz(6, 11)
+    assert (text, code) == ("fuzz: 6 inputs, 3 failures (seed 11)\n", EXIT_CHECK_FAILED)
+    blocks = capsys.readouterr().err.split("\n}\n")
+    assert blocks[-1] == ""
+    rng = random.Random(11)
+    draws = [random_input(rng) for _ in range(6)]
+    for i, block in zip((1, 3, 5), blocks):
+        failure, header, echo = block.split("\n", 2)
+        assert failure == (
+            f"input {i}: formula failure: "
+            "internal: cusp conservation violated (direct 1, expected 2)"
+        )
+        assert header == f"reproducer (seed 11, input {i}):"
+        assert parse_spec_dict(json.loads(echo + "\n}")) == draws[i]

@@ -211,6 +211,21 @@ def test_validate_bad_hint(vertex_ids, edges, missing_traces):
     assert len(msgs) == 1 + missing_traces
 
 
+def test_validate_rejects_ids_and_hints_that_are_not_strings():
+    # Only a library caller can build these; the report could not echo them.
+    raw = InputGraphOfGroups(
+        CTX7,
+        (InputVertex(5, cyclic(3)), InputVertex("a", TRIVIAL), InputVertex("b", TRIVIAL)),
+        (InputEdge("e", ("a", "b"), TRIVIAL, site_hints=(["x"], None)),),
+        (GenusEdge(("g",), ("a", "a")),),
+    )
+    assert validate_input(raw) == [
+        "vertex 5: id must be a string, got int",
+        "edge e: site hint must be a string, got list",
+        "genus edge ('g',): id must be a string, got tuple",
+    ]
+
+
 # -- realization: printed examples ------------------------------------------------------
 
 
