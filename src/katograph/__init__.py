@@ -19,6 +19,7 @@ from .analysis import (
     contract,
     count_cusps_direct,
     cusp_count_char0,
+    cusp_count_general,
     is_ordinary,
     separation_plan,
     structural_check,
@@ -36,7 +37,6 @@ from .catalog import (
 from .fuzz import random_context, random_input
 from .graphs import (
     CheckedInput,
-    ConservationError,
     GenusEdge,
     GraphCusp,
     GraphEdge,
@@ -45,14 +45,11 @@ from .graphs import (
     InputEdge,
     InputGraphOfGroups,
     InputVertex,
-    IrreducibleComponent,
     KatoGraph,
     RealizeError,
     ValidationError,
     check_input,
-    cusp_count_general,
     genus,
-    irreducible_components,
     realize,
     validate_input,
 )

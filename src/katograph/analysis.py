@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .catalog import Catalog, CatalogError, DEFAULT_CATALOG
-from .graphs import GraphEdge, GraphVertex, KatoGraph, betti, cusp_count_general  # re-exported
+from .graphs import CheckedInput, GraphEdge, GraphVertex, KatoGraph, betti
 from .groups import (
     ContextError,
     FieldContext,
@@ -53,6 +53,18 @@ def census(g: KatoGraph) -> FormulaCensus:
 def cusp_count_char0(cs: FormulaCensus) -> int:
     """The characteristic-zero closed form 3(D-d) + 2(C-c)."""
     return 3 * (cs.D - cs.d) + 2 * (cs.C - cs.c)
+
+
+def cusp_count_general(checked: CheckedInput) -> int:
+    """The general closed form: boundary sums over vertices minus edges."""
+    cat = checked.catalog
+    total = sum(cat.boundary_count(v.group, checked.ctx) for v in checked.vertices)
+    total -= sum(
+        cat.boundary_count(e.group, checked.ctx)
+        for e in checked.edges
+        if e.group != TRIVIAL
+    )
+    return total
 
 
 def count_cusps_direct(g: KatoGraph) -> int:

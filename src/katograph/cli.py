@@ -1,7 +1,7 @@
 """Batch front door: parse an input file, realize, analyze, report, emit DOT.
 
 Exit codes: 0 = all checks agree, 1 = formula/structural failure,
-2 = validation or parse error.
+2 = validation or parse error, or a failure to write the ``--out`` files.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .analysis import (
     contract,
     count_cusps_direct,
     cusp_count_char0,
+    cusp_count_general,
     is_ordinary,
     separation_plan,
     structural_check,
@@ -30,7 +31,6 @@ from .analysis import (
 from .catalog import Catalog, DEFAULT_CATALOG, load_extension_file
 from .fuzz import random_input
 from .graphs import (
-    ConservationError,
     GenusEdge,
     InputEdge,
     InputGraphOfGroups,
@@ -39,7 +39,6 @@ from .graphs import (
     RealizeError,
     ValidationError,
     check_input,
-    cusp_count_general,
     genus,
     realize,
 )
@@ -398,18 +397,19 @@ def run(path, out_dir=None, strict=False) -> tuple[str, int]:
     except ValidationError as exc:
         lines = "\n".join(f"- {v}" for v in exc.violations)
         return (f"validation failed:\n{lines}\n", EXIT_INVALID)
-    except ConservationError as exc:
-        return (f"formula failure: {exc}\n", EXIT_CHECK_FAILED)
     except RealizeError as exc:
         return (f"realization rejected: {exc}\n", EXIT_INVALID)
     text = report.render()
     code = EXIT_OK if report.passed and not (strict and report.warnings) else EXIT_CHECK_FAILED
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(text, encoding="utf-8")
-        (out / "kato.dot").write_text(emit_dot(report.graph), encoding="utf-8")
-        (out / "skeleton.dot").write_text(emit_dot(report.skeleton), encoding="utf-8")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "report.txt").write_text(text, encoding="utf-8")
+            (out / "kato.dot").write_text(emit_dot(report.graph), encoding="utf-8")
+            (out / "skeleton.dot").write_text(emit_dot(report.skeleton), encoding="utf-8")
+        except OSError as exc:
+            return (f"output error: {exc}\n", EXIT_INVALID)
     return (text, code)
 
 
@@ -422,8 +422,6 @@ def run_fuzz(count: int, seed: int) -> tuple[str, int]:
         try:
             report = build_report(raw, DEFAULT_CATALOG)
             why = None if report.passed else "formula, structure or ordinarity check failed"
-        except ConservationError as exc:
-            why = f"formula failure: {exc}"
         except (ValidationError, RealizeError) as exc:
             why = f"failed to realize: {exc}"
         if why is not None:

@@ -43,11 +43,7 @@ class ValidationError(ValueError):
 
 
 class RealizeError(ValueError):
-    """Raised when a validated input cannot be glued (or an internal check fails)."""
-
-
-class ConservationError(RealizeError):
-    """The realized graph breaks cusp conservation: a fault of the engine, not of the input."""
+    """Raised when a validated input cannot be glued."""
 
 
 # -- input model ---------------------------------------------------------------
@@ -131,12 +127,6 @@ class KatoGraph:
     cusps: tuple[GraphCusp, ...]
     genus_loops: tuple[GraphLoop, ...]
     notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class IrreducibleComponent:
-    vertices: tuple[str, ...]
-    edges: tuple[str, ...]
 
 
 # -- union-find -----------------------------------------------------------------
@@ -234,6 +224,8 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             bad.append(f"edge {e.id}: duplicate id")
             continue
         ids.add(e.id)
+        if any([not_str(end, "edge", e.id, "end") for end in e.ends]):
+            continue
         a, b = e.ends
         if a not in seen_v or b not in seen_v:
             bad.append(f"edge {e.id}: endpoint does not exist")
@@ -262,6 +254,8 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             bad.append(f"genus edge {ge.id}: duplicate id")
             continue
         ids.add(ge.id)
+        if any([not_str(end, "genus edge", ge.id, "end") for end in ge.ends]):
+            continue
         a, b = ge.ends
         if a not in seen_v or b not in seen_v:
             bad.append(f"genus edge {ge.id}: endpoint does not exist")
@@ -280,28 +274,14 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
 
 def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> list[str]:
     """A dry run of ``check_input`` and ``realize``: the violations they raise, empty
-    exactly when the input realizes. A ConservationError propagates."""
+    exactly when the input realizes."""
     try:
         realize(check_input(raw, catalog))
     except ValidationError as exc:
         return exc.violations
-    except ConservationError:
-        raise
     except RealizeError as exc:
         return [str(exc)]
     return []
-
-
-def cusp_count_general(checked: CheckedInput) -> int:
-    """The general closed form: boundary sums over vertices minus edges."""
-    cat = checked.catalog
-    total = sum(cat.boundary_count(v.group, checked.ctx) for v in checked.vertices)
-    total -= sum(
-        cat.boundary_count(e.group, checked.ctx)
-        for e in checked.edges
-        if e.group != TRIVIAL
-    )
-    return total
 
 
 # -- realization ----------------------------------------------------------------
@@ -623,14 +603,7 @@ class _Builder:
             if x.id in seen:
                 raise RealizeError(f"realized id {x.id} names two edges; rename an id")
             seen.add(x.id)
-        graph = KatoGraph(self.ctx, vertices, edges, cusps, loops, tuple(self.notes))
-        expected = cusp_count_general(self.checked)
-        if len(graph.cusps) != expected:
-            raise ConservationError(
-                f"internal: cusp conservation violated (direct {len(graph.cusps)}, "
-                f"expected {expected})"
-            )
-        return graph
+        return KatoGraph(self.ctx, vertices, edges, cusps, loops, tuple(self.notes))
 
 
 def realize(checked: CheckedInput) -> KatoGraph:
@@ -640,33 +613,12 @@ def realize(checked: CheckedInput) -> KatoGraph:
     the context and every edge end the input gives no gluing data for (no
     attachment trace, or a site hint matching none), and
     RealizeError when a gluing conflicts with an earlier one or two realized
-    edges or loops share a name; ConservationError when the direct cusp count
-    disagrees with sum_v #bd T*(N_v) - sum_e #bd T*(N_e).
+    edges or loops share a name.
     """
     return _Builder(checked).build()
 
 
 # -- graph-level operations -------------------------------------------------------
-
-
-def irreducible_components(g: KatoGraph) -> tuple[IrreducibleComponent, ...]:
-    """Maximal subgraphs connected by edges with non-trivial stabilizers."""
-    uf = _UnionFind()
-    for v in g.vertices:
-        uf.add(v.id)
-    for e in g.finite_edges:
-        if e.stabilizer != TRIVIAL:
-            uf.union(e.ends[0], e.ends[1])
-    groups: dict[str, tuple[list[str], list[str]]] = {}
-    for v in g.vertices:
-        groups.setdefault(uf.find(v.id), ([], []))[0].append(v.id)
-    for e in g.finite_edges:
-        if e.stabilizer != TRIVIAL:
-            groups[uf.find(e.ends[0])][1].append(e.id)
-    return tuple(
-        IrreducibleComponent(tuple(sorted(vs)), tuple(sorted(es)))
-        for _, (vs, es) in sorted(groups.items())
-    )
 
 
 def genus(g: KatoGraph) -> int:

@@ -26,7 +26,6 @@ from katograph.graphs import (
     InputVertex,
     KatoGraph,
     check_input,
-    irreducible_components,
     realize,
 )
 from katograph.groups import (
@@ -398,22 +397,6 @@ def test_separation_partitions_on_random_sample():
         members = [b for c in plan.clusters for b in c.members]
         assert sorted(members) == sorted(c.id for c in g.cusps)
         assert all(c.size in (1, 2, 3) for c in plan.clusters)
-
-
-# -- component additivity -------------------------------------------------------------------
-
-
-def test_component_additivity():
-    rng = random.Random(999)
-    for _ in range(100):
-        raw = random_input(rng)
-        g = realize(check_input(raw))
-        comps = irreducible_components(g)
-        total = 0
-        for comp in comps:
-            vs = set(comp.vertices)
-            total += sum(1 for c in g.cusps if c.base in vs)
-        assert total == count_cusps_direct(g)
 
 
 def test_genus_independence_of_counts():

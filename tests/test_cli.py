@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from katograph.analysis import cusp_count_general
 from katograph.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -20,12 +21,10 @@ from katograph.cli import (
 )
 from katograph.fuzz import random_input
 from katograph.graphs import (
-    ConservationError,
     GenusEdge,
     InputGraphOfGroups,
     InputVertex,
     check_input,
-    cusp_count_general,
     realize,
     validate_input,
 )
@@ -429,14 +428,23 @@ def test_run_genus_loop_named_like_a_tree_edge_is_rejected(tmp_path):
 
 
 def test_run_conservation_failure_is_a_formula_failure(monkeypatch):
+    # The report's verdict is the one place the direct count meets the general formula.
     monkeypatch.setattr(
-        "katograph.graphs.cusp_count_general", lambda checked: cusp_count_general(checked) + 1
+        "katograph.cli.cusp_count_general", lambda checked: cusp_count_general(checked) + 1
     )
     text, code = run(fixture("triangle_k5.json"))
-    assert (text, code) == (
-        "formula failure: internal: cusp conservation violated (direct 3, expected 4)\n",
-        EXIT_CHECK_FAILED,
-    )
+    assert code == EXIT_CHECK_FAILED
+    assert "direct count:    3\ngeneral formula: 4\n" in text
+    assert "agreement: MISMATCH\n" in text
+
+
+def test_run_out_dir_that_is_a_file_is_an_output_error(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    text, code = run(fixture("triangle_k5.json"), out_dir=out)
+    assert code == EXIT_INVALID
+    assert text.startswith("output error: ") and text.count("\n") == 1
+    assert str(out) in text
 
 
 _HUGE_T = 10**9
@@ -648,16 +656,14 @@ def test_run_fuzz_counts_non_ordinary_reports(monkeypatch, capsys):
 def test_run_fuzz_prints_a_reproducer_for_each_failure(monkeypatch, capsys):
     import katograph.cli as cli
 
-    real = cli.build_report
+    real = cli.cusp_count_general
     calls = []
 
-    def fail_every_other(raw, cat):
-        calls.append(raw)
-        if len(calls) % 2:
-            return real(raw, cat)
-        raise ConservationError("internal: cusp conservation violated (direct 1, expected 2)")
+    def off_by_one_every_other(checked):
+        calls.append(checked)
+        return real(checked) + (len(calls) % 2 == 0)
 
-    monkeypatch.setattr(cli, "build_report", fail_every_other)
+    monkeypatch.setattr(cli, "cusp_count_general", off_by_one_every_other)
     text, code = run_fuzz(6, 11)
     assert (text, code) == ("fuzz: 6 inputs, 3 failures (seed 11)\n", EXIT_CHECK_FAILED)
     blocks = capsys.readouterr().err.split("\n}\n")
@@ -666,9 +672,6 @@ def test_run_fuzz_prints_a_reproducer_for_each_failure(monkeypatch, capsys):
     draws = [random_input(rng) for _ in range(6)]
     for i, block in zip((1, 3, 5), blocks):
         failure, header, echo = block.split("\n", 2)
-        assert failure == (
-            f"input {i}: formula failure: "
-            "internal: cusp conservation violated (direct 1, expected 2)"
-        )
+        assert failure == f"input {i}: formula, structure or ordinarity check failed"
         assert header == f"reproducer (seed 11, input {i}):"
         assert parse_spec_dict(json.loads(echo + "\n}")) == draws[i]
