@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import random
 from pathlib import Path
+from textwrap import dedent
 
 import pytest
 
-from katograph.analysis import cusp_count_general
+from katograph.analysis import SeparationPlan, StructuralReport, cusp_count_general
 from katograph.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -563,6 +565,111 @@ def test_run_writes_outputs(tmp_path):
     report = build_report(*parse_spec(fixture("triangle_k5.json")))
     assert (out / "kato.dot").read_text(encoding="utf-8") == emit_dot(report.graph)
     assert (out / "skeleton.dot").read_text(encoding="utf-8") == emit_dot(report.skeleton)
+
+
+# -- report ------------------------------------------------------------------------
+
+
+def test_render_pins_every_conditional_line():
+    # The golden reports cover only passing states; this one takes every other
+    # branch: no cusps, a formula mismatch without a char-0 count, a non-ordinary
+    # verdict, messages under both structural checks, an empty plan and warnings.
+    report = build_report(*parse_spec(fixture("triangle_k5.json")))
+    report = dataclasses.replace(
+        report,
+        graph=dataclasses.replace(report.graph, cusps=()),
+        general=report.direct + 1,
+        char0=None,
+        ordinary=False,
+        structure=StructuralReport(
+            ("vertex a: 4 cusps and edges",),
+            ("vertex a: A5 not generated", "vertex d: D10 not generated"),
+        ),
+        plan=SeparationPlan((), ()),
+        warnings=("first warning", "second warning"),
+    )
+    assert report.render() == dedent(
+        """\
+    == input ==
+    {
+      "edges": [
+        {
+          "from": "a",
+          "group": {
+            "kind": "dihedral",
+            "n": 5
+          },
+          "id": "e0",
+          "to": "d"
+        }
+      ],
+      "field": {
+        "char_K": 0,
+        "m": 1,
+        "p": 5
+      },
+      "genus_edges": [],
+      "vertices": [
+        {
+          "group": {
+            "kind": "icosahedral"
+          },
+          "id": "a"
+        },
+        {
+          "group": {
+            "kind": "dihedral",
+            "n": 10
+          },
+          "id": "d"
+        }
+      ]
+    }
+
+    == realized kato graph ==
+    vertices (2):
+      a:v0: A5
+      a:v1: D10
+    finite edges (1):
+      a:e0: a:v0 -- a:v1 [D5]
+    cusps (0):
+    genus loops (0):
+    genus (first Betti number): 0
+
+    == cusp counts ==
+    direct count:    3
+    general formula: 4
+    agreement: MISMATCH
+
+    == branch points ==
+    (none)
+
+    == ordinarity ==
+    ordinary: NO
+
+    == contraction ==
+    vertices (2):
+      a:v0: A5
+      a:v1: D10
+    edges (1):
+      a:e0: a:v0 -- a:v1 [D5]
+    genus: 0
+
+    == structural check ==
+    (a) vertex valency bound: VIOLATED
+        vertex a: 4 cusps and edges
+    (b) generation whitelist: VIOLATED
+        vertex a: A5 not generated
+        vertex d: D10 not generated
+
+    == separation plan ==
+    (no branch points)
+
+    == warnings ==
+    - first warning
+    - second warning
+        """
+    )
 
 
 # -- determinism -----------------------------------------------------------------------
