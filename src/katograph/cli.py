@@ -230,27 +230,24 @@ def echo_text(raw: InputGraphOfGroups) -> str:
 
 
 def emit_dot(obj: KatoGraph | QuotientSkeleton) -> str:
-    """Deterministic DOT text: ellipse vertices, solid labeled edges, cusp
-    arrows into point-shaped sinks, dashed genus loops."""
-    ctx = obj.ctx
+    """Deterministic DOT text: ellipse vertices, solid labeled edges, cusp arrows into point
+    sinks, dashed genus loops. Ids escape ``"`` as ``\\"``, Graphviz's quote, and nothing else."""
+    q = lambda name: name.replace('"', '\\"')
+    label = lambda g: f'label="{format_symbol(g, obj.ctx)}"'
+    if isinstance(obj, KatoGraph):
+        cusps, edges, loops = obj.cusps, obj.finite_edges, obj.genus_loops
+    else:
+        cusps, edges, loops = (), obj.edges, ()
     lines = ["digraph kato {", "  rankdir=LR;", '  node [fontname="Helvetica"];']
     for v in sorted(obj.vertices, key=lambda v: v.id):
-        lines.append(f'  "{v.id}" [shape=ellipse, label="{format_symbol(v.stabilizer, ctx)}"];')
-    if isinstance(obj, KatoGraph):
-        for c in sorted(obj.cusps, key=lambda c: c.id):
-            lines.append(f'  "{c.id}@end" [shape=point, label=""];')
-            lines.append(
-                f'  "{c.base}" -> "{c.id}@end" [label="{format_symbol(c.stabilizer, ctx)}"];'
-            )
-    edges = obj.finite_edges if isinstance(obj, KatoGraph) else obj.edges
+        lines.append(f'  "{q(v.id)}" [shape=ellipse, {label(v.stabilizer)}];')
+    for c in sorted(cusps, key=lambda c: c.id):
+        lines.append(f'  "{q(c.id)}@end" [shape=point, label=""];')
+        lines.append(f'  "{q(c.base)}" -> "{q(c.id)}@end" [{label(c.stabilizer)}];')
     for e in sorted(edges, key=lambda e: e.id):
-        lines.append(
-            f'  "{e.ends[0]}" -> "{e.ends[1]}" '
-            f'[dir=none, label="{format_symbol(e.stabilizer, ctx)}"];'
-        )
-    if isinstance(obj, KatoGraph):
-        for l in sorted(obj.genus_loops, key=lambda l: l.id):
-            lines.append(f'  "{l.ends[0]}" -> "{l.ends[1]}" [dir=none, style=dashed];')
+        lines.append(f'  "{q(e.ends[0])}" -> "{q(e.ends[1])}" [dir=none, {label(e.stabilizer)}];')
+    for l in sorted(loops, key=lambda l: l.id):
+        lines.append(f'  "{q(l.ends[0])}" -> "{q(l.ends[1])}" [dir=none, style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -285,86 +282,53 @@ class RunReport:
         return self.formulas_agree and self.structure.ok and self.ordinary is not False
 
     def render(self) -> str:
-        ctx = self.graph.ctx
-        fmt = lambda g: format_symbol(g, ctx)
-        out: list[str] = ["== input =="]
-        out.append(echo_text(self.raw))
-        g = self.graph
-        out.append("")
-        out.append("== realized kato graph ==")
-        out.append(f"vertices ({len(g.vertices)}):")
-        for v in g.vertices:
-            out.append(f"  {v.id}: {fmt(v.stabilizer)}")
-        out.append(f"finite edges ({len(g.finite_edges)}):")
-        for e in g.finite_edges:
-            out.append(f"  {e.id}: {e.ends[0]} -- {e.ends[1]} [{fmt(e.stabilizer)}]")
-        out.append(f"cusps ({len(g.cusps)}):")
-        for c in g.cusps:
-            out.append(f"  {c.id}: at {c.base} [{fmt(c.stabilizer)}]")
-        out.append(f"genus loops ({len(g.genus_loops)}):")
-        for l in g.genus_loops:
-            out.append(f"  {l.id}: {l.ends[0]} -- {l.ends[1]}")
-        out.append(f"genus (first Betti number): {genus(g)}")
-        out.append("")
-        out.append("== cusp counts ==")
-        out.append(f"direct count:    {self.direct}")
-        out.append(f"general formula: {self.general}")
-        if self.char0 is not None:
-            out.append(f"char-0 formula:  {self.char0}")
-        out.append(f"agreement: {'OK' if self.formulas_agree else 'MISMATCH'}")
-        out.append("")
-        out.append("== branch points ==")
-        sig = branch_points(g)
-        if not sig.points:
-            out.append("(none)")
-        for bp in sig.points:
-            out.append(f"  {bp.id}: group {fmt(bp.decomposition_group)}, anchor {bp.anchor}")
-        if self.ordinary is not None:
-            out.append("")
-            out.append("== ordinarity ==")
-            out.append(f"ordinary: {'yes' if self.ordinary else 'NO'}")
-        out.append("")
-        out.append("== contraction ==")
-        sk = self.skeleton
-        out.append(f"vertices ({len(sk.vertices)}):")
-        for v in sk.vertices:
-            out.append(f"  {v.id}: {fmt(v.stabilizer)}")
-        out.append(f"edges ({len(sk.edges)}):")
-        for e in sk.edges:
-            out.append(f"  {e.id}: {e.ends[0]} -- {e.ends[1]} [{fmt(e.stabilizer)}]")
-        out.append(f"genus: {sk.genus}")
-        out.append("")
-        out.append("== structural check ==")
-        out.append(
-            "(a) vertex valency bound: "
-            + ("OK" if not self.structure.incident_violations else "VIOLATED")
-        )
-        for msg in self.structure.incident_violations:
-            out.append(f"    {msg}")
-        out.append(
-            "(b) generation whitelist: "
-            + ("OK" if not self.structure.generation_violations else "VIOLATED")
-        )
-        for msg in self.structure.generation_violations:
-            out.append(f"    {msg}")
-        out.append("")
-        out.append("== separation plan ==")
-        for i, cl in enumerate(self.plan.clusters):
-            out.append(
-                f"  cluster {i} @ {cl.anchor}: {', '.join(cl.members)} (size {cl.size})"
-            )
-        if not self.plan.clusters:
-            out.append("(no branch points)")
-        for i, j, d in self.plan.distances:
-            out.append(f"  distance cluster {i} - cluster {j}: {d}")
-        out.append("")
-        out.append("== warnings ==")
-        if not self.warnings:
-            out.append("(none)")
-        for w in self.warnings:
-            out.append(f"- {w}")
-        out.append("")
+        g, sk, plan = self.graph, self.skeleton, self.plan
+        vertex = lambda v: f"  {v.id}: {format_symbol(v.stabilizer, g.ctx)}"
+        link = lambda e: f"  {e.id}: {e.ends[0]} -- {e.ends[1]}"
+        edge = lambda e: f"{link(e)} [{format_symbol(e.stabilizer, g.ctx)}]"
+        cusp = lambda c: f"  {c.id}: at {c.base} [{format_symbol(c.stabilizer, g.ctx)}]"
+        out = [
+            "== input ==", echo_text(self.raw),
+            "", "== realized kato graph ==",
+            *_listing("vertices", g.vertices, vertex),
+            *_listing("finite edges", g.finite_edges, edge),
+            *_listing("cusps", g.cusps, cusp),
+            *_listing("genus loops", g.genus_loops, link),
+            f"genus (first Betti number): {genus(g)}",
+            "", "== cusp counts ==",
+            f"direct count:    {self.direct}",
+            f"general formula: {self.general}",
+            *([] if self.char0 is None else [f"char-0 formula:  {self.char0}"]),
+            f"agreement: {'OK' if self.formulas_agree else 'MISMATCH'}",
+            "", "== branch points ==",
+            *([f"  {b.id}: group {format_symbol(b.decomposition_group, g.ctx)}, anchor {b.anchor}"
+               for b in branch_points(g).points] or ["(none)"]),
+            *([] if self.ordinary is None else
+              ["", "== ordinarity ==", f"ordinary: {'yes' if self.ordinary else 'NO'}"]),
+            "", "== contraction ==",
+            *_listing("vertices", sk.vertices, vertex),
+            *_listing("edges", sk.edges, edge),
+            f"genus: {sk.genus}",
+            "", "== structural check ==",
+            *_check("(a) vertex valency bound", self.structure.incident_violations),
+            *_check("(b) generation whitelist", self.structure.generation_violations),
+            "", "== separation plan ==",
+            *([f"  cluster {i} @ {cl.anchor}: {', '.join(cl.members)} (size {cl.size})"
+               for i, cl in enumerate(plan.clusters)] or ["(no branch points)"]),
+            *[f"  distance cluster {i} - cluster {j}: {d}" for i, j, d in plan.distances],
+            "", "== warnings ==",
+            *([f"- {w}" for w in self.warnings] or ["(none)"]),
+            "",
+        ]
         return "\n".join(out)
+
+
+def _listing(title: str, items, line) -> list[str]:
+    return [f"{title} ({len(items)}):", *map(line, items)]
+
+
+def _check(title: str, violations: tuple[str, ...]) -> list[str]:
+    return [f"{title}: {'VIOLATED' if violations else 'OK'}", *[f"    {m}" for m in violations]]
 
 
 def build_report(raw: InputGraphOfGroups, catalog: Catalog) -> RunReport:

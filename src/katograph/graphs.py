@@ -179,8 +179,8 @@ def betti(vertices: Iterable[str], edge_pairs: list[tuple[str, str]]) -> int:
 def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> CheckedInput:
     """Check the input contract and resolve derived edge groups.
 
-    The contract is all that needs no gluing: string ids and site hints,
-    endpoints, a forest of edges, admissible groups with trees, genus edges
+    The contract is all that needs no gluing: string ids, site hints and endpoints
+    (the last two in pairs), a forest of edges, admissible groups with trees, genus edges
     closing loops. Raises ValidationError listing every violation; ``realize``
     reports the edge groups that glue nowhere and the missing attachment traces.
     """
@@ -191,6 +191,13 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
         if isinstance(value, str):
             return False
         bad.append(f"{kind} {xid}: {what} must be a string, got {type(value).__name__}")
+        return True
+
+    def not_pair(value, kind: str, xid, what: str) -> bool:
+        if isinstance(value, (tuple, list)) and len(value) == 2:
+            return False
+        size = f" of {len(value)}" if isinstance(value, (tuple, list)) else ""
+        bad.append(f"{kind} {xid}: {what} must be a pair, got {type(value).__name__}{size}")
         return True
 
     seen_v: dict[str, GroupSymbol] = {}
@@ -217,14 +224,17 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
     for e in raw.edges:
         if not_str(e.id, "edge", e.id):
             continue
-        for hint in e.site_hints:
-            if hint is not None:
-                not_str(hint, "edge", e.id, "site hint")
+        if not not_pair(e.site_hints, "edge", e.id, "site hints"):
+            for hint in e.site_hints:
+                if hint is not None:
+                    not_str(hint, "edge", e.id, "site hint")
         if e.id in ids:
             bad.append(f"edge {e.id}: duplicate id")
             continue
         ids.add(e.id)
-        if any([not_str(end, "edge", e.id, "end") for end in e.ends]):
+        if not_pair(e.ends, "edge", e.id, "ends") or any(
+            [not_str(end, "edge", e.id, "end") for end in e.ends]
+        ):
             continue
         a, b = e.ends
         if a not in seen_v or b not in seen_v:
@@ -254,7 +264,9 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             bad.append(f"genus edge {ge.id}: duplicate id")
             continue
         ids.add(ge.id)
-        if any([not_str(end, "genus edge", ge.id, "end") for end in ge.ends]):
+        if not_pair(ge.ends, "genus edge", ge.id, "ends") or any(
+            [not_str(end, "genus edge", ge.id, "end") for end in ge.ends]
+        ):
             continue
         a, b = ge.ends
         if a not in seen_v or b not in seen_v:

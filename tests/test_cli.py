@@ -706,6 +706,26 @@ def test_dot_empty_graph():
     assert "ellipse" not in dot
 
 
+def test_dot_escapes_quotes_in_ids():
+    from katograph.graphs import GraphCusp, GraphVertex, KatoGraph
+
+    # Graphviz reads \" as a quote and any other backslash as itself.
+    graph = KatoGraph(
+        FieldContext(0, 7, 1),
+        (GraphVertex('a"b:v0', dihedral(3)), GraphVertex("c\\d:v0", cyclic(2))),
+        (),
+        (GraphCusp('a"b:c0', 'a"b:v0', cyclic(3)),),
+        (),
+    )
+    assert emit_dot(graph).splitlines()[3:] == [
+        '  "a\\"b:v0" [shape=ellipse, label="D3"];',
+        '  "c\\d:v0" [shape=ellipse, label="C2"];',
+        '  "a\\"b:c0@end" [shape=point, label=""];',
+        '  "a\\"b:v0" -> "a\\"b:c0@end" [label="C3"];',
+        "}",
+    ]
+
+
 def test_dot_genus_loops_dashed():
     raw, cat = parse_spec(fixture("schottky_genus2.json"))
     report = build_report(raw, cat)

@@ -224,6 +224,29 @@ def test_validate_rejects_ids_and_hints_that_are_not_strings():
         "genus edge ('g',): id must be a string, got tuple",
         "genus edge h: end must be a string, got list",
     ]
+    # Ends and site hints must be pairs; a list of two is one, a string of two is not.
+    c3 = cyclic(3)
+    paired = InputEdge("l", ["b", "c"], c3)
+    raw = InputGraphOfGroups(
+        CTX7,
+        (InputVertex("a", c3), InputVertex("b", c3), InputVertex("c", c3)),
+        (
+            InputEdge("e", ("a", "b", "a"), c3),
+            InputEdge("f", ("a",), c3),
+            InputEdge("s", "ab", c3),
+            InputEdge("h", ("a", "b"), c3, site_hints=("c2",)),
+            paired,
+        ),
+        (GenusEdge("g", ("a",)),),
+    )
+    assert validate_input(raw) == [
+        "edge e: ends must be a pair, got tuple of 3",
+        "edge f: ends must be a pair, got tuple of 1",
+        "edge s: ends must be a pair, got str",
+        "edge h: site hints must be a pair, got tuple of 1",
+        "genus edge g: ends must be a pair, got tuple of 1",
+    ]
+    assert validate_input(InputGraphOfGroups(CTX7, raw.vertices, (paired,))) == []
 
 
 # -- realization: printed examples ------------------------------------------------------
