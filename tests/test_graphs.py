@@ -249,6 +249,76 @@ def test_validate_rejects_ids_and_hints_that_are_not_strings():
     assert validate_input(InputGraphOfGroups(CTX7, raw.vertices, (paired,))) == []
 
 
+def test_check_input_pins_every_violation_in_order():
+    # One input that breaks every rule of check_input; the list is the order it checks in.
+    c3, b12 = cyclic(3), borel(1, 2)
+    raw = InputGraphOfGroups(
+        CTX5,
+        (
+            InputVertex(7, c3),
+            InputVertex("a", dihedral(5)),
+            InputVertex("a", c3),
+            InputVertex("b", c3),
+            InputVertex("c", b12),
+            InputVertex("d", cyclic(5)),
+            InputVertex("f", c3),
+            InputVertex("g", c3),
+            InputVertex("h", c3),
+        ),
+        (
+            InputEdge(3, ("a", "b"), c3),
+            InputEdge("e0", ("a", "b"), c3, site_hints=("c0",)),
+            InputEdge("e1", ("b", "f"), c3, site_hints=(1, None)),
+            InputEdge("e0", ("f", "g"), c3),
+            InputEdge("e2", ("a", "b", "f"), c3),
+            InputEdge("e3", ("a", 4), c3),
+            InputEdge("e4", ("a", "z"), c3),
+            InputEdge("e5", ("b", "b"), c3),
+            InputEdge("e6", ("a", "f"), b12),
+            InputEdge("e7", ("a", "g"), None, True),
+            InputEdge("e8", ("g", "h"), None),
+            InputEdge("e9", ("h", "c"), b12),
+        ),
+        (
+            GenusEdge("e1", ("a", "a")),
+            GenusEdge(("x",), ("a", "a")),
+            GenusEdge("g0", ("a",)),
+            GenusEdge("g1", ("a", 5)),
+            GenusEdge("g2", ("z", "a")),
+            GenusEdge("g3", ("a", "b"), cyclic(2)),
+            GenusEdge("g4", ("a", "d")),
+        ),
+    )
+    char0 = "B(1,2): Borel/projective-linear symbols do not occur in char 0"
+    assert validate_input(raw) == [
+        "vertex 7: id must be a string, got int",
+        "vertex a: duplicate id",
+        f"vertex c: {char0}",
+        "vertex d: catalog entry required: C5 at char 0 with residue characteristic 5 "
+        "(group order divisible by p; supply an extension catalog entry)",
+        "edge 3: id must be a string, got int",
+        "edge e0: site hints must be a pair, got tuple of 1",
+        "edge e1: site hint must be a string, got int",
+        "edge e0: duplicate id",
+        "edge e2: ends must be a pair, got tuple of 3",
+        "edge e3: end must be a string, got int",
+        "edge e4: endpoint does not exist",
+        "edge e5: self-loops must be genus edges",
+        "edge e6: creates a cycle; cycles must be genus edges",
+        f"edge e6: {char0}",
+        "edge e7: cannot derive edge group for (D5, C3); specify edge group in input",
+        "edge e8: no group given and derive not requested",
+        f"edge e9: {char0}",
+        "genus edge e1: duplicate id",
+        "genus edge ('x',): id must be a string, got tuple",
+        "genus edge g0: ends must be a pair, got tuple of 1",
+        "genus edge g1: end must be a string, got int",
+        "genus edge g2: endpoint does not exist",
+        "genus edge g3: genus edges must have trivial stabilizer",
+        "genus edge g4: endpoints lie in different components; a genus edge must close a loop",
+    ]
+
+
 # -- realization: printed examples ------------------------------------------------------
 
 
