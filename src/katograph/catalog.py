@@ -438,6 +438,9 @@ def _validate_entry(entry: PrintedEntry) -> None:
     tree, ctx = entry.tree, FieldContext(0, entry.p, 1)
     if not is_admissible(tree.group, ctx):
         raise CatalogError(f"{tree.group} is not admissible at char 0, p={entry.p}")
+    for xid in (x.id for part in (tree.vertices, tree.internal_edges, tree.cusps) for x in part):
+        if not xid.isprintable():  # realized ids, and so the report's lines, contain it
+            raise CatalogError(f"id {xid!r} must be printable")
     vids = {v.id for v in tree.vertices}
     if len(vids) != len(tree.vertices) or not tree.vertices:
         raise CatalogError("vertex ids must be unique and non-empty")

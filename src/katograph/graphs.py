@@ -179,18 +179,21 @@ def betti(vertices: Iterable[str], edge_pairs: list[tuple[str, str]]) -> int:
 def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> CheckedInput:
     """Check the input contract and resolve derived edge groups.
 
-    The contract is all that needs no gluing: string ids, site hints and endpoints
-    (the last two in pairs), a forest of edges, admissible groups with trees, genus edges
-    closing loops. Raises ValidationError listing every violation; ``realize``
+    The contract is all that needs no gluing: printable string ids, string site hints and
+    endpoints (the last two in pairs), a forest of edges, admissible groups with trees, genus
+    edges closing loops. Raises ValidationError listing every violation; ``realize``
     reports the edge groups that glue nowhere and the missing attachment traces.
     """
     bad: list[str] = []
     ctx = raw.ctx
 
     def not_str(value, kind: str, xid, what: str = "id") -> bool:
-        if isinstance(value, str):
+        if not isinstance(value, str):
+            bad.append(f"{kind} {xid}: {what} must be a string, got {type(value).__name__}")
+        elif what == "id" and not value.isprintable():  # an id may not add a line to a report
+            bad.append(f"{kind} {value!r}: id must be printable")
+        else:
             return False
-        bad.append(f"{kind} {xid}: {what} must be a string, got {type(value).__name__}")
         return True
 
     def not_pair(value, kind: str, xid, what: str) -> bool:
@@ -201,6 +204,7 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
         return True
 
     seen_v: dict[str, GroupSymbol] = {}
+    uf = _UnionFind()
     for v in raw.vertices:
         if not_str(v.id, "vertex", v.id):
             continue
@@ -208,18 +212,30 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             bad.append(f"vertex {v.id}: duplicate id")
             continue
         seen_v[v.id] = v.group
-        for msg in validate_in_context(v.group, ctx):
-            bad.append(f"vertex {v.id}: {msg}")
+        uf.add(v.id)
         try:
-            catalog.elementary_tree(v.group, ctx)
+            catalog.elementary_tree(v.group, ctx)  # only an admissible group gets a tree
+        except ContextError:
+            bad.extend(f"vertex {v.id}: {msg}" for msg in validate_in_context(v.group, ctx))
         except CatalogError as exc:
             bad.append(f"vertex {v.id}: {exc}")
-        except ContextError:
-            pass  # already reported above
     ids = set()
-    uf = _UnionFind()
-    for vid in seen_v:
-        uf.add(vid)
+
+    def bad_ends(x, kind: str) -> bool:
+        """Whether an edge or genus edge reuses an id or lacks two existing ends."""
+        if x.id in ids:
+            bad.append(f"{kind} {x.id}: duplicate id")
+            return True
+        ids.add(x.id)
+        if not_pair(x.ends, kind, x.id, "ends") or any(
+            [not_str(end, kind, x.id, "end") for end in x.ends]
+        ):
+            return True
+        if x.ends[0] in seen_v and x.ends[1] in seen_v:
+            return False
+        bad.append(f"{kind} {x.id}: endpoint does not exist")
+        return True
+
     edges = []
     for e in raw.edges:
         if not_str(e.id, "edge", e.id):
@@ -228,18 +244,9 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             for hint in e.site_hints:
                 if hint is not None:
                     not_str(hint, "edge", e.id, "site hint")
-        if e.id in ids:
-            bad.append(f"edge {e.id}: duplicate id")
-            continue
-        ids.add(e.id)
-        if not_pair(e.ends, "edge", e.id, "ends") or any(
-            [not_str(end, "edge", e.id, "end") for end in e.ends]
-        ):
+        if bad_ends(e, "edge"):
             continue
         a, b = e.ends
-        if a not in seen_v or b not in seen_v:
-            bad.append(f"edge {e.id}: endpoint does not exist")
-            continue
         if a == b:
             bad.append(f"edge {e.id}: self-loops must be genus edges")
             continue
@@ -258,23 +265,11 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
         elif e.group != TRIVIAL:  # a trivial edge is a component connector
             bad.extend(f"edge {e.id}: {msg}" for msg in validate_in_context(e.group, ctx))
     for ge in raw.genus_edges:
-        if not_str(ge.id, "genus edge", ge.id):
-            continue
-        if ge.id in ids:
-            bad.append(f"genus edge {ge.id}: duplicate id")
-            continue
-        ids.add(ge.id)
-        if not_pair(ge.ends, "genus edge", ge.id, "ends") or any(
-            [not_str(end, "genus edge", ge.id, "end") for end in ge.ends]
-        ):
-            continue
-        a, b = ge.ends
-        if a not in seen_v or b not in seen_v:
-            bad.append(f"genus edge {ge.id}: endpoint does not exist")
+        if not_str(ge.id, "genus edge", ge.id) or bad_ends(ge, "genus edge"):
             continue
         if ge.group != TRIVIAL:
             bad.append(f"genus edge {ge.id}: genus edges must have trivial stabilizer")
-        if uf.find(a) != uf.find(b):
+        if uf.find(ge.ends[0]) != uf.find(ge.ends[1]):
             bad.append(
                 f"genus edge {ge.id}: endpoints lie in different components; "
                 "a genus edge must close a loop"
@@ -310,7 +305,6 @@ class _Builder:
         self.cbase: dict[str, str] = {}
         self.consumed: set[str] = set()
         self.edges: list[tuple[str, str, str, GroupSymbol]] = []
-        self.loops: list[tuple[str, str, str]] = []
         self.trees: dict[str, ElementaryTree] = {}
         self.embedded: set[str] = set()
         self.notes: list[str] = []
@@ -345,15 +339,10 @@ class _Builder:
                 raise RealizeError(f"attachment site already used: {xid} ({what})")
             if r not in roots:
                 roots.append(r)
-        stab = self.stab[roots[0]]
+        root, stab = roots[0], self.stab.pop(roots[0])
         for r in roots[1:]:
-            stab = self.merge_stabs(stab, self.stab[r], what or f"vertices {roots[0]}, {r}")
-        root = roots[0]
-        for r in roots[1:]:
+            stab = self.merge_stabs(stab, self.stab.pop(r), what or f"vertices {roots[0]}, {r}")
             root = self.ids.union(root, r)
-        for r in roots:
-            if r != root:
-                self.stab.pop(r)
         self.stab[root] = stab
         return root
 
@@ -592,8 +581,6 @@ class _Builder:
         printed = {eid for eid, ends in traces.items() if ends[0][0].embed is not None}
         for edge in sorted(edges, key=lambda e: e.id not in printed):
             self.glue(edge, traces.get(edge.id))
-        for ge in sorted(self.checked.genus_edges, key=lambda g: g.id):
-            self.loops.append((ge.id, self.anchor(ge.ends[0]), self.anchor(ge.ends[1])))
         # The roots are exactly the ids that keep a stabilizer.
         roots = sorted(self.stab)
         vertices = tuple(GraphVertex(r, self.stab[r]) for r in roots if r not in self.cbase)
@@ -607,8 +594,8 @@ class _Builder:
             if r in self.cbase and r not in self.consumed
         )
         loops = tuple(
-            GraphLoop(lid, (self.ids.find(a), self.ids.find(b)))
-            for lid, a, b in sorted(self.loops)
+            GraphLoop(ge.id, tuple(self.ids.find(self.anchor(end)) for end in ge.ends))
+            for ge in sorted(self.checked.genus_edges, key=lambda g: g.id)
         )
         seen: set[str] = set()
         for x in edges + loops:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from katograph.catalog import (
@@ -501,6 +503,18 @@ def test_extension_rejects_duplicate_internal_edge_ids():
         ],
     )
     with pytest.raises(CatalogError, match="internal edge ids must be unique"):
+        parse_extension(doc)
+    # Realized ids contain every catalog id, so an id must also be printable.
+    for part, i, xid in [("cusps", 2, "c\n2 forged"), ("vertices", 0, "v\ud800")]:
+        doc = d15_entry()
+        doc["entries"][0][part][i]["id"] = xid
+        with pytest.raises(CatalogError, match=re.escape(f"id {xid!r} must be printable")):
+            parse_extension(doc)
+    doc = d10_entry(
+        vertices=[{"id": v, "group": {"kind": "dihedral", "n": 10}} for v in ("v0", "v1")],
+        internal_edges=[{"id": "e\x00", "ends": ["v0", "v1"], "group": {"kind": "cyclic", "n": 2}}],
+    )
+    with pytest.raises(CatalogError, match=re.escape("id 'e\\x00' must be printable")):
         parse_extension(doc)
 
 

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 from textwrap import dedent
 
@@ -743,6 +746,24 @@ def test_main_exit_codes(capsys):
     capsys.readouterr()
     assert main([str(fixture("malformed.json"))]) == EXIT_INVALID
     capsys.readouterr()
+
+
+def test_main_rejects_an_id_with_a_lone_surrogate(tmp_path):
+    # Only a real process shows this: its stdout encodes to UTF-8, which a lone
+    # surrogate cannot, while pytest's captured stdout never encodes.
+    path = tmp_path / "surrogate.json"
+    vertex = {"id": "a\ud800", "group": {"kind": "dihedral", "n": 3}}
+    doc = {"field": {"char_K": 0, "p": 7}, "vertices": [vertex]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "katograph.cli", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (EXIT_INVALID, "")
+    assert result.stdout == "validation failed:\n- vertex 'a\\ud800': id must be printable\n"
 
 
 def test_main_fuzz_smoke(capsys):

@@ -247,6 +247,24 @@ def test_validate_rejects_ids_and_hints_that_are_not_strings():
         "genus edge g: ends must be a pair, got tuple of 1",
     ]
     assert validate_input(InputGraphOfGroups(CTX7, raw.vertices, (paired,))) == []
+    # Ids make up the report's lines, so they must be printable; the message shows the repr.
+    raw = InputGraphOfGroups(
+        CTX7,
+        (
+            InputVertex("a\nagreement: MISMATCH", dihedral(3)),
+            InputVertex("a\ud800", TRIVIAL),
+            InputVertex("a", TRIVIAL),
+            InputVertex("b", TRIVIAL),
+        ),
+        (InputEdge("e\t", ("a", "b"), TRIVIAL),),
+        (GenusEdge("g\x85", ("a", "a")),),
+    )
+    assert validate_input(raw) == [
+        "vertex 'a\\nagreement: MISMATCH': id must be printable",
+        "vertex 'a\\ud800': id must be printable",
+        "edge 'e\\t': id must be printable",
+        "genus edge 'g\\x85': id must be printable",
+    ]
 
 
 def test_check_input_pins_every_violation_in_order():

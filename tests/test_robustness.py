@@ -1,7 +1,9 @@
-"""Every input ends with exit 0, 1 or 2 and no traceback.
+"""Every input ends with exit 0, 1 or 2 and no traceback, and no id adds a line.
 
-Each example takes one fixture input (or the extension catalog it names),
-puts an arbitrary JSON value at one key path, and runs the CLI on it.
+Each example of the first test takes one fixture input (or the extension
+catalog it names), puts an arbitrary JSON value at one key path, and runs the
+CLI on it. The second builds library inputs whose ids, ends and site hints hold
+escapes, control characters, line breaks and lone surrogates.
 """
 
 import json
@@ -9,7 +11,11 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from katograph.cli import run
+from katograph.catalog import DEFAULT_CATALOG
+from katograph.cli import build_report, emit_dot, run
+from katograph.graphs import GenusEdge, InputEdge, InputGraphOfGroups, InputVertex, validate_input
+from katograph.groups import TETRAHEDRAL, TRIVIAL, FieldContext, cyclic, dihedral
+from test_echo import TEXT
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 EXTENSION = "extension_d15_k5.json"
@@ -101,3 +107,37 @@ def test_run_ends_with_an_exit_code(tmp_path_factory, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert text.startswith(EXIT_2_PREFIXES), text
+
+
+# Half the names are plain and vertex ids distinct, so that some inputs realize.
+NAME = st.sampled_from(["a", "b", "c"]) | TEXT
+VERTEX = st.builds(
+    InputVertex, NAME, st.sampled_from([TRIVIAL, cyclic(3), dihedral(3), dihedral(6), TETRAHEDRAL])
+)
+ENDS = st.tuples(NAME, NAME)
+HINTS = st.tuples(st.none() | TEXT, st.none() | TEXT)
+EDGE = st.builds(InputEdge, NAME, ENDS, st.just(TRIVIAL), st.just(False), HINTS) | st.builds(
+    InputEdge, NAME, ENDS, st.none(), st.just(True), HINTS
+)
+LIBRARY_INPUT = st.builds(
+    InputGraphOfGroups,
+    st.just(FieldContext(0, 7)),
+    st.lists(VERTEX, max_size=4, unique_by=lambda v: v.id).map(tuple),
+    st.lists(EDGE, max_size=3).map(tuple),
+    st.lists(st.builds(GenusEdge, NAME, ENDS), max_size=2).map(tuple),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(LIBRARY_INPUT)
+def test_no_id_adds_a_line_to_the_output(raw):
+    violations = validate_input(raw)
+    assert all(v.isprintable() for v in violations), violations
+    if violations:
+        return
+    report = build_report(raw, DEFAULT_CATALOG)
+    g = report.graph
+    for x in g.vertices + g.finite_edges + g.cusps + g.genus_loops:
+        assert x.id.isprintable(), x
+    for text in (report.render(), emit_dot(g), emit_dot(report.skeleton)):
+        text.encode("utf-8")
