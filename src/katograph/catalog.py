@@ -174,11 +174,16 @@ class Catalog:
         violations = validate_in_context(g, ctx)
         if violations:
             raise ContextError("; ".join(violations))
-        if g.kind == KIND_TRIVIAL:
-            return _tree(g, [(g,)], [], [])
         if ctx.positive_char or ctx.p > 5 or order(g, ctx) % ctx.p != 0:
             return self._star_tree(g, ctx)
-        return self._char_zero_tree(g, ctx)
+        # Residue characteristic p <= 5 dividing the group order: a printed tree.
+        entry = self._extensions.get((g, ctx.p)) or _builtin_printed(g, ctx.p)
+        if entry is None:
+            raise CatalogError(
+                f"catalog entry required: {g} at char 0 with residue characteristic {ctx.p} "
+                "(group order divisible by p; supply an extension catalog entry)"
+            )
+        return entry.tree
 
     def boundary_count(self, g: GroupSymbol, ctx: FieldContext) -> int:
         """Number of cusps of the elementary tree.
@@ -195,67 +200,33 @@ class Catalog:
         return 2 if g.kind == KIND_CYCLIC else 3
 
     def _star_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
-        """One-vertex trees: every char-p group, and the generic char-0 groups."""
-        p = ctx.p
-        if g.kind == KIND_CYCLIC:
-            return _tree(g, [(g,)], [], [(0, g), (0, g)])
-        if g.kind == KIND_DIHEDRAL:
-            if p == 2:
-                # The order-2 generator is parabolic at p=2: its cusp is E_1.
-                return _tree(g, [(g,)], [], [(0, borel(1, 1)), (0, cyclic(g.n))])
-            return _tree(g, [(g,)], [], [(0, cyclic(2)), (0, cyclic(2)), (0, cyclic(g.n))])
-        if g.kind == KIND_BOREL:
-            if g.n == 1:
-                return _tree(g, [(g,)], [], [(0, g)])
-            return _tree(g, [(g,)], [], [(0, cyclic(g.n)), (0, g)])
-        if g.kind == KIND_PROJ_LINEAR:
+        """One-vertex trees: every char-p group, and the generic char-0 groups.
+        Each kind gives its cusp groups, and at most one marked cusp, which comes last."""
+        c2, marked = cyclic(2), None
+        if g.kind == KIND_TRIVIAL:
+            groups = []
+        elif g.kind == KIND_CYCLIC:
+            groups = [g, g]
+        elif g.kind == KIND_DIHEDRAL:
+            # The order-2 generator is parabolic at p=2: its cusp is E_1.
+            groups = [borel(1, 1), cyclic(g.n)] if ctx.p == 2 else [c2, c2, cyclic(g.n)]
+        elif g.kind == KIND_BOREL:
+            groups = [g] if g.n == 1 else [cyclic(g.n), g]
+        elif g.kind == KIND_PROJ_LINEAR:
             inv = pl_invariants(g, ctx)
-            bcusp = borel(g.t, inv.n_minus)
-            return _tree(
-                g, [(g,)], [],
-                [(0, cyclic(inv.n_plus)), (0, bcusp, bcusp, True)],
-            )
-        if g.kind == KIND_TETRAHEDRAL:
-            return _tree(g, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(3))])
-        if g.kind == KIND_OCTAHEDRAL:
-            return _tree(g, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(4))])
-        if g.kind == KIND_ICOSAHEDRAL:
-            if p == 3:
-                b = borel(1, 2)
-                return _tree(g, [(g,)], [], [(0, cyclic(5)), (0, b, b, True)])
-            return _tree(g, [(g,)], [], [(0, cyclic(2)), (0, cyclic(3)), (0, cyclic(5))])
-        raise CatalogError(f"no star-shaped tree for {g}")
-
-    def _star_traces(self, e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
-        """Gluings of the star tree of e = B(t, n). For n = 1, injective at each
-        E-site that e extends into; else the isomorphism into a non-trivial
-        Borel-form v that extends e, none into any other, and elsewhere a fold at
-        each site with stabilizer e, only at marked ones when t >= 1."""
-        t, n = borel_params(e)
-        tree_v = self.elementary_tree(v, ctx)
-        if n == 1:
-            return tuple(
-                AttachmentTrace(c.id, KIND_INJECTIVE)
-                for c in tree_v.cusps
-                if borel_extends(e, c.stabilizer)
-            )
-        if is_borel_form(v) and v.kind != KIND_TRIVIAL:
-            return (_iso_trace(tree_v),) if borel_extends(e, v) else ()
-        return tuple(
-            _fold_trace(c)
-            for c in tree_v.cusps
-            if c.stabilizer == e and (t == 0 or c.marked_point is not None)
-        )
-
-    def _char_zero_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
-        """Residue characteristic p <= 5 dividing the group order."""
-        entry = self._extensions.get((g, ctx.p)) or _builtin_printed(g, ctx.p)
-        if entry is None:
-            raise CatalogError(
-                f"catalog entry required: {g} at char 0 with residue characteristic {ctx.p} "
-                "(group order divisible by p; supply an extension catalog entry)"
-            )
-        return entry.tree
+            groups, marked = [cyclic(inv.n_plus)], borel(g.t, inv.n_minus)
+        elif g.kind == KIND_TETRAHEDRAL:
+            groups = [c2, cyclic(3), cyclic(3)]
+        elif g.kind == KIND_OCTAHEDRAL:
+            groups = [c2, cyclic(3), cyclic(4)]
+        elif g.kind == KIND_ICOSAHEDRAL and ctx.p == 3:
+            groups, marked = [cyclic(5)], borel(1, 2)
+        elif g.kind == KIND_ICOSAHEDRAL:
+            groups = [c2, cyclic(3), cyclic(5)]
+        else:
+            raise CatalogError(f"no star-shaped tree for {g}")
+        cusps = [(0, h, False) for h in groups] + ([] if marked is None else [(0, marked, True)])
+        return _tree(g, [g], [], cusps)
 
     # -- traces ---------------------------------------------------------------
 
@@ -285,6 +256,31 @@ class Catalog:
             return self._embed_traces(edge_group, vertex_group, ctx)
         return self._star_traces(edge_group, vertex_group, ctx)
 
+    def _star_traces(self, e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
+        """Gluings of the star tree of e = B(t, n). For n = 1, injective at each
+        E-site that e extends into; else the isomorphism into a non-trivial
+        Borel-form v that extends e, none into any other, and elsewhere a fold at
+        each site with stabilizer e, only at marked ones when t >= 1."""
+        t, n = borel_params(e)
+        cusps = self.elementary_tree(v, ctx).cusps
+        if n == 1:
+            return tuple(
+                AttachmentTrace(c.id, KIND_INJECTIVE)
+                for c in cusps
+                if borel_extends(e, c.stabilizer)
+            )
+        if is_borel_form(v) and v.kind != KIND_TRIVIAL:
+            if not borel_extends(e, v):
+                return ()  # an E_t tree has one cusp; one that extends e has two
+            return (AttachmentTrace(cusps[1].id, KIND_ISO, partner_site=cusps[0].id),)
+        return tuple(
+            AttachmentTrace(
+                c.id, KIND_FOLD, fold_at_mark=c.marked_point is not None and c.fold_on_attach
+            )
+            for c in cusps
+            if c.stabilizer == e and (t == 0 or c.marked_point is not None)
+        )
+
     def _embed_traces(self, e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
         """The traces of e named by the entry that gives T*(v), and by no other entry."""
         try:
@@ -300,28 +296,17 @@ class Catalog:
 
 
 def _tree(g, vertices, edges, cusps, printed=False) -> ElementaryTree:
-    vs = tuple(TreeVertex(f"v{i}", spec[0]) for i, spec in enumerate(vertices))
+    """Vertices are groups, edges ((a, b), group) and cusps (base, group, marked), by
+    vertex index. A marked cusp's marked point is its own stabilizer; it folds on attach."""
+    vs = tuple(TreeVertex(f"v{i}", h) for i, h in enumerate(vertices))
     es = tuple(
         TreeEdge(f"e{i}", (f"v{a}", f"v{b}"), stab) for i, ((a, b), stab) in enumerate(edges)
     )
-    cs = []
-    for i, spec in enumerate(cusps):
-        base, stab = spec[0], spec[1]
-        mark = spec[2] if len(spec) > 2 else None
-        fold = spec[3] if len(spec) > 3 else False
-        cs.append(CuspSite(f"c{i}", f"v{base}", stab, mark, fold))
-    return ElementaryTree(g, vs, es, tuple(cs), printed)
-
-
-def _fold_trace(site: CuspSite) -> AttachmentTrace:
-    return AttachmentTrace(
-        site.id, KIND_FOLD, fold_at_mark=site.marked_point is not None and site.fold_on_attach
+    cs = tuple(
+        CuspSite(f"c{i}", f"v{base}", stab, stab if marked else None, marked)
+        for i, (base, stab, marked) in enumerate(cusps)
     )
-
-
-def _iso_trace(tree_v: ElementaryTree) -> AttachmentTrace:
-    low, full = tree_v.cusps[0], tree_v.cusps[1]
-    return AttachmentTrace(full.id, KIND_ISO, partner_site=low.id)
+    return ElementaryTree(g, vs, es, cs, printed)
 
 
 def _embed_trace(kind: str, maps: EmbedMaps) -> AttachmentTrace:
@@ -342,19 +327,13 @@ def _builtin_printed(g: GroupSymbol, p: int) -> PrintedEntry | None:
     d5 = dihedral(5)
     if g.kind == KIND_DIHEDRAL and (g.n == 5 or g.n % 10 == 0):
         c2 = cyclic(2)
-        tree = _tree(
-            g, [(g,)], [], [(0, c2, c2, True), (0, c2), (0, cyclic(g.n))], printed=True
-        )
+        cusps = [(0, c2, True), (0, c2, False), (0, cyclic(g.n), False)]
+        tree = _tree(g, [g], [], cusps, printed=True)
         maps = EmbedMaps((("v0", "v0"),), (("c1", "c1"), ("c2", "c2")), (("c0", ("mark", "c0")),))
         return PrintedEntry(p, tree, ((d5, _embed_trace(KIND_ISO, maps)),))
     if g.kind == KIND_ICOSAHEDRAL:
-        tree = _tree(
-            g,
-            [(g,), (d5,)],
-            [((0, 1), d5)],
-            [(0, cyclic(3)), (1, cyclic(2)), (1, cyclic(5))],
-            printed=True,
-        )
+        cusps = [(0, cyclic(3), False), (1, cyclic(2), False), (1, cyclic(5), False)]
+        tree = _tree(g, [g, d5], [((0, 1), d5)], cusps, printed=True)
         maps = EmbedMaps((("v0", "v1"),), (("c1", "c1"), ("c2", "c2")), (("c0", ("vertex", "v0")),))
         return PrintedEntry(p, tree, ((d5, _embed_trace(KIND_FOLD, maps)),))
     return None
@@ -429,7 +408,8 @@ def _parse_entry(raw) -> PrintedEntry:
 def load_extension_file(path) -> tuple[PrintedEntry, ...]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return parse_extension(data, source=str(path))
+    name = str(path)  # shown as a literal when unprintable, so that a message stays one line
+    return parse_extension(data, source=name if name.isprintable() else repr(name))
 
 
 def _validate_entry(entry: PrintedEntry) -> None:

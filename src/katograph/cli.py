@@ -72,27 +72,28 @@ def parse_spec(path) -> tuple[InputGraphOfGroups, Catalog]:
     relative to the input file's directory.
     """
     path = Path(path)
+    name = str(path) if str(path).isprintable() else repr(str(path))  # one line in a message
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{name}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise ParseError(f"{name}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{name}: {exc}") from exc
     ext = data.get("catalog_extension") if isinstance(data, dict) else None
     if ext is not None and not isinstance(ext, str):
-        raise ParseError(f"{path}: catalog_extension must be a file name, got {type(ext).__name__}")
+        raise ParseError(f"{name}: catalog_extension must be a file name, got {type(ext).__name__}")
     catalog = Catalog()
     if ext:
         try:
             catalog = Catalog(load_extension_file(path.parent / ext))
         # ValueError covers bad JSON, bad UTF-8, CatalogError and a NUL byte in the name.
         except (OSError, ValueError, RecursionError) as exc:
-            raise ParseError(f"{path}: catalog_extension: {exc}") from exc
-    return parse_spec_dict(data, source=str(path)), catalog
+            raise ParseError(f"{name}: catalog_extension: {exc}") from exc
+    return parse_spec_dict(data, source=name), catalog
 
 
 def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
@@ -107,7 +108,7 @@ def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
     vertices = []
     for i, raw in enumerate(_require_list(data, "vertices", source)):
         try:
-            vertices.append(InputVertex(str(raw["id"]), canonicalize(raw["group"])))
+            vertices.append(InputVertex(raw["id"], canonicalize(raw["group"])))
         except (KeyError, TypeError, SymbolError) as exc:
             raise ParseError(f"{source}: vertices[{i}]: {exc}") from exc
     edges = []
@@ -122,18 +123,14 @@ def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
                 group = canonicalize(raw["group"])
             hints_raw = _require_object(raw.get("site_hints", {}), "site_hints")
             hints = (hints_raw.get("from"), hints_raw.get("to"))
-            edges.append(
-                InputEdge(str(raw["id"]), (str(raw["from"]), str(raw["to"])), group, derive, hints)
-            )
+            edges.append(InputEdge(raw["id"], (raw["from"], raw["to"]), group, derive, hints))
         except (KeyError, TypeError, SymbolError) as exc:
             raise ParseError(f"{source}: edges[{i}]: {exc}") from exc
     genus_edges = []
     for i, raw in enumerate(_require_list(data, "genus_edges", source)):
         try:
             group = canonicalize(raw["group"]) if "group" in raw else TRIVIAL
-            genus_edges.append(
-                GenusEdge(str(raw["id"]), (str(raw["from"]), str(raw["to"])), group)
-            )
+            genus_edges.append(GenusEdge(raw["id"], (raw["from"], raw["to"]), group))
         except (KeyError, TypeError, SymbolError) as exc:
             raise ParseError(f"{source}: genus_edges[{i}]: {exc}") from exc
     return InputGraphOfGroups(ctx, tuple(vertices), tuple(edges), tuple(genus_edges))

@@ -526,6 +526,51 @@ def test_extension_rejects_edge_to_unknown_vertex():
         parse_extension(doc)
 
 
+_B12 = {"kind": "borel", "t": 1, "n": 2}
+
+
+def _d10_cusp(i, **changes):
+    doc = d10_entry()
+    doc["entries"][0]["cusps"][i].update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (d10_entry(context={"char_K": 5, "p": 5}), "extension entries are char-0 instances"),
+        (
+            d10_entry(
+                embed_traces=[{"edge_group": {"kind": "dihedral", "n": 5}, "kind": "injective"}]
+            ),
+            "embed trace kind must be fold or iso",
+        ),
+        (d10_entry(group=_B12), "B(1,2) is not admissible at char 0, p=5"),
+        (d10_entry(vertices=[]), "vertex ids must be unique and non-empty"),
+        (_d10_cusp(1, id="c0"), "duplicate cusp id c0"),
+        (_d10_cusp(0, base="v9"), "cusp c0 references unknown vertex"),
+        (_d10_cusp(0, group=_B12), "cusp stabilizer B(1,2) inadmissible"),
+        (
+            _d10_cusp(0, marked_point={"group": {"kind": "cyclic", "n": 3}}),
+            "marked point stabilizer must contain the cusp stabilizer on c0",
+        ),
+        (
+            d10_entry(vertices=[{"id": "v0", "group": _B12}]),
+            "vertex stabilizer B(1,2) inadmissible",
+        ),
+    ],
+    ids=[
+        "char-p", "trace-kind", "group-inadmissible", "no-vertices", "duplicate-cusp-id",
+        "cusp-base-unknown", "cusp-group-inadmissible", "mark-not-containing",
+        "vertex-inadmissible",
+    ],
+)
+def test_extension_pins_each_entry_rejection(doc, message):
+    with pytest.raises(CatalogError) as info:
+        parse_extension(doc)
+    assert str(info.value) == f"<extension>: entries[0]: {message}"
+
+
 def test_extension_rejects_two_entries_for_one_group():
     entries = parse_extension(d10_entry())
     with pytest.raises(CatalogError, match="duplicate extension entry for D10 at p=5"):

@@ -213,6 +213,25 @@ def test_run_malformed_shapes_are_parse_errors(data, tmp_path):
     assert text.startswith("parse error: ") and text.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "key, item, message",
+    [
+        ("edges", {"id": "e", "from": "a", "to": "b"}, "edges[0]: needs 'group' or 'derive': true"),
+        ("genus_edges", {"id": "g", "from": "a"}, "genus_edges[0]: 'to'"),
+        (
+            "genus_edges",
+            {"id": "g", "from": "a", "to": "a", "group": {"kind": "sporadic"}},
+            "genus_edges[0]: unknown group kind 'sporadic'",
+        ),
+    ],
+    ids=["edge-without-group", "genus-edge-without-end", "genus-edge-unknown-kind"],
+)
+def test_parse_pins_each_edge_item_error(key, item, message):
+    with pytest.raises(ParseError) as info:
+        parse_spec_dict({"field": _FIELD, "vertices": _VERTICES, key: [item]})
+    assert str(info.value) == f"<input>: {message}"
+
+
 def _d15_extension(**changes):
     entry = json.loads((FIXTURES / "extension_d15_k5.json").read_text(encoding="utf-8"))["entries"][0]
     entry.update(changes)
@@ -391,33 +410,83 @@ def test_run_printed_mark_covering_no_fold_tree_edge_is_rejected(tmp_path):
     assert text.startswith("realization rejected: edge e0: ") and text.count("\n") == 1
 
 
-def test_run_printed_marks_naming_one_site_twice_are_rejected(tmp_path):
-    # An extension D10 tree whose iso trace sends the marks of c0 and c1 to its
-    # one marked site c0; the A5 fold trace marks both as well.
+def _d10_with_d5_trace(**trace):
+    """An extension D10 tree shaped like the built-in one, with one D5 trace."""
     c2 = _g("cyclic", n=2)
-    d10 = {
+    marked = {"marked_point": {"group": c2}, "fold_on_attach": True}
+    return {
         "group": _g("dihedral", n=10),
         "context": {"char_K": 0, "p": 5},
         "vertices": [{"id": "v0", "group": _g("dihedral", n=10)}],
         "cusps": [
-            {"id": "c0", "base": "v0", "group": c2, "marked_point": {"group": c2}, "fold_on_attach": True},
+            {"id": "c0", "base": "v0", "group": c2, **marked},
             {"id": "c1", "base": "v0", "group": c2},
             {"id": "c2", "base": "v0", "group": _g("cyclic", n=10)},
         ],
-        "embed_traces": [
-            {
-                "edge_group": _g("dihedral", n=5),
-                "kind": "iso",
-                "vertex_map": {"v0": "v0"},
-                "cusp_map": {"c2": "c2"},
-                "mark_map": {"c0": ["mark", "c0"], "c1": ["mark", "c0"]},
-            }
-        ],
+        "embed_traces": [dict(edge_group=_g("dihedral", n=5), **trace)],
     }
+
+
+def test_run_printed_marks_naming_one_site_twice_are_rejected(tmp_path):
+    # An extension D10 tree whose iso trace sends the marks of c0 and c1 to its
+    # one marked site c0; the A5 fold trace marks both as well.
+    d10 = _d10_with_d5_trace(
+        kind="iso",
+        vertex_map={"v0": "v0"},
+        cusp_map={"c2": "c2"},
+        mark_map={"c0": ["mark", "c0"], "c1": ["mark", "c0"]},
+    )
     marks = {"c0": ["vertex", "v0"], "c1": ["vertex", "v0"]}
     text, code = _run_a5_extension(tmp_path, {"c2": "c2"}, marks, d10)
     assert code == EXIT_INVALID
     assert text == "realization rejected: edge e0: attachment site d:c0 already used by another mark\n"
+
+
+def _run_printed(tmp_path, vertices, edges):
+    """Run a char-0, p = 5 input of D5 edges between built-in printed trees."""
+    spec = {
+        "field": {"char_K": 0, "p": 5},
+        "vertices": [{"id": v, "group": group} for v, group in vertices],
+        "edges": [
+            {"id": e, "from": a, "to": b, "group": _g("dihedral", n=5)} for e, a, b in edges
+        ],
+    }
+    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
+    return run(tmp_path / "in.json")
+
+
+def test_run_pins_each_printed_gluing_rejection(tmp_path):
+    d10, d20, a5 = _g("dihedral", n=10), _g("dihedral", n=20), _g("icosahedral")
+    cusp_map, fold_mark, iso_mark = {"c1": "c1", "c2": "c2"}, ["vertex", "v0"], ["mark", "c0"]
+    fold_d10 = _d10_with_d5_trace(
+        kind="fold", vertex_map={"v0": "v0"}, cusp_map=cusp_map, mark_map={"c0": fold_mark}
+    )
+    iso_d10 = _d10_with_d5_trace(kind="iso", cusp_map=cusp_map, mark_map={"c0": iso_mark})
+    runs = [
+        (_run_triangle(tmp_path, fold_d10), "unsupported printed gluing (both morphisms fold)"),
+        (
+            _run_printed(tmp_path, [("d", d10), ("f", d20)], [("e0", "d", "f")]),
+            "unsupported printed gluing (both morphisms are tree isomorphisms)",
+        ),
+        (_run_triangle(tmp_path, iso_d10), "printed trace does not cover edge-tree vertex v0"),
+        (
+            _run_a5_extension(tmp_path, {"c1": "c1"}, {"c0": fold_mark}),
+            "printed trace does not cover edge-tree cusp c2",
+        ),
+        (
+            _run_a5_extension(tmp_path, cusp_map, {"c0": iso_mark}),
+            "unsupported printed mark correspondence (mark vs mark)",
+        ),
+    ]
+    for (text, code), reason in runs:
+        assert (text, code) == (f"realization rejected: edge e0: {reason}\n", EXIT_INVALID)
+    text, code = _run_printed(
+        tmp_path, [("a", a5), ("d", d10), ("f", d20)], [("e0", "a", "d"), ("e1", "a", "f")]
+    )
+    assert (text, code) == (
+        "realization rejected: edge e1: vertex a already used by a printed-tree gluing\n",
+        EXIT_INVALID,
+    )
 
 
 def test_run_genus_loop_named_like_a_tree_edge_is_rejected(tmp_path):
@@ -535,6 +604,49 @@ def test_run_validation_error_exit_code(tmp_path):
     text, code = run(bad)
     assert code == EXIT_INVALID
     assert "validation failed" in text
+    # A file's ids and ends are checked as they are, not turned into strings.
+    doc = {
+        "field": {"char_K": 0, "p": 7},
+        "vertices": [
+            {"id": None, "group": {"kind": "cyclic", "n": 2}},
+            {"id": 7, "group": {"kind": "trivial"}},
+        ],
+        "edges": [{"id": ["e"], "from": None, "to": 7, "group": {"kind": "trivial"}}],
+    }
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(bad) == (
+        "validation failed:\n"
+        "- vertex None: id must be a string, got NoneType\n"
+        "- vertex 7: id must be a string, got int\n"
+        "- edge ['e']: id must be a string, got list\n",
+        EXIT_INVALID,
+    )
+
+
+def test_run_names_a_file_with_a_line_break_on_one_line(tmp_path):
+    missing, malformed, ext = (tmp_path / f"{n}\nname.json" for n in ("no", "bad", "ext"))
+    malformed.write_text("{", encoding="utf-8")
+    ext.write_text(json.dumps({"entries": 5}), encoding="utf-8")
+    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
+    spec["catalog_extension"] = ext.name
+    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert [run(path) for path in (missing, malformed, tmp_path / "in.json")] == [
+        (
+            f"parse error: {str(missing)!r}: [Errno 2] No such file or directory: "
+            f"{str(missing)!r}\n",
+            EXIT_INVALID,
+        ),
+        (
+            f"parse error: {str(malformed)!r}: line 1, column 2: "
+            "Expecting property name enclosed in double quotes\n",
+            EXIT_INVALID,
+        ),
+        (
+            f"parse error: {tmp_path / 'in.json'}: catalog_extension: {str(ext)!r}: "
+            "extension document needs a top-level 'entries' list\n",
+            EXIT_INVALID,
+        ),
+    ]
 
 
 def test_run_strict_turns_warnings_into_failure(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -320,3 +321,24 @@ def test_symbol_contains_spot_checks():
     # B(1,2) has order 2p: it sits in A5 at p = 3 only.
     assert symbol_contains(ICOSAHEDRAL, borel(1, 2), FieldContext(3, 3, 2))
     assert not symbol_contains(ICOSAHEDRAL, borel(1, 2), FieldContext(7, 7, 2))
+
+
+def test_symbol_contains_respects_lagrange():
+    # A contained subgroup's order divides the larger order. This is why the lcm
+    # rule of analysis._generation_violation never fires: every incident
+    # stabilizer has passed symbol_contains first. The rule stays, because its
+    # order call also rejects an inadmissible stabilizer of a hand-built graph.
+    family = [TRIVIAL, TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL]
+    family += [cyclic(n) for n in range(2, 31)] + [dihedral(n) for n in range(2, 31)]
+    family += [borel(t, n) for t in range(1, 7) for n in range(1, 31)]
+    family += [proj_linear(v, t) for v in ("PGL", "PSL") for t in range(1, 7)]
+    contexts = [FieldContext(0, p, 1) for p in (2, 3, 5, 7)]
+    contexts += [FieldContext(p, p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3, 4, 6)]
+    contained = 0
+    for ctx in contexts:
+        orders = {g: order(g, ctx) for g in family if is_admissible(g, ctx)}
+        for large, small in itertools.product(orders, repeat=2):
+            if symbol_contains(large, small, ctx):
+                contained += 1
+                assert orders[large] % orders[small] == 0, (large, small, ctx)
+    assert contained == 8036
