@@ -8,9 +8,8 @@ properties, and the branch-point separation plan.
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import chain, permutations
 from bisect import bisect_left, bisect_right, insort
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -367,9 +366,15 @@ class SeparationPlan:
 def separation_plan(g: KatoGraph) -> SeparationPlan:
     """Cluster branch points by their anchor and measure anchor distances.
 
-    Distances are edge counts along the forest of finite edges (genus loops
-    are never needed while a tree path exists); pairs in distinct components
-    are omitted.
+    Distances are edge counts along the finite edges, which must form a forest,
+    as ``realize`` guarantees; pairs in distinct components are omitted. Each
+    component with an anchor is searched once, depth first, from its first
+    anchor; a vertex reached twice raises ``ValueError``. A second pass carries
+    one row down the preorder, the distances to the component's anchors less
+    the current depth. The anchors under a vertex are a run in preorder; a
+    step down takes two off it, climbing back undoes that, and at each anchor
+    the row gives its distances to the later clusters. Cost: O(sum of V_c *
+    m_c) over components of V_c vertices and m_c anchors, plus the output.
     """
     by_anchor: dict[str, list[str]] = {}
     for c in g.cusps:
@@ -377,27 +382,50 @@ def separation_plan(g: KatoGraph) -> SeparationPlan:
     clusters = tuple(
         Cluster(anchor, tuple(sorted(by_anchor[anchor]))) for anchor in sorted(by_anchor)
     )
-    adj: dict[str, list[str]] = {v.id: [] for v in g.vertices}
+    if len(clusters) < 2:
+        return SeparationPlan(clusters, ())
+    adj: dict[str, list[tuple[str, str]]] = {}
     for e in g.finite_edges:
-        adj[e.ends[0]].append(e.ends[1])
-        adj[e.ends[1]].append(e.ends[0])
-    dists = []
-    for i in range(len(clusters)):
-        reached = _bfs(clusters[i].anchor, adj)
-        for j in range(i + 1, len(clusters)):
-            d = reached.get(clusters[j].anchor)
-            if d is not None:
-                dists.append((i, j, d))
-    return SeparationPlan(clusters, tuple(dists))
-
-
-def _bfs(start: str, adj) -> dict[str, int]:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+        a, b = e.ends
+        adj.setdefault(a, []).append((b, e.id))
+        adj.setdefault(b, []).append((a, e.id))
+    index = {cl.anchor: i for i, cl in enumerate(clusters)}
+    found: list = [None] * len(clusters)  # per cluster, its distances to later ones
+    for root, first in index.items():
+        if found[first] is not None:
+            continue
+        parent = {root: (None, None, 0)}  # vertex -> (parent, edge to it, depth)
+        lo = {}  # vertex -> the anchors before it; its run is [lo[x], lo[after])
+        order = []  # (vertex, the vertex after its subtree, parent, depth, cluster)
+        later, row = [], []  # (cluster, row index) and depth of each anchor
+        stack = [None, root]
+        while (x := stack.pop()) is not None:
+            lo[x] = len(row)
+            p, up, dx = parent[x]
+            i = index.get(x)
+            order.append((x, stack[-1], p, dx, i))
+            if i is not None:
+                later.append((i, len(row)))
+                row.append(dx)
+            for y, eid in adj.get(x, ()):
+                if eid != up:
+                    if y in parent:
+                        raise ValueError(f"finite edge {eid} closes a cycle; a forest is needed")
+                    parent[y] = (x, eid, dx + 1)
+                    stack.append(y)
+        m = lo[None] = len(row)
+        later.sort()
+        path = [(root, 0, m)]
+        for x, after, p, dx, i in order:
+            lo_x, hi_x = lo[x], lo[after]
+            if lo_x == hi_x:
+                continue
+            if p is not None:
+                while path[-1][0] != p:
+                    _, lo_y, hi_y = path.pop()
+                    row[lo_y:hi_y] = [d + 2 for d in row[lo_y:hi_y]]
+                row[lo_x:hi_x] = [d - 2 for d in row[lo_x:hi_x]]
+                path.append((x, lo_x, hi_x))
+            if i is not None:
+                found[i] = [(i, j, row[k] + dx) for j, k in later[bisect_right(later, (i, m)):]]
+    return SeparationPlan(clusters, tuple(chain.from_iterable(found)))

@@ -369,11 +369,9 @@ def _parse_entry(raw) -> PrintedEntry:
     p = json_scalar(e_ctx["p"], int, "p")
     if json_scalar(e_ctx.get("char_K", 0), int, "char_K") != 0:
         raise CatalogError("extension entries are char-0 instances")
-    vertices = tuple(
-        TreeVertex(str(vr["id"]), canonicalize(vr["group"])) for vr in raw["vertices"]
-    )
+    vertices = tuple(TreeVertex(vr["id"], canonicalize(vr["group"])) for vr in raw["vertices"])
     edges = tuple(
-        TreeEdge(str(er["id"]), (str(er["ends"][0]), str(er["ends"][1])), canonicalize(er["group"]))
+        TreeEdge(er["id"], (er["ends"][0], er["ends"][1]), canonicalize(er["group"]))
         for er in raw.get("internal_edges", [])
     )
     cusps = []
@@ -381,8 +379,8 @@ def _parse_entry(raw) -> PrintedEntry:
         mark = cr.get("marked_point")
         cusps.append(
             CuspSite(
-                str(cr["id"]),
-                str(cr["base"]),
+                cr["id"],
+                cr["base"],
                 canonicalize(cr["group"]),
                 canonicalize(mark["group"]) if mark else None,
                 json_scalar(cr.get("fold_on_attach", False), bool, "fold_on_attach"),
@@ -393,12 +391,9 @@ def _parse_entry(raw) -> PrintedEntry:
         if tr.get("kind") not in (KIND_FOLD, KIND_ISO):
             raise CatalogError("embed trace kind must be fold or iso")
         maps = EmbedMaps(
-            tuple((str(a), str(b)) for a, b in tr.get("vertex_map", {}).items()),
-            tuple((str(a), str(b)) for a, b in tr.get("cusp_map", {}).items()),
-            tuple(
-                (str(a), (str(kind_), str(loc)))
-                for a, (kind_, loc) in tr.get("mark_map", {}).items()
-            ),
+            tuple(tr.get("vertex_map", {}).items()),
+            tuple(tr.get("cusp_map", {}).items()),
+            tuple((a, (kind_, loc)) for a, (kind_, loc) in tr.get("mark_map", {}).items()),
         )
         traces.append((canonicalize(tr["edge_group"]), _embed_trace(tr["kind"], maps)))
     tree = ElementaryTree(group, vertices, edges, tuple(cusps), printed=True)
@@ -418,7 +413,14 @@ def _validate_entry(entry: PrintedEntry) -> None:
     tree, ctx = entry.tree, FieldContext(0, entry.p, 1)
     if not is_admissible(tree.group, ctx):
         raise CatalogError(f"{tree.group} is not admissible at char 0, p={entry.p}")
-    for xid in (x.id for part in (tree.vertices, tree.internal_edges, tree.cusps) for x in part):
+    names = [x.id for part in (tree.vertices, tree.internal_edges, tree.cusps) for x in part]
+    names += [c.base_vertex for c in tree.cusps] + [y for e in tree.internal_edges for y in e.ends]
+    for maps in (trace.embed for _, trace in entry.traces):
+        names += [x for pair in maps.vertex_map + maps.cusp_map for x in pair]
+        names += [x for key, (kind, loc) in maps.mark_map for x in (key, kind, loc)]
+    for xid in names:
+        if not isinstance(xid, str):
+            raise CatalogError(f"id {xid!r} must be a string, got {type(xid).__name__}")
         if not xid.isprintable():  # realized ids, and so the report's lines, contain it
             raise CatalogError(f"id {xid!r} must be printable")
     vids = {v.id for v in tree.vertices}

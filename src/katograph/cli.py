@@ -284,6 +284,7 @@ class RunReport:
         link = lambda e: f"  {e.id}: {e.ends[0]} -- {e.ends[1]}"
         edge = lambda e: f"{link(e)} [{format_symbol(e.stabilizer, g.ctx)}]"
         cusp = lambda c: f"  {c.id}: at {c.base} [{format_symbol(c.stabilizer, g.ctx)}]"
+        distance_from = [f"  distance cluster {i} - cluster " for i in range(len(plan.clusters))]
         out = [
             "== input ==", echo_text(self.raw),
             "", "== realized kato graph ==",
@@ -312,7 +313,7 @@ class RunReport:
             "", "== separation plan ==",
             *([f"  cluster {i} @ {cl.anchor}: {', '.join(cl.members)} (size {cl.size})"
                for i, cl in enumerate(plan.clusters)] or ["(no branch points)"]),
-            *[f"  distance cluster {i} - cluster {j}: {d}" for i, j, d in plan.distances],
+            *[f"{distance_from[i]}{j}: {d}" for i, j, d in plan.distances],
             "", "== warnings ==",
             *([f"- {w}" for w in self.warnings] or ["(none)"]),
             "",

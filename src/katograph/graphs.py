@@ -335,8 +335,6 @@ class _Builder:
         roots = []
         for xid in ids:
             r = self.ids.find(xid)
-            if r in self.consumed:
-                raise RealizeError(f"attachment site already used: {xid} ({what})")
             if r not in roots:
                 roots.append(r)
         root, stab = roots[0], self.stab.pop(roots[0])
@@ -398,7 +396,10 @@ class _Builder:
     def select_trace(self, edge: InputEdge, end_index: int, traces: tuple):
         """The candidate that still applies after the earlier gluings, with the
         roots of its partner site and site (none for a printed trace). An iso
-        trace whose two sites an earlier gluing merged is a plain fold there."""
+        trace whose two sites an earlier gluing merged is a plain fold there.
+        The roots are unconsumed, and two trees' sites merge only along input
+        edges, a forest; so before an edge glues its ends share no root, and
+        ``paste`` never merges a consumed site or both ends onto one site."""
         vid = edge.ends[end_index]
         tree = self.trees[vid]
         live = []
@@ -465,8 +466,6 @@ class _Builder:
         has used its site up, so the iso end's two sites merge with each other.
         """
         (uid, tu, ru), (vid, tv, rv) = first, second
-        if ru[-1] == rv[-1]:
-            raise RealizeError(f"edge {edge.id}: both ends resolve to one attachment site")
         line = [] if tu.kind == KIND_ISO else [self.cbase[ru[-1]]]
         if tu.kind == KIND_INJECTIVE:
             line.append(f"{edge.id}:w")

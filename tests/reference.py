@@ -1,5 +1,10 @@
 """Slow reference implementations used as oracles.
 
+``separation_plan`` is the separation plan as first written: one
+breadth-first search over the whole graph from each anchor. The engine's
+``analysis.separation_plan`` searches each component once instead; the two
+must give the same plan on every forest.
+
 ``contract`` is the quotient-skeleton contraction as first written: after
 every collapse it recounts valencies over all edges, renames the removed
 vertex in every edge and rescans the edges in ascending id order. It is at
@@ -9,7 +14,9 @@ worklist instead; the two must give the same skeleton, warnings included.
 
 from __future__ import annotations
 
-from katograph.analysis import QuotientSkeleton
+from collections import deque
+
+from katograph.analysis import Cluster, QuotientSkeleton, SeparationPlan
 from katograph.graphs import GraphEdge, GraphVertex, KatoGraph, betti
 from katograph.groups import TRIVIAL, GroupSymbol, order
 
@@ -93,3 +100,42 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
     )
     b1 = betti(stab, [(a, b) for a, b, _ in edges.values()])
     return QuotientSkeleton(ctx, vertices, out_edges, b1, tuple(warnings))
+
+
+def separation_plan(g: KatoGraph) -> SeparationPlan:
+    """Cluster branch points by their anchor and measure anchor distances.
+
+    Distances are edge counts along the forest of finite edges (genus loops
+    are never needed while a tree path exists); pairs in distinct components
+    are omitted.
+    """
+    by_anchor: dict[str, list[str]] = {}
+    for c in g.cusps:
+        by_anchor.setdefault(c.base, []).append(c.id)
+    clusters = tuple(
+        Cluster(anchor, tuple(sorted(by_anchor[anchor]))) for anchor in sorted(by_anchor)
+    )
+    adj: dict[str, list[str]] = {v.id: [] for v in g.vertices}
+    for e in g.finite_edges:
+        adj[e.ends[0]].append(e.ends[1])
+        adj[e.ends[1]].append(e.ends[0])
+    dists = []
+    for i in range(len(clusters)):
+        reached = _bfs(clusters[i].anchor, adj)
+        for j in range(i + 1, len(clusters)):
+            d = reached.get(clusters[j].anchor)
+            if d is not None:
+                dists.append((i, j, d))
+    return SeparationPlan(clusters, tuple(dists))
+
+
+def _bfs(start: str, adj) -> dict[str, int]:
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist

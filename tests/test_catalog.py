@@ -518,6 +518,22 @@ def test_extension_rejects_duplicate_internal_edge_ids():
         parse_extension(doc)
 
 
+@pytest.mark.parametrize("value", [0, None, ["c"]], ids=["number", "null", "list"])
+@pytest.mark.parametrize("where", ["vertex-id", "cusp-map-value"])
+def test_extension_rejects_ids_that_are_not_strings(where, value):
+    # Ids pass through as given: 0 must not load as '0', nor null as 'None'.
+    doc = d15_marked_entry_with_embed()
+    entry = doc["entries"][0]
+    if where == "vertex-id":
+        entry["vertices"][0]["id"] = value
+    else:
+        entry["embed_traces"][0]["cusp_map"]["c2"] = value
+    with pytest.raises(CatalogError) as info:
+        parse_extension(doc)
+    kind = type(value).__name__
+    assert str(info.value) == f"<extension>: entries[0]: id {value!r} must be a string, got {kind}"
+
+
 def test_extension_rejects_edge_to_unknown_vertex():
     doc = d10_entry(
         internal_edges=[{"id": "e0", "ends": ["v0", "v9"], "group": {"kind": "cyclic", "n": 2}}]

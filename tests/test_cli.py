@@ -298,6 +298,21 @@ def test_run_malformed_extension_is_parse_error(name, extension, tmp_path):
     assert text.startswith("parse error: ") and text.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", [0, None, ["c"]], ids=["number", "null", "list"])
+def test_run_extension_id_that_is_not_a_string_is_one_parse_error(value, tmp_path):
+    ext = _d15_extension()
+    ext["entries"][0]["cusps"][0]["id"] = value
+    (tmp_path / "ext.json").write_text(json.dumps(ext), encoding="utf-8")
+    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
+    spec["catalog_extension"] = "ext.json"
+    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert run(tmp_path / "in.json") == (
+        f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: "
+        f"entries[0]: id {value!r} must be a string, got {type(value).__name__}\n",
+        EXIT_INVALID,
+    )
+
+
 def _g(kind, **params):
     return dict(kind=kind, **params)
 
