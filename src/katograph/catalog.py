@@ -11,8 +11,9 @@ lookup tries the extension entry first, then the built-in one. The entry
 that gives a tree also gives every gluing into it: an extension entry with
 no traces for an edge group admits no gluing of that group.
 
-All trees and traces are immutable. A Catalog builds each tree once, on
-first request, and keeps it in its own table; it is still safe to share freely.
+All trees and traces are immutable. A Catalog builds each tree, and each
+pair's traces, once, on first request, and keeps them in its own tables; it is
+still safe to share freely.
 """
 
 from __future__ import annotations
@@ -150,7 +151,10 @@ class PrintedEntry:
 
 
 class Catalog:
-    """Built-in elementary trees plus optional extension entries (read-only)."""
+    """Built-in elementary trees plus optional extension entries (read-only).
+
+    Each instance keeps the trees and the attachment traces it has given, so
+    catalogs with different extensions share neither."""
 
     def __init__(self, extensions: Iterable[PrintedEntry] = ()):
         self._extensions: dict[tuple[GroupSymbol, int], PrintedEntry] = {}
@@ -160,6 +164,7 @@ class Catalog:
                 raise CatalogError(f"duplicate extension entry for {key[0]} at p={entry.p}")
             self._extensions[key] = entry
         self._trees: dict[tuple[GroupSymbol, FieldContext], ElementaryTree] = {}
+        self._traces: dict[tuple[GroupSymbol, GroupSymbol, FieldContext], tuple] = {}
 
     # -- trees ---------------------------------------------------------------
 
@@ -241,7 +246,15 @@ class Catalog:
         Returns () when T*(vertex_group) has no site for the edge group; raises
         CatalogError when the edge group glues nowhere in ctx: in char p when it
         is not of Borel form, in char 0 when its tree is missing or not printed.
+        Kept like trees, per (edge_group, vertex_group, ctx); errors are not kept.
         """
+        key = (edge_group, vertex_group, ctx)
+        traces = self._traces.get(key)
+        if traces is None:
+            traces = self._traces[key] = self._traces_of(edge_group, vertex_group, ctx)
+        return traces
+
+    def _traces_of(self, edge_group: GroupSymbol, vertex_group: GroupSymbol, ctx: FieldContext):
         for g in (edge_group, vertex_group):
             if not is_admissible(g, ctx):
                 raise ContextError(f"{g} is not admissible in this context")
@@ -371,7 +384,7 @@ def _parse_entry(raw) -> PrintedEntry:
         raise CatalogError("extension entries are char-0 instances")
     vertices = tuple(TreeVertex(vr["id"], canonicalize(vr["group"])) for vr in raw["vertices"])
     edges = tuple(
-        TreeEdge(er["id"], (er["ends"][0], er["ends"][1]), canonicalize(er["group"]))
+        TreeEdge(er["id"], er["ends"], canonicalize(er["group"]))
         for er in raw.get("internal_edges", [])
     )
     cusps = []
@@ -408,21 +421,29 @@ def load_extension_file(path) -> tuple[PrintedEntry, ...]:
 
 
 def _validate_entry(entry: PrintedEntry) -> None:
-    from .graphs import betti  # graphs imports this module
+    from .graphs import betti, pair_error  # graphs imports this module
 
     tree, ctx = entry.tree, FieldContext(0, entry.p, 1)
     if not is_admissible(tree.group, ctx):
         raise CatalogError(f"{tree.group} is not admissible at char 0, p={entry.p}")
-    names = [x.id for part in (tree.vertices, tree.internal_edges, tree.cusps) for x in part]
-    names += [c.base_vertex for c in tree.cusps] + [y for e in tree.internal_edges for y in e.ends]
+
+    def check_names(names):
+        for xid in names:
+            if not isinstance(xid, str):
+                raise CatalogError(f"id {xid!r} must be a string, got {type(xid).__name__}")
+            if not xid.isprintable():  # realized ids, and so the report's lines, contain it
+                raise CatalogError(f"id {xid!r} must be printable")
+
+    check_names(x.id for part in (tree.vertices, tree.internal_edges, tree.cusps) for x in part)
+    for ed in tree.internal_edges:  # ends as given: a list of three must not lose a name
+        msg = pair_error(ed.ends, f"edge {ed.id}: ends")
+        if msg:
+            raise CatalogError(msg)
+    names = [c.base_vertex for c in tree.cusps] + [y for e in tree.internal_edges for y in e.ends]
     for maps in (trace.embed for _, trace in entry.traces):
         names += [x for pair in maps.vertex_map + maps.cusp_map for x in pair]
         names += [x for key, (kind, loc) in maps.mark_map for x in (key, kind, loc)]
-    for xid in names:
-        if not isinstance(xid, str):
-            raise CatalogError(f"id {xid!r} must be a string, got {type(xid).__name__}")
-        if not xid.isprintable():  # realized ids, and so the report's lines, contain it
-            raise CatalogError(f"id {xid!r} must be printable")
+    check_names(names)
     vids = {v.id for v in tree.vertices}
     if len(vids) != len(tree.vertices) or not tree.vertices:
         raise CatalogError("vertex ids must be unique and non-empty")

@@ -162,6 +162,14 @@ class _UnionFind:
         return root
 
 
+def pair_error(value, what: str) -> str | None:
+    """``<what> must be a pair, got …`` unless ``value`` is a list or tuple of two."""
+    if isinstance(value, (tuple, list)) and len(value) == 2:
+        return None
+    size = f" of {len(value)}" if isinstance(value, (tuple, list)) else ""
+    return f"{what} must be a pair, got {type(value).__name__}{size}"
+
+
 def betti(vertices: Iterable[str], edge_pairs: list[tuple[str, str]]) -> int:
     """First Betti number: edges minus vertices plus connected components."""
     uf = _UnionFind()
@@ -197,11 +205,10 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
         return True
 
     def not_pair(value, kind: str, xid, what: str) -> bool:
-        if isinstance(value, (tuple, list)) and len(value) == 2:
-            return False
-        size = f" of {len(value)}" if isinstance(value, (tuple, list)) else ""
-        bad.append(f"{kind} {xid}: {what} must be a pair, got {type(value).__name__}{size}")
-        return True
+        msg = pair_error(value, f"{kind} {xid}: {what}")
+        if msg:
+            bad.append(msg)
+        return msg is not None
 
     seen_v: dict[str, GroupSymbol] = {}
     uf = _UnionFind()

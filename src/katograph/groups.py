@@ -6,14 +6,16 @@ Group symbols are immutable and always stored in canonical form:
 * ``B(t, 1)`` is the elementary abelian group ``E_t`` (kept as a Borel symbol);
 * ``Dihedral(1)`` is rejected outright (it is ``Cyclic(2)``).
 
-Everything here is a pure function of its arguments; no state is shared.
+Symbols and field contexts are named tuples, compared and hashed by value, so
+a symbol equals the plain tuple of its fields and symbols can be ordered and
+iterated. Everything here is a pure function of its arguments; no state is shared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 KIND_TRIVIAL = "trivial"
 KIND_CYCLIC = "cyclic"
@@ -42,8 +44,13 @@ class ContextError(ValueError):
     """Raised when an operation is applied to a group inadmissible in its context."""
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class _Field(NamedTuple):
+    char_K: int
+    p: int
+    m: int = 1
+
+
+class FieldContext(_Field):
     """Characteristic data of the base field.
 
     ``char_K`` is 0 or the prime ``p``; ``p`` is the residue characteristic;
@@ -51,34 +58,28 @@ class FieldContext:
     PGL2(F_{p^m}); in characteristic 0 only ``p`` matters, for the <=5 cases).
     """
 
-    char_K: int
-    p: int
-    m: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, char_K: int, p: int, m: int = 1):
         # The bounds keep trial division and every power p^t, t <= m, small.
-        if self.p >= 2 ** 31:
-            raise ContextError(f"residue characteristic {self.p} must be below 2^31")
-        if not _is_prime(self.p):
-            raise ContextError(f"residue characteristic {self.p} is not prime")
-        if self.m < 1:
-            raise ContextError(f"residue degree m={self.m} must be >= 1")
-        if self.m > 64 or self.p ** self.m >= 2 ** 64:
-            raise ContextError(
-                f"residue field size p^m (p={self.p}, m={self.m}) must be below 2^64"
-            )
-        if self.char_K not in (0, self.p):
-            raise ContextError(
-                f"char K must be 0 or p={self.p}, got {self.char_K}"
-            )
+        if p >= 2 ** 31:
+            raise ContextError(f"residue characteristic {p} must be below 2^31")
+        if not _is_prime(p):
+            raise ContextError(f"residue characteristic {p} is not prime")
+        if m < 1:
+            raise ContextError(f"residue degree m={m} must be >= 1")
+        if m > 64 or p ** m >= 2 ** 64:
+            raise ContextError(f"residue field size p^m (p={p}, m={m}) must be below 2^64")
+        if char_K not in (0, p):
+            raise ContextError(f"char K must be 0 or p={p}, got {char_K}")
+        return super().__new__(cls, char_K, p, m)
 
     @property
     def positive_char(self) -> bool:
         return self.char_K != 0
 
 
-@dataclass(frozen=True)
-class GroupSymbol:
+class GroupSymbol(NamedTuple):
     """A canonical Dickson symbol. Build via the constructor helpers below."""
 
     kind: str

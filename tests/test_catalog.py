@@ -14,6 +14,7 @@ from katograph.catalog import (
 from katograph.groups import (
     ContextError,
     FieldContext,
+    SymbolError,
     ICOSAHEDRAL,
     OCTAHEDRAL,
     TETRAHEDRAL,
@@ -224,6 +225,43 @@ def test_tree_tables_are_per_catalog(extended_first):
         else:
             assert cat.elementary_tree(dihedral(15), ctx).printed
     assert plain.elementary_tree(dihedral(5), ctx) is not extended.elementary_tree(dihedral(5), ctx)
+
+
+def test_trace_table_returns_the_same_traces():
+    cat = Catalog()
+    ctx = FieldContext(2, 2, 2)
+    traces = cat.attachment_traces(borel(2, 3), proj_linear("PGL", 2), ctx)
+    assert cat.attachment_traces(borel(2, 3), proj_linear("PGL", 2), ctx) is traces
+    assert cat.attachment_traces(borel(2, 3), proj_linear("PGL", 2), FieldContext(2, 2, 2)) is traces
+    assert cat.attachment_traces(borel(2, 3), borel(2, 3), ctx) is not traces
+
+
+def test_trace_table_keeps_no_errors():
+    cat = Catalog()
+    for _ in range(2):
+        with pytest.raises(ContextError, match="A4 is not admissible"):
+            cat.attachment_traces(cyclic(2), TETRAHEDRAL, FieldContext(3, 3, 1))
+        with pytest.raises(SymbolError, match="trivial edges do not attach"):
+            cat.attachment_traces(TRIVIAL, dihedral(3), FieldContext(0, 7, 1))
+        with pytest.raises(CatalogError, match="edge group not Borel/cyclic/printed"):
+            cat.attachment_traces(dihedral(3), dihedral(3), FieldContext(2, 2, 1))
+
+
+@pytest.mark.parametrize("extended_first", [False, True], ids=["plain-first", "extended-first"])
+def test_trace_tables_are_per_catalog(extended_first):
+    # C2 glues into D15 at p = 5 only where an entry gives the D15 tree.
+    ctx = FieldContext(0, 5, 1)
+    plain, extended = Catalog(), Catalog(parse_extension(d15_entry()))
+    for cat in (extended, plain) if extended_first else (plain, extended):
+        if cat is plain:
+            with pytest.raises(CatalogError, match="catalog entry required"):
+                cat.attachment_traces(cyclic(2), dihedral(15), ctx)
+        else:
+            traces = cat.attachment_traces(cyclic(2), dihedral(15), ctx)
+            assert [(t.site, t.kind) for t in traces] == [("c0", KIND_FOLD), ("c1", KIND_FOLD)]
+    c2_into_d5 = plain.attachment_traces(cyclic(2), dihedral(5), ctx)
+    assert c2_into_d5 == extended.attachment_traces(cyclic(2), dihedral(5), ctx)
+    assert c2_into_d5 is not extended.attachment_traces(cyclic(2), dihedral(5), ctx)
 
 
 # -- attachment traces -----------------------------------------------------------------
@@ -540,6 +578,22 @@ def test_extension_rejects_edge_to_unknown_vertex():
     )
     with pytest.raises(CatalogError, match="e0 references unknown vertex"):
         parse_extension(doc)
+
+
+@pytest.mark.parametrize(
+    "ends, got",
+    [(["v0", "v1", "v9"], "list of 3"), (["v0"], "list of 1"), ("v0v1", "str")],
+    ids=["three-names", "one-name", "string"],
+)
+def test_extension_edge_ends_must_be_a_pair(ends, got):
+    # A third name is not dropped, nor is a string read as its first two letters.
+    doc = d10_entry(
+        vertices=[{"id": v, "group": {"kind": "dihedral", "n": 10}} for v in ("v0", "v1")],
+        internal_edges=[{"id": "e0", "ends": ends, "group": {"kind": "cyclic", "n": 2}}],
+    )
+    with pytest.raises(CatalogError) as info:
+        parse_extension(doc)
+    assert str(info.value) == f"<extension>: entries[0]: edge e0: ends must be a pair, got {got}"
 
 
 _B12 = {"kind": "borel", "t": 1, "n": 2}

@@ -330,6 +330,33 @@ def _run_triangle(tmp_path, *entries):
     return run(tmp_path / "in.json")
 
 
+@pytest.mark.parametrize(
+    "ends, got",
+    [(["v0", "v1", "v9"], "list of 3"), (["v0"], "list of 1"), ("v0v1", "str")],
+    ids=["three-names", "one-name", "string"],
+)
+def test_main_rejects_extension_edge_ends_that_are_not_a_pair(ends, got, tmp_path, capsys):
+    d10 = {
+        "group": _g("dihedral", n=10),
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": v, "group": _g("dihedral", n=10)} for v in ("v0", "v1")],
+        "internal_edges": [{"id": "e0", "ends": ends, "group": _g("cyclic", n=2)}],
+        "cusps": [
+            {"id": "c0", "base": "v0", "group": _g("cyclic", n=2)},
+            {"id": "c1", "base": "v1", "group": _g("cyclic", n=2)},
+            {"id": "c2", "base": "v1", "group": _g("cyclic", n=10)},
+        ],
+    }
+    _run_triangle(tmp_path, d10)
+    capsys.readouterr()
+    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: "
+        f"entries[0]: edge e0: ends must be a pair, got {got}\n",
+        "",
+    )
+
+
 def _run_a5_extension(tmp_path, cusp_map, mark_map, *entries):
     """Run the triangle with an extension A5 tree (replacing the built-in
     one) whose fold trace into D10 has the given maps; ``entries`` are

@@ -8,6 +8,9 @@ from katograph.groups import (
     ContextError,
     DeriveError,
     FieldContext,
+    GroupSymbol,
+    KIND_BOREL,
+    KIND_PROJ_LINEAR,
     SymbolError,
     TRIVIAL,
     TETRAHEDRAL,
@@ -77,6 +80,57 @@ raw_symbols = st.one_of(
 def test_canonicalize_idempotent(raw):
     g = canonicalize(raw)
     assert canonicalize(g) == g
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 2 ** 31), "residue characteristic 2147483648 must be below 2^31"),
+        ((0, 9), "residue characteristic 9 is not prime"),
+        ((3, 3, 0), "residue degree m=0 must be >= 1"),
+        ((2, 2, 65), "residue field size p^m (p=2, m=65) must be below 2^64"),
+        ((0, 65521, 5), "residue field size p^m (p=65521, m=5) must be below 2^64"),
+        ((5, 7), "char K must be 0 or p=7, got 5"),
+    ],
+    ids=["p-too-large", "p-not-prime", "m-below-one", "m-too-large", "field-too-large", "char-K"],
+)
+def test_field_context_rejections(args, message):
+    with pytest.raises(ContextError) as info:
+        FieldContext(*args)
+    assert str(info.value) == message
+
+
+def test_context_prints_through_its_repr():
+    # order's message shows the context by its repr; keyword and positional
+    # construction give one context.
+    ctx = FieldContext(char_K=3, p=3)
+    assert ctx == FieldContext(3, 3, 1) and hash(ctx) == hash(FieldContext(3, 3, 1))
+    assert repr(ctx) == "FieldContext(char_K=3, p=3, m=1)"
+    assert ctx.positive_char and not FieldContext(0, 3).positive_char
+    with pytest.raises(ContextError) as info:
+        order(cyclic(3), ctx)
+    assert str(info.value) == (
+        "C3 inadmissible in FieldContext(char_K=3, p=3, m=1): C3: order must be prime to p=3"
+    )
+
+
+def test_symbols_are_equal_however_built():
+    for raw, helper, direct in [
+        ({"kind": "borel", "t": 2, "n": 3}, borel(2, 3), GroupSymbol(KIND_BOREL, n=3, t=2)),
+        ({"kind": "borel", "t": 0, "n": 7}, cyclic(7), GroupSymbol("cyclic", 7)),
+        ({"kind": "cyclic", "n": 1}, TRIVIAL, GroupSymbol("trivial")),
+        (
+            {"kind": "proj_linear", "variant": "PSL", "t": 2},
+            proj_linear("PSL", 2),
+            GroupSymbol(KIND_PROJ_LINEAR, t=2, variant="PSL"),
+        ),
+        ({"kind": "icosahedral"}, ICOSAHEDRAL, GroupSymbol("icosahedral", 0, 0, "")),
+    ]:
+        built = canonicalize(raw)
+        assert built == helper == direct
+        assert hash(built) == hash(helper) == hash(direct)
+        assert len({built, helper, direct}) == 1
+    assert repr(borel(2, 3)) == "GroupSymbol(kind='borel', n=3, t=2, variant='')"
 
 
 # -- orders -----------------------------------------------------------------------
