@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from itertools import chain, permutations
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .catalog import Catalog, CatalogError, DEFAULT_CATALOG
 from .graphs import CheckedInput, GraphEdge, GraphVertex, KatoGraph, betti
@@ -28,8 +28,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class FormulaCensus:
+class FormulaCensus(NamedTuple):
     """Counts of non-trivial cyclic / non-cyclic vertex and edge stabilizers."""
 
     C: int
@@ -70,15 +69,13 @@ def count_cusps_direct(g: KatoGraph) -> int:
     return len(g.cusps)
 
 
-@dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(NamedTuple):
     id: str
     decomposition_group: GroupSymbol
     anchor: str
 
 
-@dataclass(frozen=True)
-class BranchSignature:
+class BranchSignature(NamedTuple):
     points: tuple[BranchPoint, ...]
 
 
@@ -92,7 +89,10 @@ def branch_points(g: KatoGraph) -> BranchSignature:
 def is_ordinary(sig: BranchSignature, ctx: FieldContext) -> bool:
     """Every decomposition group of Borel type B(t,n), gcd(n,p)=1, n | p^t - 1.
 
-    Only meaningful in positive characteristic; raises otherwise.
+    Only meaningful in positive characteristic; raises otherwise. Admissibility
+    asks the same of every Borel-form symbol, and a cusp of a realized valid input
+    carries a non-trivial admissible one, so every such cusp is ordinary:
+    ``ordinary: NO`` can come only from a hand-built graph.
     """
     if not ctx.positive_char:
         raise ContextError("ordinarity is a characteristic-p notion")
@@ -111,8 +111,7 @@ def is_ordinary(sig: BranchSignature, ctx: FieldContext) -> bool:
 # -- contraction -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientSkeleton:
+class QuotientSkeleton(NamedTuple):
     """The stable quotient graph: cusps cut, redundant edges collapsed."""
 
     ctx: FieldContext
@@ -239,8 +238,7 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
 # -- structural properties -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructuralReport:
+class StructuralReport(NamedTuple):
     incident_violations: tuple[str, ...]
     generation_violations: tuple[str, ...]
 
@@ -344,8 +342,7 @@ def _matches_pattern(inc, pattern, ctx) -> bool:
 # -- separation -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     anchor: str
     members: tuple[str, ...]
 
@@ -354,8 +351,7 @@ class Cluster:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class SeparationPlan:
+class SeparationPlan(NamedTuple):
     """Branch points clustered by anchor vertex; anchors stand in for the
     generic points of the separating discs."""
 

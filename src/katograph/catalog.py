@@ -19,8 +19,7 @@ still safe to share freely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .groups import (
     ContextError,
@@ -56,21 +55,18 @@ class CatalogError(ValueError):
     """Missing or invalid catalog data for a requested group."""
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(NamedTuple):
     id: str
     stabilizer: GroupSymbol
 
 
-@dataclass(frozen=True)
-class TreeEdge:
+class TreeEdge(NamedTuple):
     id: str
     ends: tuple[str, str]
     stabilizer: GroupSymbol
 
 
-@dataclass(frozen=True)
-class CuspSite:
+class CuspSite(NamedTuple):
     """A half-open edge of an elementary tree.
 
     ``marked_point`` is the stabilizer of the distinguished interior point,
@@ -86,8 +82,7 @@ class CuspSite:
     fold_on_attach: bool = False
 
 
-@dataclass(frozen=True)
-class ElementaryTree:
+class ElementaryTree(NamedTuple):
     group: GroupSymbol
     vertices: tuple[TreeVertex, ...]
     internal_edges: tuple[TreeEdge, ...]
@@ -101,8 +96,7 @@ class ElementaryTree:
         raise KeyError(cusp_id)
 
 
-@dataclass(frozen=True)
-class EmbedMaps:
+class EmbedMaps(NamedTuple):
     """Location maps of a printed-tree gluing morphism.
 
     Keys are locations of the edge group's tree, values locations of the
@@ -121,8 +115,7 @@ KIND_FOLD = "fold"
 KIND_ISO = "iso"
 
 
-@dataclass(frozen=True)
-class AttachmentTrace:
+class AttachmentTrace(NamedTuple):
     """One admissible gluing of an edge-group tree into a vertex-group tree."""
 
     site: str
@@ -140,8 +133,7 @@ class AttachmentTrace:
         )
 
 
-@dataclass(frozen=True)
-class PrintedEntry:
+class PrintedEntry(NamedTuple):
     """A printed small-residue tree at residue characteristic p, with its
     gluings: each trace paired with the edge group it glues in."""
 

@@ -10,9 +10,9 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from .analysis import (
     QuotientSkeleton,
@@ -223,6 +223,17 @@ def echo_text(raw: InputGraphOfGroups) -> str:
     return "{\n" + ",\n".join(parts + (listed("vertices", vertices),)) + "\n}"
 
 
+class _SymbolNames(dict):
+    """``format_symbol`` of each symbol in one context, computed on first use."""
+
+    def __init__(self, ctx: FieldContext):
+        self.ctx = ctx
+
+    def __missing__(self, g: GroupSymbol) -> str:
+        name = self[g] = format_symbol(g, self.ctx)
+        return name
+
+
 # -- DOT ---------------------------------------------------------------------------
 
 
@@ -230,19 +241,21 @@ def emit_dot(obj: KatoGraph | QuotientSkeleton) -> str:
     """Deterministic DOT text: ellipse vertices, solid labeled edges, cusp arrows into point
     sinks, dashed genus loops. Ids escape ``"`` as ``\\"``, Graphviz's quote, and nothing else."""
     q = lambda name: name.replace('"', '\\"')
-    label = lambda g: f'label="{format_symbol(g, obj.ctx)}"'
+    names = _SymbolNames(obj.ctx)
     if isinstance(obj, KatoGraph):
         cusps, edges, loops = obj.cusps, obj.finite_edges, obj.genus_loops
     else:
         cusps, edges, loops = (), obj.edges, ()
     lines = ["digraph kato {", "  rankdir=LR;", '  node [fontname="Helvetica"];']
     for v in sorted(obj.vertices, key=lambda v: v.id):
-        lines.append(f'  "{q(v.id)}" [shape=ellipse, {label(v.stabilizer)}];')
+        lines.append(f'  "{q(v.id)}" [shape=ellipse, label="{names[v.stabilizer]}"];')
     for c in sorted(cusps, key=lambda c: c.id):
         lines.append(f'  "{q(c.id)}@end" [shape=point, label=""];')
-        lines.append(f'  "{q(c.base)}" -> "{q(c.id)}@end" [{label(c.stabilizer)}];')
+        lines.append(f'  "{q(c.base)}" -> "{q(c.id)}@end" [label="{names[c.stabilizer]}"];')
     for e in sorted(edges, key=lambda e: e.id):
-        lines.append(f'  "{q(e.ends[0])}" -> "{q(e.ends[1])}" [dir=none, {label(e.stabilizer)}];')
+        lines.append(
+            f'  "{q(e.ends[0])}" -> "{q(e.ends[1])}" [dir=none, label="{names[e.stabilizer]}"];'
+        )
     for l in sorted(loops, key=lambda l: l.id):
         lines.append(f'  "{q(l.ends[0])}" -> "{q(l.ends[1])}" [dir=none, style=dashed];')
     lines.append("}")
@@ -252,8 +265,7 @@ def emit_dot(obj: KatoGraph | QuotientSkeleton) -> str:
 # -- report ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     raw: InputGraphOfGroups
     graph: KatoGraph
     direct: int
@@ -280,10 +292,11 @@ class RunReport:
 
     def render(self) -> str:
         g, sk, plan = self.graph, self.skeleton, self.plan
-        vertex = lambda v: f"  {v.id}: {format_symbol(v.stabilizer, g.ctx)}"
+        names = _SymbolNames(g.ctx)
+        vertex = lambda v: f"  {v.id}: {names[v.stabilizer]}"
         link = lambda e: f"  {e.id}: {e.ends[0]} -- {e.ends[1]}"
-        edge = lambda e: f"{link(e)} [{format_symbol(e.stabilizer, g.ctx)}]"
-        cusp = lambda c: f"  {c.id}: at {c.base} [{format_symbol(c.stabilizer, g.ctx)}]"
+        edge = lambda e: f"{link(e)} [{names[e.stabilizer]}]"
+        cusp = lambda c: f"  {c.id}: at {c.base} [{names[c.stabilizer]}]"
         distance_from = [f"  distance cluster {i} - cluster " for i in range(len(plan.clusters))]
         out = [
             "== input ==", echo_text(self.raw),
@@ -299,7 +312,7 @@ class RunReport:
             *([] if self.char0 is None else [f"char-0 formula:  {self.char0}"]),
             f"agreement: {'OK' if self.formulas_agree else 'MISMATCH'}",
             "", "== branch points ==",
-            *([f"  {b.id}: group {format_symbol(b.decomposition_group, g.ctx)}, anchor {b.anchor}"
+            *([f"  {b.id}: group {names[b.decomposition_group]}, anchor {b.anchor}"
                for b in branch_points(g).points] or ["(none)"]),
             *([] if self.ordinary is None else
               ["", "== ordinarity ==", f"ordinary: {'yes' if self.ordinary else 'NO'}"]),

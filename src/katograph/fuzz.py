@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from .catalog import CatalogError, DEFAULT_CATALOG
 from .graphs import GenusEdge, InputEdge, InputGraphOfGroups, InputVertex
@@ -34,20 +33,24 @@ from .groups import (
 )
 
 
-@dataclass
 class _Site:
-    cusp_id: str
-    flavor: str  # "cyclic" | "e" | "markB"
-    stab: GroupSymbol
-    used: bool = False
+    __slots__ = ("cusp_id", "flavor", "stab", "used")
+
+    def __init__(self, cusp_id: str, flavor: str, stab: GroupSymbol):
+        self.cusp_id = cusp_id
+        self.flavor = flavor  # "cyclic" | "e" | "markB"
+        self.stab = stab
+        self.used = False
 
 
-@dataclass
 class _Vert:
-    id: str
-    group: GroupSymbol
-    sites: list[_Site] = field(default_factory=list)
-    iso_open: bool = False
+    __slots__ = ("id", "group", "sites", "iso_open")
+
+    def __init__(self, id: str, group: GroupSymbol):
+        self.id = id
+        self.group = group
+        self.sites: list[_Site] = []
+        self.iso_open = False
 
 
 def random_context(rng: random.Random) -> FieldContext:

@@ -10,8 +10,7 @@ on the same input produce byte-identical graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .catalog import (
     AttachmentTrace,
@@ -49,14 +48,12 @@ class RealizeError(ValueError):
 # -- input model ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InputVertex:
+class InputVertex(NamedTuple):
     id: str
     group: GroupSymbol
 
 
-@dataclass(frozen=True)
-class InputEdge:
+class InputEdge(NamedTuple):
     id: str
     ends: tuple[str, str]
     group: GroupSymbol | None = None
@@ -64,23 +61,20 @@ class InputEdge:
     site_hints: tuple[str | None, str | None] = (None, None)
 
 
-@dataclass(frozen=True)
-class GenusEdge:
+class GenusEdge(NamedTuple):
     id: str
     ends: tuple[str, str]
     group: GroupSymbol = TRIVIAL
 
 
-@dataclass(frozen=True)
-class InputGraphOfGroups:
+class InputGraphOfGroups(NamedTuple):
     ctx: FieldContext
     vertices: tuple[InputVertex, ...]
     edges: tuple[InputEdge, ...] = ()
     genus_edges: tuple[GenusEdge, ...] = ()
 
 
-@dataclass(frozen=True)
-class CheckedInput:
+class CheckedInput(NamedTuple):
     """An input meeting the contract of ``check_input``, edge groups resolved."""
 
     ctx: FieldContext
@@ -93,34 +87,29 @@ class CheckedInput:
 # -- realized model -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphVertex:
+class GraphVertex(NamedTuple):
     id: str
     stabilizer: GroupSymbol
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     id: str
     ends: tuple[str, str]
     stabilizer: GroupSymbol
 
 
-@dataclass(frozen=True)
-class GraphCusp:
+class GraphCusp(NamedTuple):
     id: str
     base: str
     stabilizer: GroupSymbol
 
 
-@dataclass(frozen=True)
-class GraphLoop:
+class GraphLoop(NamedTuple):
     id: str
     ends: tuple[str, str]
 
 
-@dataclass(frozen=True)
-class KatoGraph:
+class KatoGraph(NamedTuple):
     ctx: FieldContext
     vertices: tuple[GraphVertex, ...]
     finite_edges: tuple[GraphEdge, ...]
@@ -262,7 +251,7 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
         uf.union(a, b)
         if e.derive:
             try:
-                e = replace(e, group=derive_edge_group(seen_v[a], seen_v[b], ctx), derive=False)
+                e = e._replace(group=derive_edge_group(seen_v[a], seen_v[b], ctx), derive=False)
             except (DeriveError, ContextError, SymbolError) as exc:
                 bad.append(f"edge {e.id}: {exc}")
                 continue

@@ -14,7 +14,6 @@ iterated. Everything here is a pure function of its arguments; no state is share
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Union
 
 KIND_TRIVIAL = "trivial"
@@ -228,8 +227,7 @@ def is_cyclic(g: GroupSymbol) -> bool:
     return g.kind == KIND_CYCLIC
 
 
-@dataclass(frozen=True)
-class PLInvariants:
+class PLInvariants(NamedTuple):
     n_minus: int
     n_plus: int
 

@@ -7,8 +7,6 @@ Both moves are elementary expansions (Serre, *Trees*, I.4; Forester,
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from katograph.graphs import InputEdge, InputGraphOfGroups, InputVertex
 from katograph.groups import GroupSymbol
 
@@ -26,18 +24,16 @@ def subdivide(raw: InputGraphOfGroups, index: int, reverse: bool) -> InputGraphO
     ids = [f"e{i:02d}" for i in range(len(edges))]
     if reverse:
         ids.reverse()
-    return replace(
-        raw,
+    return raw._replace(
         vertices=raw.vertices + (InputVertex("s", e.group),),
-        edges=tuple(replace(edge, id=eid) for edge, eid in zip(edges, ids)),
+        edges=tuple(edge._replace(id=eid) for edge, eid in zip(edges, ids)),
     )
 
 
 def leaf_expand(raw: InputGraphOfGroups, v: str, group: GroupSymbol, name: str):
     """``raw`` with a new vertex ``w`` joined to ``v`` by an edge ``name``, both
     carrying ``group``, which should be a cusp stabilizer of T*(G_v)."""
-    return replace(
-        raw,
+    return raw._replace(
         vertices=raw.vertices + (InputVertex("w", group),),
         edges=raw.edges + (InputEdge(name, (v, "w"), group),),
     )

@@ -38,6 +38,7 @@ from katograph.groups import (
     cyclic,
     dihedral,
     elementary,
+    is_admissible,
     proj_linear,
 )
 
@@ -163,6 +164,22 @@ def test_is_ordinary():
         assert not is_ordinary(BranchSignature((BranchPoint("b0", g, "v"),)), ctx3)
     with pytest.raises(ContextError):
         is_ordinary(sig, CTX7)
+
+
+def test_admissible_borel_cusps_are_ordinary():
+    # Admissibility of B(t, n) asks gcd(n, p) = 1 and n | p^t - 1, as ordinarity
+    # does, so no cusp of a realized input is non-ordinary. No cusp is trivial.
+    checked = 0
+    for p in (2, 3, 5, 7):
+        for m in (1, 2, 3, 4, 6):
+            ctx = FieldContext(p, p, m)
+            for t in range(m + 1):
+                for n in range(1, 200):
+                    g = borel(t, n)
+                    if g != TRIVIAL and is_admissible(g, ctx):
+                        checked += 1
+                        assert is_ordinary(BranchSignature((BranchPoint("b", g, "v"),)), ctx), g
+    assert checked == 3153
 
 
 # -- contraction -------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -732,9 +731,8 @@ def test_render_pins_every_conditional_line():
     # branch: no cusps, a formula mismatch without a char-0 count, a non-ordinary
     # verdict, messages under both structural checks, an empty plan and warnings.
     report = build_report(*parse_spec(fixture("triangle_k5.json")))
-    report = dataclasses.replace(
-        report,
-        graph=dataclasses.replace(report.graph, cusps=()),
+    report = report._replace(
+        graph=report.graph._replace(cusps=()),
         general=report.direct + 1,
         char0=None,
         ordinary=False,
@@ -942,13 +940,11 @@ def test_run_fuzz_function():
 
 
 def test_run_fuzz_counts_non_ordinary_reports(monkeypatch, capsys):
-    import dataclasses
-
     import katograph.cli as cli
 
     real = cli.build_report
     monkeypatch.setattr(
-        cli, "build_report", lambda raw, cat: dataclasses.replace(real(raw, cat), ordinary=False)
+        cli, "build_report", lambda raw, cat: real(raw, cat)._replace(ordinary=False)
     )
     text, code = run_fuzz(5, 11)
     assert (text, code) == ("fuzz: 5 inputs, 5 failures (seed 11)\n", EXIT_CHECK_FAILED)

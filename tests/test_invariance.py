@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 from katograph.analysis import census, structural_check
 from katograph.fuzz import random_input
@@ -40,9 +39,9 @@ def _relabeled(raw: InputGraphOfGroups, permute) -> InputGraphOfGroups:
 
     return InputGraphOfGroups(
         raw.ctx,
-        tuple(permute([replace(v, id=vmap[v.id]) for v in raw.vertices])),
-        tuple(permute([replace(e, id=emap[e.id], ends=ends(e)) for e in raw.edges])),
-        tuple(permute([replace(g, id=gmap[g.id], ends=ends(g)) for g in raw.genus_edges])),
+        tuple(permute([v._replace(id=vmap[v.id]) for v in raw.vertices])),
+        tuple(permute([e._replace(id=emap[e.id], ends=ends(e)) for e in raw.edges])),
+        tuple(permute([g._replace(id=gmap[g.id], ends=ends(g)) for g in raw.genus_edges])),
     )
 
 

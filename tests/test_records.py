@@ -1,5 +1,11 @@
 """Every public record keeps its value semantics: the repr format, immutable
-fields, and equality and hashing by value."""
+fields, and equality and hashing by value. Records are named tuples, so that
+importing the package loads neither ``dataclasses`` nor, through it, ``inspect``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +43,7 @@ from katograph.graphs import (
 )
 from katograph.groups import FieldContext, PLInvariants, TRIVIAL, cyclic
 
+ROOT = Path(__file__).parent.parent
 CTX = FieldContext(0, 7, 1)
 C2 = cyclic(2)
 R_CTX = repr(CTX)
@@ -191,3 +198,18 @@ def test_record_semantics(make, field, text):
     twin = make()
     assert twin is not record
     assert twin == record and hash(twin) == hash(record)
+
+
+@pytest.mark.parametrize("module", ["katograph", "katograph.cli"])
+def test_import_loads_no_dataclasses(module):
+    # A fresh interpreter, as ``katograph FILE`` starts one per input.
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
