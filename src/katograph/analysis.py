@@ -54,15 +54,10 @@ def cusp_count_char0(cs: FormulaCensus) -> int:
 
 
 def cusp_count_general(checked: CheckedInput) -> int:
-    """The general closed form: boundary sums over vertices minus edges."""
-    cat = checked.catalog
-    total = sum(cat.boundary_count(v.group, checked.ctx) for v in checked.vertices)
-    total -= sum(
-        cat.boundary_count(e.group, checked.ctx)
-        for e in checked.edges
-        if e.group != TRIVIAL
-    )
-    return total
+    """The general closed form: boundary sums over vertices minus edges; a trivial edge adds 0."""
+    cat, ctx = checked.catalog, checked.ctx
+    total = sum(cat.boundary_count(v.group, ctx) for v in checked.vertices)
+    return total - sum(cat.boundary_count(e.group, ctx) for e in checked.edges)
 
 
 def count_cusps_direct(g: KatoGraph) -> int:
@@ -112,7 +107,8 @@ def is_ordinary(sig: BranchSignature, ctx: FieldContext) -> bool:
 
 
 class QuotientSkeleton(NamedTuple):
-    """The stable quotient graph: cusps cut, redundant edges collapsed."""
+    """The stable quotient graph: cusps cut, redundant edges collapsed; ``contract``
+    lists each tuple by id."""
 
     ctx: FieldContext
     vertices: tuple[GraphVertex, ...]

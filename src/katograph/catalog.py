@@ -142,6 +142,18 @@ class PrintedEntry(NamedTuple):
     traces: tuple[tuple[GroupSymbol, AttachmentTrace], ...] = ()
 
 
+class _Kept(dict):
+    """A table that builds a missing value with ``build(key)`` on first use and
+    keeps it; a build that raises keeps nothing."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class Catalog:
     """Built-in elementary trees plus optional extension entries (read-only).
 
@@ -155,17 +167,14 @@ class Catalog:
             if key in self._extensions:
                 raise CatalogError(f"duplicate extension entry for {key[0]} at p={entry.p}")
             self._extensions[key] = entry
-        self._trees: dict[tuple[GroupSymbol, FieldContext], ElementaryTree] = {}
-        self._traces: dict[tuple[GroupSymbol, GroupSymbol, FieldContext], tuple] = {}
+        self._trees = _Kept(lambda key: self._build_tree(*key))
+        self._traces = _Kept(lambda key: self._traces_of(*key))
 
     # -- trees ---------------------------------------------------------------
 
     def elementary_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
         """T*(g), built on the first request and kept; errors are not kept."""
-        tree = self._trees.get((g, ctx))
-        if tree is None:
-            tree = self._trees[g, ctx] = self._build_tree(g, ctx)
-        return tree
+        return self._trees[g, ctx]
 
     def _build_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
         violations = validate_in_context(g, ctx)
@@ -240,11 +249,7 @@ class Catalog:
         is not of Borel form, in char 0 when its tree is missing or not printed.
         Kept like trees, per (edge_group, vertex_group, ctx); errors are not kept.
         """
-        key = (edge_group, vertex_group, ctx)
-        traces = self._traces.get(key)
-        if traces is None:
-            traces = self._traces[key] = self._traces_of(edge_group, vertex_group, ctx)
-        return traces
+        return self._traces[edge_group, vertex_group, ctx]
 
     def _traces_of(self, edge_group: GroupSymbol, vertex_group: GroupSymbol, ctx: FieldContext):
         for g in (edge_group, vertex_group):
@@ -418,6 +423,11 @@ def _validate_entry(entry: PrintedEntry) -> None:
     tree, ctx = entry.tree, FieldContext(0, entry.p, 1)
     if not is_admissible(tree.group, ctx):
         raise CatalogError(f"{tree.group} is not admissible at char 0, p={entry.p}")
+    group_order = order(tree.group, ctx)
+    if entry.p > 5 or group_order % entry.p != 0:  # the built-in star tree serves it
+        raise CatalogError(
+            f"entry for {tree.group} at p={entry.p} is never read (needs p <= 5 dividing its order)"
+        )
 
     def check_names(names):
         for xid in names:
@@ -453,7 +463,6 @@ def _validate_entry(entry: PrintedEntry) -> None:
         raise CatalogError(
             f"char-0 entry for {tree.group} must have {expect} cusps, got {len(tree.cusps)}"
         )
-    group_order = order(tree.group, ctx)
     cids = set()
     for c in tree.cusps:
         if c.id in cids:

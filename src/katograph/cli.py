@@ -28,7 +28,7 @@ from .analysis import (
     separation_plan,
     structural_check,
 )
-from .catalog import Catalog, DEFAULT_CATALOG, load_extension_file
+from .catalog import Catalog, DEFAULT_CATALOG, _Kept, load_extension_file
 from .fuzz import random_input
 from .graphs import (
     GenusEdge,
@@ -105,42 +105,43 @@ def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
         ctx = FieldContext(char_K, p, json_scalar(f.get("m", 1), int, "m"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: field: {exc}") from exc
-    vertices = []
-    for i, raw in enumerate(_require_list(data, "vertices", source)):
-        try:
-            vertices.append(InputVertex(raw["id"], canonicalize(raw["group"])))
-        except (KeyError, TypeError, SymbolError) as exc:
-            raise ParseError(f"{source}: vertices[{i}]: {exc}") from exc
-    edges = []
-    for i, raw in enumerate(_require_list(data, "edges", source)):
-        try:
-            _require_object(raw, "an edge")
-            derive = json_scalar(raw.get("derive", False), bool, "derive")
-            group = None
-            if not derive:
-                if "group" not in raw:
-                    raise ParseError(f"{source}: edges[{i}]: needs 'group' or 'derive': true")
-                group = canonicalize(raw["group"])
-            hints_raw = _require_object(raw.get("site_hints", {}), "site_hints")
-            hints = (hints_raw.get("from"), hints_raw.get("to"))
-            edges.append(InputEdge(raw["id"], (raw["from"], raw["to"]), group, derive, hints))
-        except (KeyError, TypeError, SymbolError) as exc:
-            raise ParseError(f"{source}: edges[{i}]: {exc}") from exc
-    genus_edges = []
-    for i, raw in enumerate(_require_list(data, "genus_edges", source)):
-        try:
-            group = canonicalize(raw["group"]) if "group" in raw else TRIVIAL
-            genus_edges.append(GenusEdge(raw["id"], (raw["from"], raw["to"]), group))
-        except (KeyError, TypeError, SymbolError) as exc:
-            raise ParseError(f"{source}: genus_edges[{i}]: {exc}") from exc
-    return InputGraphOfGroups(ctx, tuple(vertices), tuple(edges), tuple(genus_edges))
+    vertices = _read_list(
+        data, "vertices", source, lambda raw: InputVertex(raw["id"], canonicalize(raw["group"]))
+    )
+    edges = _read_list(data, "edges", source, _input_edge)
+    genus_edges = _read_list(data, "genus_edges", source, _genus_edge)
+    return InputGraphOfGroups(ctx, vertices, edges, genus_edges)
 
 
-def _require_list(data: dict, key: str, source: str) -> list:
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise ParseError(f"{source}: {key} must be a list, got {type(value).__name__}")
-    return value
+def _read_list(data: dict, key: str, source: str, build) -> tuple:
+    """``build`` of each item of the list ``data[key]``, an error prefixed with its place."""
+    items = data.get(key, [])
+    if not isinstance(items, list):
+        raise ParseError(f"{source}: {key} must be a list, got {type(items).__name__}")
+    out = []
+    for i, raw in enumerate(items):
+        try:
+            out.append(build(raw))
+        except (KeyError, TypeError, SymbolError) as exc:
+            raise ParseError(f"{source}: {key}[{i}]: {exc}") from exc
+    return tuple(out)
+
+
+def _input_edge(raw) -> InputEdge:
+    _require_object(raw, "an edge")
+    derive = json_scalar(raw.get("derive", False), bool, "derive")
+    if not derive and "group" not in raw:
+        raise TypeError("needs 'group' or 'derive': true")
+    group = None if derive else canonicalize(raw["group"])
+    hints = _require_object(raw.get("site_hints", {}), "site_hints")
+    return InputEdge(
+        raw["id"], (raw["from"], raw["to"]), group, derive, (hints.get("from"), hints.get("to"))
+    )
+
+
+def _genus_edge(raw) -> GenusEdge:
+    group = canonicalize(raw["group"]) if "group" in raw else TRIVIAL
+    return GenusEdge(raw["id"], (raw["from"], raw["to"]), group)
 
 
 def _require_object(value, what: str) -> dict:
@@ -182,16 +183,15 @@ def echo_text(raw: InputGraphOfGroups) -> str:
     written from the echo's fixed shape, because ``json`` falls back to its
     pure-Python encoder when ``indent`` is set."""
     q = encode_basestring_ascii
-    groups: dict[GroupSymbol, str] = {}
 
     def group(g: GroupSymbol) -> str:
-        if g not in groups:
-            fields = ",\n".join(
-                f'        "{k}": {q(v) if isinstance(v, str) else v}'
-                for k, v in sorted(symbol_to_dict(g).items())
-            )
-            groups[g] = f'      "group": {{\n{fields}\n      }},\n'
-        return groups[g]
+        fields = ",\n".join(
+            f'        "{k}": {q(v) if isinstance(v, str) else v}'
+            for k, v in sorted(symbol_to_dict(g).items())
+        )
+        return f'      "group": {{\n{fields}\n      }},\n'
+
+    groups = _Kept(group)
 
     def listed(key: str, items: list[str]) -> str:
         return f'  "{key}": [\n' + ",\n".join(items) + "\n  ]" if items else f'  "{key}": []'
@@ -205,33 +205,22 @@ def echo_text(raw: InputGraphOfGroups) -> str:
         edges.append(
             ('    {\n      "derive": true,\n' if e.derive else "    {\n")
             + f'      "from": {q(e.ends[0])},\n'
-            + ("" if e.derive else group(e.group))
+            + ("" if e.derive else groups[e.group])
             + f'      "id": {q(e.id)},\n'
             + (f'      "site_hints": {{\n{hints}\n      }},\n' if hints else "")
             + f'      "to": {q(e.ends[1])}\n    }}'
         )
     genus_edges = [
         f'    {{\n      "from": {q(g.ends[0])},\n'
-        + ("" if g.group == TRIVIAL else group(g.group))
+        + ("" if g.group == TRIVIAL else groups[g.group])
         + f'      "id": {q(g.id)},\n      "to": {q(g.ends[1])}\n    }}'
         for g in raw.genus_edges
     ]
-    vertices = [f'    {{\n{group(v.group)}      "id": {q(v.id)}\n    }}' for v in raw.vertices]
+    vertices = [f'    {{\n{groups[v.group]}      "id": {q(v.id)}\n    }}' for v in raw.vertices]
     c = raw.ctx
     field = f'  "field": {{\n    "char_K": {c.char_K},\n    "m": {c.m},\n    "p": {c.p}\n  }}'
     parts = (listed("edges", edges), field, listed("genus_edges", genus_edges))
     return "{\n" + ",\n".join(parts + (listed("vertices", vertices),)) + "\n}"
-
-
-class _SymbolNames(dict):
-    """``format_symbol`` of each symbol in one context, computed on first use."""
-
-    def __init__(self, ctx: FieldContext):
-        self.ctx = ctx
-
-    def __missing__(self, g: GroupSymbol) -> str:
-        name = self[g] = format_symbol(g, self.ctx)
-        return name
 
 
 # -- DOT ---------------------------------------------------------------------------
@@ -239,24 +228,25 @@ class _SymbolNames(dict):
 
 def emit_dot(obj: KatoGraph | QuotientSkeleton) -> str:
     """Deterministic DOT text: ellipse vertices, solid labeled edges, cusp arrows into point
-    sinks, dashed genus loops. Ids escape ``"`` as ``\\"``, Graphviz's quote, and nothing else."""
+    sinks, dashed genus loops, each in the order ``obj`` lists them. Ids escape ``"`` as
+    ``\\"``, Graphviz's quote, and nothing else."""
     q = lambda name: name.replace('"', '\\"')
-    names = _SymbolNames(obj.ctx)
+    names = _Kept(lambda g: format_symbol(g, obj.ctx))
     if isinstance(obj, KatoGraph):
         cusps, edges, loops = obj.cusps, obj.finite_edges, obj.genus_loops
     else:
         cusps, edges, loops = (), obj.edges, ()
     lines = ["digraph kato {", "  rankdir=LR;", '  node [fontname="Helvetica"];']
-    for v in sorted(obj.vertices, key=lambda v: v.id):
+    for v in obj.vertices:
         lines.append(f'  "{q(v.id)}" [shape=ellipse, label="{names[v.stabilizer]}"];')
-    for c in sorted(cusps, key=lambda c: c.id):
+    for c in cusps:
         lines.append(f'  "{q(c.id)}@end" [shape=point, label=""];')
         lines.append(f'  "{q(c.base)}" -> "{q(c.id)}@end" [label="{names[c.stabilizer]}"];')
-    for e in sorted(edges, key=lambda e: e.id):
+    for e in edges:
         lines.append(
             f'  "{q(e.ends[0])}" -> "{q(e.ends[1])}" [dir=none, label="{names[e.stabilizer]}"];'
         )
-    for l in sorted(loops, key=lambda l: l.id):
+    for l in loops:
         lines.append(f'  "{q(l.ends[0])}" -> "{q(l.ends[1])}" [dir=none, style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -292,7 +282,7 @@ class RunReport(NamedTuple):
 
     def render(self) -> str:
         g, sk, plan = self.graph, self.skeleton, self.plan
-        names = _SymbolNames(g.ctx)
+        names = _Kept(lambda s: format_symbol(s, g.ctx))
         vertex = lambda v: f"  {v.id}: {names[v.stabilizer]}"
         link = lambda e: f"  {e.id}: {e.ends[0]} -- {e.ends[1]}"
         edge = lambda e: f"{link(e)} [{names[e.stabilizer]}]"

@@ -110,6 +110,8 @@ class GraphLoop(NamedTuple):
 
 
 class KatoGraph(NamedTuple):
+    """A realized graph; ``realize`` lists each tuple by id."""
+
     ctx: FieldContext
     vertices: tuple[GraphVertex, ...]
     finite_edges: tuple[GraphEdge, ...]

@@ -25,14 +25,12 @@ KIND_TETRAHEDRAL = "tetrahedral"
 KIND_OCTAHEDRAL = "octahedral"
 KIND_ICOSAHEDRAL = "icosahedral"
 
-_POLYHEDRAL = (KIND_TETRAHEDRAL, KIND_OCTAHEDRAL, KIND_ICOSAHEDRAL)
-_ALL_KINDS = (
-    KIND_TRIVIAL,
-    KIND_CYCLIC,
-    KIND_DIHEDRAL,
-    KIND_BOREL,
-    KIND_PROJ_LINEAR,
-) + _POLYHEDRAL
+# Each polyhedral group's order, and the n of its subgroups C_n and D_n.
+_POLYHEDRAL = {
+    KIND_TETRAHEDRAL: (12, (2, 3), (2,)),
+    KIND_OCTAHEDRAL: (24, (2, 3, 4), (2, 3, 4)),
+    KIND_ICOSAHEDRAL: (60, (2, 3, 5), (2, 3, 5)),
+}
 
 
 class SymbolError(ValueError):
@@ -87,19 +85,9 @@ class GroupSymbol(NamedTuple):
     variant: str = ""
 
     def __str__(self) -> str:
-        if self.kind == KIND_TRIVIAL:
-            return "1"
-        if self.kind == KIND_CYCLIC:
-            return f"C{self.n}"
-        if self.kind == KIND_DIHEDRAL:
-            return f"D{self.n}"
-        if self.kind == KIND_BOREL:
-            if self.n == 1:
-                return f"E{self.t}"
-            return f"B({self.t},{self.n})"
-        if self.kind == KIND_PROJ_LINEAR:
-            return f"{self.variant}2(p^{self.t})"
-        return {KIND_TETRAHEDRAL: "A4", KIND_OCTAHEDRAL: "S4", KIND_ICOSAHEDRAL: "A5"}[self.kind]
+        if self.kind == KIND_BOREL and self.n == 1:
+            return f"E{self.t}"
+        return _KINDS[self.kind][1].format(n=self.n, t=self.t, variant=self.variant)
 
 
 TRIVIAL = GroupSymbol(KIND_TRIVIAL)
@@ -145,6 +133,19 @@ def proj_linear(variant: str, t: int) -> GroupSymbol:
     return GroupSymbol(KIND_PROJ_LINEAR, t=t, variant=variant)
 
 
+# Each kind: its parameters, in the order the input format writes them and its
+# constructor takes them; its printed form; and its constructor.
+_KINDS = {
+    KIND_TRIVIAL: ((), "1", lambda: TRIVIAL),
+    KIND_CYCLIC: (("n",), "C{n}", cyclic),
+    KIND_DIHEDRAL: (("n",), "D{n}", dihedral),
+    KIND_BOREL: (("t", "n"), "B({t},{n})", borel),
+    KIND_PROJ_LINEAR: (("variant", "t"), "{variant}2(p^{t})", proj_linear),
+    KIND_TETRAHEDRAL: ((), "A4", lambda: TETRAHEDRAL),
+    KIND_OCTAHEDRAL: ((), "S4", lambda: OCTAHEDRAL),
+    KIND_ICOSAHEDRAL: ((), "A5", lambda: ICOSAHEDRAL),
+}
+
 RawSymbol = Union[GroupSymbol, Mapping]
 
 
@@ -177,33 +178,16 @@ def canonicalize(raw: RawSymbol) -> GroupSymbol:
         variant = raw.get("variant", "")
     else:
         raise SymbolError(f"group description must be a symbol or a mapping, got {raw!r}")
-    if kind not in _ALL_KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list or an object is unhashable
         raise SymbolError(f"unknown group kind {kind!r}")
-    if kind == KIND_TRIVIAL:
-        return TRIVIAL
-    if kind == KIND_CYCLIC:
-        return cyclic(n)
-    if kind == KIND_DIHEDRAL:
-        return dihedral(n)
-    if kind == KIND_BOREL:
-        return borel(t, n)
-    if kind == KIND_PROJ_LINEAR:
-        return proj_linear(variant, t)
-    return GroupSymbol(kind)
+    params, _, make = _KINDS[kind]
+    given = {"n": n, "t": t, "variant": variant}
+    return make(*map(given.get, params))
 
 
 def symbol_to_dict(g: GroupSymbol) -> dict:
     """Inverse of canonicalize for the JSON input format."""
-    d: dict = {"kind": g.kind}
-    if g.kind in (KIND_CYCLIC, KIND_DIHEDRAL):
-        d["n"] = g.n
-    elif g.kind == KIND_BOREL:
-        d["t"] = g.t
-        d["n"] = g.n
-    elif g.kind == KIND_PROJ_LINEAR:
-        d["variant"] = g.variant
-        d["t"] = g.t
-    return d
+    return {"kind": g.kind, **{key: getattr(g, key) for key in _KINDS[g.kind][0]}}
 
 
 def is_borel_form(g: GroupSymbol) -> bool:
@@ -263,7 +247,7 @@ def order(g: GroupSymbol, ctx: FieldContext) -> int:
         q = ctx.p ** g.t
         full = q * (q - 1) * (q + 1)
         return full if g.variant == "PGL" else full // 2
-    return {KIND_TETRAHEDRAL: 12, KIND_OCTAHEDRAL: 24, KIND_ICOSAHEDRAL: 60}[g.kind]
+    return _POLYHEDRAL[g.kind][0]
 
 
 def validate_in_context(g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
@@ -370,12 +354,11 @@ def symbol_contains(large: GroupSymbol, small: GroupSymbol, ctx: FieldContext) -
             return (small.t, small.n) == (1, 1) and ctx.p == 2
         return False
     if large.kind in _POLYHEDRAL:
-        cyc = {KIND_TETRAHEDRAL: (2, 3), KIND_OCTAHEDRAL: (2, 3, 4), KIND_ICOSAHEDRAL: (2, 3, 5)}
-        dih = {KIND_TETRAHEDRAL: (2,), KIND_OCTAHEDRAL: (2, 3, 4), KIND_ICOSAHEDRAL: (2, 3, 5)}
+        _, cyc, dih = _POLYHEDRAL[large.kind]
         if small.kind == KIND_CYCLIC:
-            return small.n in cyc[large.kind]
+            return small.n in cyc
         if small.kind == KIND_DIHEDRAL:
-            return small.n in dih[large.kind]
+            return small.n in dih
         if small.kind == KIND_TETRAHEDRAL:
             return large.kind in (KIND_OCTAHEDRAL, KIND_ICOSAHEDRAL)
         if small.kind == KIND_BOREL and large.kind == KIND_ICOSAHEDRAL:
@@ -416,22 +399,14 @@ def derive_edge_group(gu: GroupSymbol, gv: GroupSymbol, ctx: FieldContext) -> Gr
     if gu.kind == KIND_PROJ_LINEAR or gv.kind == KIND_PROJ_LINEAR:
         pl, other = (gu, gv) if gu.kind == KIND_PROJ_LINEAR else (gv, gu)
         if other.kind == KIND_BOREL:
-            n_minus = pl_invariants(pl, ctx).n_minus
-            t, s = pl.t, other.t
-            if other.n == n_minus and s >= t and s % t == 0:
-                return borel(t, n_minus)
-        raise DeriveError(
-            f"cannot derive edge group for ({gu}, {gv}); specify edge group in input"
-        )
+            edge = borel(pl.t, pl_invariants(pl, ctx).n_minus)
+            if borel_extends(edge, other):
+                return edge
     if gu.kind in (KIND_CYCLIC, KIND_TRIVIAL) and gv.kind in (KIND_CYCLIC, KIND_TRIVIAL):
         return cyclic(math.gcd(max(gu.n, 1), max(gv.n, 1)))
-    if is_borel_form(gu) and is_borel_form(gv):
-        tu, nu = borel_params(gu)
-        tv, nv = borel_params(gv)
-        if nu == nv:
-            lo, hi = sorted((tu, tv))
-            if lo == 0 or hi % lo == 0:
-                return borel(lo, nu)
+    for small, large in ((gu, gv), (gv, gu)):
+        if borel_extends(small, large):
+            return borel(*borel_params(small))
     raise DeriveError(
         f"cannot derive edge group for ({gu}, {gv}); specify edge group in input"
     )

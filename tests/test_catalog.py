@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from katograph.catalog import (
     KIND_FOLD,
     KIND_INJECTIVE,
     KIND_ISO,
+    load_extension_file,
     parse_extension,
 )
 from katograph.groups import (
@@ -32,6 +34,7 @@ from katograph.groups import (
 )
 
 CAT = DEFAULT_CATALOG
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 def admissible_sweep(max_n=50, max_t=4):
@@ -405,6 +408,33 @@ def test_extension_entry_loads_and_serves():
     assert [t.kind for t in traces] == [KIND_FOLD]
     # built-ins unaffected
     assert cat.elementary_tree(dihedral(5), ctx).printed
+
+
+# D7 at p = 7 has p > 5; D3 at p = 5 has p prime to |D3| = 6. Both loaded once.
+@pytest.mark.parametrize("n, p", [(7, 7), (3, 5)], ids=["D7-at-7", "D3-at-5"])
+def test_extension_rejects_an_entry_the_catalog_never_reads(n, p):
+    dn = {"kind": "dihedral", "n": n}
+    doc = d15_entry()
+    doc["entries"][0].update(
+        group=dn,
+        context={"char_K": 0, "p": p},
+        vertices=[{"id": "v0", "group": dn}],
+        cusps=[
+            {"id": f"x{i}", "base": "v0", "group": {"kind": "cyclic", "n": k}}
+            for i, k in enumerate((2, 2, n))
+        ],
+    )
+    with pytest.raises(CatalogError) as info:
+        parse_extension(doc)
+    assert str(info.value) == (
+        f"<extension>: entries[0]: entry for D{n} at p={p} is never read "
+        "(needs p <= 5 dividing its order)"
+    )
+
+
+def test_extension_fixture_loads():
+    entries = load_extension_file(FIXTURES / "extension_d15_k5.json")
+    assert [(e.tree.group, e.p) for e in entries] == [(dihedral(15), 5)]
 
 
 def test_extension_rejects_bad_cusp_count():

@@ -8,7 +8,8 @@ from textwrap import dedent
 
 import pytest
 
-from katograph.analysis import SeparationPlan, StructuralReport, cusp_count_general
+from katograph.analysis import SeparationPlan, StructuralReport, contract, cusp_count_general
+from katograph.catalog import Catalog
 from katograph.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -231,6 +232,20 @@ def test_parse_pins_each_edge_item_error(key, item, message):
     assert str(info.value) == f"<input>: {message}"
 
 
+@pytest.mark.parametrize(
+    "kind", [["cyclic"], {"kind": "cyclic"}, 3, None], ids=["list", "object", "number", "null"]
+)
+def test_parse_a_kind_that_is_not_a_string_is_one_parse_error(kind, tmp_path):
+    doc = {"field": _FIELD, "vertices": [{"id": "a", "group": {"kind": kind, "n": 3}}]}
+    with pytest.raises(ParseError) as info:
+        parse_spec_dict(doc)
+    assert str(info.value) == f"<input>: vertices[0]: unknown group kind {kind!r}"
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = f"parse error: {path}: vertices[0]: unknown group kind {kind!r}\n"
+    assert run(path) == (message, EXIT_INVALID)
+
+
 def _d15_extension(**changes):
     entry = json.loads((FIXTURES / "extension_d15_k5.json").read_text(encoding="utf-8"))["entries"][0]
     entry.update(changes)
@@ -295,6 +310,34 @@ def test_run_malformed_extension_is_parse_error(name, extension, tmp_path):
     text, code = run(path)
     assert code == EXIT_INVALID
     assert text.startswith("parse error: ") and text.count("\n") == 1
+
+
+def test_run_rejects_an_extension_entry_the_catalog_never_reads(tmp_path):
+    # At p = 7 every D7 tree is the built-in star; an entry for it used to load and be ignored.
+    d7, c2 = {"kind": "dihedral", "n": 7}, {"kind": "cyclic", "n": 2}
+    entry = {
+        "group": d7,
+        "context": {"char_K": 0, "p": 7},
+        "vertices": [{"id": "v0", "group": d7}],
+        "cusps": [
+            {"id": "x0", "base": "v0", "group": c2},
+            {"id": "x1", "base": "v0", "group": c2},
+            {"id": "x2", "base": "v0", "group": {"kind": "cyclic", "n": 7}},
+        ],
+    }
+    (tmp_path / "ext.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    spec = {
+        "field": {"char_K": 0, "p": 7},
+        "catalog_extension": "ext.json",
+        "vertices": [{"id": "a", "group": d7}],
+    }
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert run(path) == (
+        f"parse error: {path}: catalog_extension: {tmp_path / 'ext.json'}: entries[0]: "
+        "entry for D7 at p=7 is never read (needs p <= 5 dividing its order)\n",
+        EXIT_INVALID,
+    )
 
 
 @pytest.mark.parametrize("value", [0, None, ["c"]], ids=["number", "null", "list"])
@@ -839,6 +882,19 @@ def test_byte_identical_across_runs(name, tmp_path):
     assert t1 == t2 and c1 == c2
     for f in ("report.txt", "kato.dot", "skeleton.dot"):
         assert (tmp_path / "r1" / f).read_bytes() == (tmp_path / "r2" / f).read_bytes()
+
+
+def test_realize_and_contract_list_each_tuple_by_id():
+    # emit_dot and render print each tuple in the order given, so both rely on this.
+    rng = random.Random(20260808)
+    catalog = Catalog()
+    for _ in range(1000):
+        graph = realize(check_input(random_input(rng), catalog))
+        skeleton = contract(graph)
+        parts = (graph.vertices, graph.finite_edges, graph.cusps, graph.genus_loops)
+        for part in parts + (skeleton.vertices, skeleton.edges):
+            ids = [x.id for x in part]
+            assert ids == sorted(ids)
 
 
 def test_dot_content_triangle():

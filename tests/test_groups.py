@@ -61,6 +61,17 @@ def test_rejections():
         canonicalize({"kind": "nonsense"})
 
 
+@pytest.mark.parametrize(
+    "kind", [["cyclic"], {"kind": "cyclic"}, 3, None, True],
+    ids=["list", "object", "number", "null", "bool"],
+)
+def test_canonicalize_rejects_a_kind_that_is_not_a_string(kind):
+    # A list or an object cannot be a table key: it must still be an unknown kind.
+    with pytest.raises(SymbolError) as info:
+        canonicalize({"kind": kind, "n": 3})
+    assert str(info.value) == f"unknown group kind {kind!r}"
+
+
 raw_symbols = st.one_of(
     st.builds(lambda n: {"kind": "cyclic", "n": n}, st.integers(1, 60)),
     st.builds(lambda n: {"kind": "dihedral", "n": n}, st.integers(2, 60)),
