@@ -56,6 +56,5 @@ for c in graph.cusps:
 print("\n# counts and ordinarity")
 print(f"  direct:  {count_cusps_direct(graph)}")
 print(f"  formula: {cusp_count_general(checked)}")
-sig = branch_points(graph)
-print(f"  decomposition groups: {[str(b.decomposition_group) for b in sig.points]}")
-print(f"  ordinary (all Borel type): {is_ordinary(sig, ctx)}")
+print(f"  decomposition groups: {[str(b.stabilizer) for b in branch_points(graph)]}")
+print(f"  ordinary (all Borel type): {is_ordinary(graph)}")

@@ -8,7 +8,6 @@ import random
 from collections import Counter
 
 from katograph import (
-    branch_points,
     census,
     check_input,
     count_cusps_direct,
@@ -37,7 +36,7 @@ for _ in range(N):
         agree = agree and direct == cusp_count_char0(census(graph))
         chars["char 0"] += 1
     else:
-        agree = agree and is_ordinary(branch_points(graph), raw.ctx)
+        agree = agree and is_ordinary(graph)
         chars[f"char {raw.ctx.p}"] += 1
     agree = agree and structural_check(graph).ok
     if not agree:

@@ -59,8 +59,8 @@ print(f"  3(D-d)+2(C-c):       {cusp_count_char0(cs)}   with (C,c,D,d) = "
       f"({cs.C},{cs.c},{cs.D},{cs.d})")
 
 print("\n# branch points and their decomposition groups")
-for bp in branch_points(graph).points:
-    print(f"  {bp.id}: {bp.decomposition_group} anchored at {bp.anchor}")
+for bp in branch_points(graph):
+    print(f"  {bp.id}: {bp.stabilizer} anchored at {bp.base}")
 
 print("\n# contraction to the quotient skeleton")
 sk = contract(graph)

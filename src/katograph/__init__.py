@@ -7,8 +7,6 @@ formulas.
 """
 
 from .analysis import (
-    BranchPoint,
-    BranchSignature,
     Cluster,
     FormulaCensus,
     QuotientSkeleton,

@@ -13,8 +13,8 @@ from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .catalog import Catalog, CatalogError, DEFAULT_CATALOG
-from .graphs import CheckedInput, GraphEdge, GraphVertex, KatoGraph, betti
+from .catalog import CatalogError
+from .graphs import CheckedInput, GraphCusp, GraphEdge, GraphVertex, KatoGraph, betti
 from .groups import (
     ContextError,
     FieldContext,
@@ -64,24 +64,13 @@ def count_cusps_direct(g: KatoGraph) -> int:
     return len(g.cusps)
 
 
-class BranchPoint(NamedTuple):
-    id: str
-    decomposition_group: GroupSymbol
-    anchor: str
+def branch_points(g: KatoGraph) -> tuple[GraphCusp, ...]:
+    """One branch point per cusp: the cusp stabilizer is its decomposition group,
+    and the cusp's base vertex is its anchor. So the branch points are the cusps."""
+    return g.cusps
 
 
-class BranchSignature(NamedTuple):
-    points: tuple[BranchPoint, ...]
-
-
-def branch_points(g: KatoGraph) -> BranchSignature:
-    """One branch point per cusp; the cusp stabilizer is its decomposition group."""
-    return BranchSignature(
-        tuple(BranchPoint(c.id, c.stabilizer, c.base) for c in g.cusps)
-    )
-
-
-def is_ordinary(sig: BranchSignature, ctx: FieldContext) -> bool:
+def is_ordinary(g: KatoGraph) -> bool:
     """Every decomposition group of Borel type B(t,n), gcd(n,p)=1, n | p^t - 1.
 
     Only meaningful in positive characteristic; raises otherwise. Admissibility
@@ -89,10 +78,11 @@ def is_ordinary(sig: BranchSignature, ctx: FieldContext) -> bool:
     carries a non-trivial admissible one, so every such cusp is ordinary:
     ``ordinary: NO`` can come only from a hand-built graph.
     """
+    ctx = g.ctx
     if not ctx.positive_char:
         raise ContextError("ordinarity is a characteristic-p notion")
-    for bp in sig.points:
-        gdec = bp.decomposition_group
+    for c in g.cusps:
+        gdec = c.stabilizer
         if not is_borel_form(gdec) or gdec == TRIVIAL:
             return False
         t, n = borel_params(gdec)
@@ -243,7 +233,7 @@ class StructuralReport(NamedTuple):
         return not self.incident_violations and not self.generation_violations
 
 
-def structural_check(g: KatoGraph, catalog: Catalog = DEFAULT_CATALOG) -> StructuralReport:
+def structural_check(g: KatoGraph) -> StructuralReport:
     """The two vertex properties of realized Kato graphs.
 
     (a) at most three cusps-plus-nontrivial-edges leave any vertex;
@@ -251,7 +241,8 @@ def structural_check(g: KatoGraph, catalog: Catalog = DEFAULT_CATALOG) -> Struct
     pattern level: either the vertex group itself is incident, or the
     incident multiset matches the catalog pattern of the group (marked cusp
     positions may be upgraded to any containing group), and in all cases the
-    lcm of the incident orders divides the vertex order.
+    lcm of the incident orders divides the vertex order. The patterns come from
+    the catalog that realized ``g``.
     """
     ctx = g.ctx
     incident: dict[str, list[GroupSymbol]] = {v.id: [] for v in g.vertices}
@@ -277,7 +268,7 @@ def structural_check(g: KatoGraph, catalog: Catalog = DEFAULT_CATALOG) -> Struct
         if not inc:
             bad_b.append(f"vertex {v.id}: stabilizer {v.stabilizer} with no incident groups")
             continue
-        err = _generation_violation(v.stabilizer, inc, ctx, catalog)
+        err = _generation_violation(v.stabilizer, inc, ctx, g.catalog)
         if err:
             bad_b.append(f"vertex {v.id}: {err}")
     return StructuralReport(tuple(bad_a), tuple(bad_b))

@@ -302,8 +302,8 @@ class RunReport(NamedTuple):
             *([] if self.char0 is None else [f"char-0 formula:  {self.char0}"]),
             f"agreement: {'OK' if self.formulas_agree else 'MISMATCH'}",
             "", "== branch points ==",
-            *([f"  {b.id}: group {names[b.decomposition_group]}, anchor {b.anchor}"
-               for b in branch_points(g).points] or ["(none)"]),
+            *([f"  {b.id}: group {names[b.stabilizer]}, anchor {b.base}"
+               for b in branch_points(g)] or ["(none)"]),
             *([] if self.ordinary is None else
               ["", "== ordinarity ==", f"ordinary: {'yes' if self.ordinary else 'NO'}"]),
             "", "== contraction ==",
@@ -338,11 +338,9 @@ def build_report(raw: InputGraphOfGroups, catalog: Catalog) -> RunReport:
     direct = count_cusps_direct(graph)
     general = cusp_count_general(checked)
     char0 = cusp_count_char0(census(graph)) if not raw.ctx.positive_char else None
-    ordinary = (
-        is_ordinary(branch_points(graph), raw.ctx) if raw.ctx.positive_char else None
-    )
+    ordinary = is_ordinary(graph) if raw.ctx.positive_char else None
     skeleton = contract(graph)
-    structure = structural_check(graph, catalog)
+    structure = structural_check(graph)
     plan = separation_plan(graph)
     warnings = tuple(graph.notes) + tuple(skeleton.warnings)
     return RunReport(

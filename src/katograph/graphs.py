@@ -110,7 +110,7 @@ class GraphLoop(NamedTuple):
 
 
 class KatoGraph(NamedTuple):
-    """A realized graph; ``realize`` lists each tuple by id."""
+    """A realized graph and the catalog that built it; ``realize`` lists each tuple by id."""
 
     ctx: FieldContext
     vertices: tuple[GraphVertex, ...]
@@ -118,6 +118,7 @@ class KatoGraph(NamedTuple):
     cusps: tuple[GraphCusp, ...]
     genus_loops: tuple[GraphLoop, ...]
     notes: tuple[str, ...] = ()
+    catalog: Catalog = DEFAULT_CATALOG
 
 
 # -- union-find -----------------------------------------------------------------
@@ -512,6 +513,11 @@ class _Builder:
                     f"edge {edge.id}: vertex {side} already used by a printed-tree gluing"
                 )
         edge_tree = self.catalog.elementary_tree(edge.group, self.ctx)
+        if len(edge_tree.vertices) > 1:  # both trees' copies of its edges would stay: a cycle
+            raise RealizeError(
+                f"edge {edge.id}: unsupported printed gluing (T*({edge.group}) has "
+                f"{len(edge_tree.vertices)} vertices; an edge tree must have one)"
+            )
         fmap, imap = dict(tf.embed.vertex_map), dict(ti.embed.vertex_map)
         fcusp, icusp = dict(tf.embed.cusp_map), dict(ti.embed.cusp_map)
         fmarks, imarks = dict(tf.embed.mark_map), dict(ti.embed.mark_map)
@@ -599,7 +605,7 @@ class _Builder:
             if x.id in seen:
                 raise RealizeError(f"realized id {x.id} names two edges; rename an id")
             seen.add(x.id)
-        return KatoGraph(self.ctx, vertices, edges, cusps, loops, tuple(self.notes))
+        return KatoGraph(self.ctx, vertices, edges, cusps, loops, tuple(self.notes), self.catalog)
 
 
 def realize(checked: CheckedInput) -> KatoGraph:

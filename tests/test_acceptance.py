@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from katograph.analysis import (
-    branch_points,
     census,
     contract,
     count_cusps_direct,
@@ -311,7 +310,7 @@ def test_criterion_6_ordinarity(corpus):
     for raw, _checked, g in items:
         if raw.ctx.positive_char:
             n_charp += 1
-            ok = ok and is_ordinary(branch_points(g), raw.ctx)
+            ok = ok and is_ordinary(g)
     ok = ok and n_charp > 0
     verdict(6, ok, f"all {n_charp} char-p corpus graphs have Borel-type decomposition groups")
 

@@ -1,10 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from katograph.analysis import (
-    BranchPoint,
-    BranchSignature,
     FormulaCensus,
     branch_points,
     census,
@@ -16,6 +15,7 @@ from katograph.analysis import (
     separation_plan,
     structural_check,
 )
+from katograph.cli import parse_spec
 from katograph.fuzz import random_input
 from katograph.graphs import (
     GraphCusp,
@@ -42,6 +42,7 @@ from katograph.groups import (
     proj_linear,
 )
 
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 CTX5 = FieldContext(0, 5, 1)
 CTX7 = FieldContext(0, 7, 1)
 
@@ -128,8 +129,8 @@ def test_empty_graph_direct_count():
 def test_branch_points_triangle():
     _, g = triangle_graph()
     sig = branch_points(g)
-    assert sorted(str(b.decomposition_group) for b in sig.points) == ["C10", "C2", "C3"]
-    anchors = {b.id: b.anchor for b in sig.points}
+    assert sorted(str(b.stabilizer) for b in sig) == ["C10", "C2", "C3"]
+    anchors = {b.id: b.base for b in sig}
     for c in g.cusps:
         assert anchors[c.id] == c.base
 
@@ -137,33 +138,32 @@ def test_branch_points_triangle():
 def test_branch_points_borel():
     _, g = borel_graph()
     sig = branch_points(g)
-    assert sorted(str(b.decomposition_group) for b in sig.points) == ["B(4,3)", "C5"]
+    assert sorted(str(b.stabilizer) for b in sig) == ["B(4,3)", "C5"]
 
 
 def test_branch_points_schottky_empty():
     raw = InputGraphOfGroups(FieldContext(2, 2, 1), (InputVertex("a", TRIVIAL),))
     g = realize(check_input(raw))
-    assert branch_points(g).points == ()
+    assert branch_points(g) == ()
+
+
+def cusped(ctx, *symbols):
+    """A hand-built graph: one vertex carrying one cusp per symbol."""
+    cusps = tuple(GraphCusp(f"b{i}", "v", s) for i, s in enumerate(symbols))
+    return KatoGraph(ctx, (GraphVertex("v", TRIVIAL),), (), cusps, ())
 
 
 def test_is_ordinary():
     ctx = FieldContext(2, 2, 4)
-    sig = BranchSignature(
-        (BranchPoint("b0", cyclic(5), "v"), BranchPoint("b1", borel(4, 3), "v"))
-    )
-    assert is_ordinary(sig, ctx)
+    assert is_ordinary(cusped(ctx, cyclic(5), borel(4, 3)))
     ctx3 = FieldContext(3, 3, 2)
-    sig2 = BranchSignature(
-        (BranchPoint("b0", cyclic(5), "v"), BranchPoint("b1", borel(1, 2), "v"))
-    )
-    assert is_ordinary(sig2, ctx3)
-    sig3 = BranchSignature((BranchPoint("b0", TETRAHEDRAL, "v"),))
-    assert not is_ordinary(sig3, FieldContext(7, 7, 1))
+    assert is_ordinary(cusped(ctx3, cyclic(5), borel(1, 2)))
+    assert not is_ordinary(cusped(FieldContext(7, 7, 1), TETRAHEDRAL))
     # C3 has order divisible by p = 3; B(1,4) has 4 not dividing 3 - 1.
     for g in (cyclic(3), borel(1, 4)):
-        assert not is_ordinary(BranchSignature((BranchPoint("b0", g, "v"),)), ctx3)
+        assert not is_ordinary(cusped(ctx3, g))
     with pytest.raises(ContextError):
-        is_ordinary(sig, CTX7)
+        is_ordinary(cusped(CTX7, cyclic(5), borel(4, 3)))
 
 
 def test_admissible_borel_cusps_are_ordinary():
@@ -178,7 +178,7 @@ def test_admissible_borel_cusps_are_ordinary():
                     g = borel(t, n)
                     if g != TRIVIAL and is_admissible(g, ctx):
                         checked += 1
-                        assert is_ordinary(BranchSignature((BranchPoint("b", g, "v"),)), ctx), g
+                        assert is_ordinary(cusped(ctx, g)), g
     assert checked == 3153
 
 
@@ -365,6 +365,27 @@ def test_structural_lcm_violation():
     )
     rep = structural_check(bad)
     assert not rep.ok
+
+
+def test_structural_check_reads_the_catalog_that_realized_the_graph():
+    # The D15 vertices glue by the extension's tree; the built-in catalog has none.
+    raw, cat = parse_spec(FIXTURES / "d15_chain_k5.json")
+    assert structural_check(realize(check_input(raw, cat))).ok
+
+
+def test_structural_vertex_group_without_a_tree_matches_no_pattern():
+    # A hand-built graph gets the built-in catalog, which has no D15 tree at p = 5.
+    cusps = (cyclic(2), cyclic(2), cyclic(15))
+    g = KatoGraph(
+        CTX5,
+        (GraphVertex("v", dihedral(15)),),
+        (),
+        tuple(GraphCusp(f"c{i}", "v", s) for i, s in enumerate(cusps)),
+        (),
+    )
+    assert structural_check(g).generation_violations == (
+        "vertex v: incident pattern ['C15', 'C2', 'C2'] is not on the whitelist for D15",
+    )
 
 
 # -- separation plan ----------------------------------------------------------------------

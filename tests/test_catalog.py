@@ -189,6 +189,13 @@ def test_char0_k5_missing_entries():
     assert CAT.boundary_count(dihedral(15), ctx) == 3
 
 
+def test_char0_boundary_count_rejects_what_char0_cannot_hold():
+    # The count is read from the rule, not a tree, so the rule checks the symbol first.
+    with pytest.raises(ContextError) as info:
+        Catalog().boundary_count(borel(1, 2), FieldContext(0, 5, 1))
+    assert str(info.value) == "B(1,2): Borel/projective-linear symbols do not occur in char 0"
+
+
 def test_char0_k2_needs_entries_for_even_orders():
     ctx = FieldContext(0, 2, 1)
     with pytest.raises(CatalogError):

@@ -573,6 +573,65 @@ def test_run_pins_each_printed_gluing_rejection(tmp_path):
     )
 
 
+def test_main_rejects_a_printed_edge_tree_of_two_vertices(tmp_path, capsys):
+    # An extension A5 tree shaped like the built-in one, with a fold and an iso
+    # trace of itself. Gluing both copies vertex by vertex would keep both
+    # copies of its internal edge, a cycle; it used to end in a traceback.
+    a5, d5 = _g("icosahedral"), _g("dihedral", n=5)
+    ids = {"v0": "v0", "v1": "v1"}
+    entry = {
+        "group": a5,
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "v0", "group": a5}, {"id": "v1", "group": d5}],
+        "internal_edges": [{"id": "e0", "ends": ["v0", "v1"], "group": d5}],
+        "cusps": [
+            {"id": "c0", "base": "v0", "group": _g("cyclic", n=3)},
+            {"id": "c1", "base": "v1", "group": _g("cyclic", n=2)},
+            {"id": "c2", "base": "v1", "group": _g("cyclic", n=5)},
+        ],
+        "embed_traces": [
+            {"edge_group": a5, "kind": "fold", "vertex_map": ids,
+             "cusp_map": {"c1": "c1", "c0": "c0", "c2": "c2"}},
+            {"edge_group": a5, "kind": "iso", "vertex_map": ids,
+             "cusp_map": {"c0": "c0", "c1": "c1", "c2": "c2"}},
+        ],
+    }
+    spec = {
+        "field": {"char_K": 0, "p": 5},
+        "catalog_extension": "ext.json",
+        "vertices": [{"id": "a", "group": a5}, {"id": "b", "group": a5}],
+        "edges": [
+            {"id": "e", "from": "a", "to": "b", "group": a5,
+             "site_hints": {"from": "c1", "to": "c0"}},
+        ],
+    }
+    (tmp_path / "ext.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
+    capsys.readouterr()
+    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        "realization rejected: edge e: unsupported printed gluing "
+        "(T*(A5) has 2 vertices; an edge tree must have one)\n",
+        "",
+    )
+
+
+def test_run_edge_group_without_a_tree_glues_nowhere(tmp_path):
+    # At p = 5 no built-in tree serves D15, so a D15 edge has no gluing data.
+    d30 = _g("dihedral", n=30)
+    spec = {
+        "field": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "a", "group": d30}, {"id": "b", "group": d30}],
+        "edges": [{"id": "e", "from": "a", "to": "b", "group": _g("dihedral", n=15)}],
+    }
+    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert run(tmp_path / "in.json") == (
+        "validation failed:\n"
+        "- edge e: edge group not Borel/cyclic/printed (D15 has no gluing data in this context)\n",
+        EXIT_INVALID,
+    )
+
+
 def test_run_genus_loop_named_like_a_tree_edge_is_rejected(tmp_path):
     spec = json.loads(fixture("triangle_k5.json").read_text(encoding="utf-8"))
     spec["genus_edges"] = [{"id": "a:e0", "from": "a", "to": "d"}]

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from katograph.analysis import cusp_count_general
+from katograph.catalog import DEFAULT_CATALOG, Catalog
 from katograph.fuzz import random_input
 from katograph.graphs import (
     GenusEdge,
@@ -621,6 +622,13 @@ def test_realize_deterministic():
     g1 = realize(check_input(raw))
     g2 = realize(check_input(raw))
     assert g1 == g2
+
+
+def test_realized_graph_carries_its_catalog():
+    # The analyses read the catalog from the graph, so it must be the one that built it.
+    cat = Catalog()
+    assert realize(check_input(triangle_input(), cat)).catalog is cat
+    assert realize(check_input(triangle_input())).catalog is DEFAULT_CATALOG
 
 
 def test_trivial_connector_preserves_cusps():

@@ -10,8 +10,6 @@ from pathlib import Path
 import pytest
 
 from katograph.analysis import (
-    BranchPoint,
-    BranchSignature,
     Cluster,
     FormulaCensus,
     QuotientSkeleton,
@@ -131,7 +129,7 @@ RECORDS = [
         "notes",
         f"KatoGraph(ctx={R_CTX}, vertices=(GraphVertex(id='v', stabilizer={R_C2}),), "
         f"finite_edges=(), cusps=(GraphCusp(id='c', base='v', stabilizer={R_C2}),), "
-        "genus_loops=(), notes=('n',))",
+        f"genus_loops=(), notes=('n',), catalog={DEFAULT_CATALOG!r})",
     ),
     (lambda: TreeVertex("v0", C2), "id", f"TreeVertex(id='v0', stabilizer={R_C2})"),
     (
@@ -155,16 +153,6 @@ RECORDS = [
     ),
     (lambda: PrintedEntry(5, tree()), "p", f"PrintedEntry(p=5, tree={R_TREE}, traces=())"),
     (lambda: FormulaCensus(1, 2, 3, 4), "c", "FormulaCensus(C=1, c=2, D=3, d=4)"),
-    (
-        lambda: BranchPoint("c", C2, "v"),
-        "anchor",
-        f"BranchPoint(id='c', decomposition_group={R_C2}, anchor='v')",
-    ),
-    (
-        lambda: BranchSignature((BranchPoint("c", C2, "v"),)),
-        "points",
-        f"BranchSignature(points=(BranchPoint(id='c', decomposition_group={R_C2}, anchor='v'),))",
-    ),
     (
         lambda: QuotientSkeleton(CTX, (GraphVertex("v", C2),), (), 0),
         "genus",

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from katograph.catalog import Catalog
+from katograph.catalog import Catalog, CatalogError, load_extension_file
 from katograph.cli import ParseError, build_report, parse_spec
 from katograph.fuzz import random_input
 from katograph.graphs import (
@@ -38,13 +38,17 @@ from katograph.graphs import (
     realize,
 )
 from katograph.groups import (
+    ICOSAHEDRAL,
     OCTAHEDRAL,
     TETRAHEDRAL,
     FieldContext,
     borel,
     borel_params,
     cyclic,
+    dihedral,
+    is_admissible,
     order,
+    proj_linear,
 )
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -73,11 +77,23 @@ def identity_sides(raw: InputGraphOfGroups, catalog: Catalog) -> tuple[Fraction,
     chi -= sum((Fraction(1, order(e.group, ctx)) for e in checked.edges), Fraction(0))
     chi -= len(raw.genus_edges)  # genus edges carry the trivial group
     right = Fraction(components(raw) - genus(graph))
-    for cusp in graph.cusps:
-        g = order(cusp.stabilizer, ctx)
-        p_part = ctx.p ** borel_params(cusp.stabilizer)[0] if ctx.positive_char else 1
-        right -= Fraction((g - 1) + (p_part - 1), 2 * g)
+    right -= sum((branch_term(cusp.stabilizer, ctx) for cusp in graph.cusps), Fraction(0))
     return chi, right
+
+
+def branch_term(stabilizer, ctx: FieldContext) -> Fraction:
+    """One cusp's share of the right side, ½ ((|G_c| − 1) + (|P_c| − 1)) / |G_c|."""
+    g = order(stabilizer, ctx)
+    p_part = ctx.p ** borel_params(stabilizer)[0] if ctx.positive_char else 1
+    return Fraction((g - 1) + (p_part - 1), 2 * g)
+
+
+def tree_sides(tree, ctx: FieldContext) -> tuple[Fraction, Fraction]:
+    """The identity for one elementary tree, a graph of one component and genus 0:
+    (Σ_tv 1/|G_tv| − Σ_te 1/|G_te|, 1 − the branch terms of its cusps)."""
+    left = sum((Fraction(1, order(v.stabilizer, ctx)) for v in tree.vertices), Fraction(0))
+    left -= sum((Fraction(1, order(e.stabilizer, ctx)) for e in tree.internal_edges), Fraction(0))
+    return left, 1 - sum((branch_term(c.stabilizer, ctx) for c in tree.cusps), Fraction(0))
 
 
 def holds(raw: InputGraphOfGroups, catalog: Catalog) -> bool:
@@ -138,6 +154,58 @@ def test_identity_catches_a_wrong_s4_tree():
         realized.append(raw)
     assert (len(realized), rejected) == (370, 196)
     assert [raw for raw in realized if holds(raw, wrong)] == []
+
+
+TREE_CONTEXTS = [FieldContext(p, p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3, 4)]
+TREE_CONTEXTS += [FieldContext(0, p, 1) for p in (2, 3, 5, 7, 11)]
+
+
+def tree_symbols(ctx: FieldContext) -> list:
+    """The admissible symbols among C_n and D_n for 2 <= n <= 30, A4, S4 and A5, and in
+    char p also B(t, n) for 1 <= t <= m and n <= 60 dividing p^m − 1, and PGL2/PSL2(p^t)
+    for t <= m; each once."""
+    symbols = [cyclic(n) for n in range(2, 31)] + [dihedral(n) for n in range(2, 31)]
+    symbols += [TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL]
+    if ctx.positive_char:
+        q = ctx.p ** ctx.m - 1
+        symbols += [borel(t, n) for t in range(1, ctx.m + 1) for n in range(1, 61) if q % n == 0]
+        symbols += [proj_linear(kind, t) for kind in ("PGL", "PSL") for t in range(1, ctx.m + 1)]
+    return [g for g in dict.fromkeys(symbols) if is_admissible(g, ctx)]
+
+
+def test_identity_holds_tree_by_tree():
+    catalog = Catalog()
+    trees, without_tree, failing = 0, 0, []
+    for ctx in TREE_CONTEXTS:
+        for g in tree_symbols(ctx):
+            try:
+                tree = catalog.elementary_tree(g, ctx)
+            except CatalogError:  # such as D15 at p = 5, which needs an extension entry
+                without_tree += 1
+                continue
+            trees += 1
+            left, right = tree_sides(tree, ctx)
+            if left != right:
+                failing.append((str(g), ctx))
+    assert (len(TREE_CONTEXTS), trees, without_tree, failing) == (21, 948, 78, [])
+
+
+def test_identity_holds_on_the_extension_fixture_tree():
+    ctx = FieldContext(0, 5, 1)
+    [entry] = load_extension_file(FIXTURES / "extension_d15_k5.json")
+    left, right = tree_sides(Catalog([entry]).elementary_tree(entry.tree.group, ctx), ctx)
+    assert left == right == Fraction(1, 30)  # 1/|D15|, and 1 − ½ (1/2 + 1/2 + 14/15)
+
+
+def test_identity_catches_a_wrong_s4_tree_by_itself():
+    # S4 has a star tree wherever it is admissible and p does not divide 24.
+    wrong, failing = _S4WithA4Cusps(), 0
+    for ctx in TREE_CONTEXTS:
+        if OCTAHEDRAL in tree_symbols(ctx) and ctx.p > 3:
+            left, right = tree_sides(wrong.elementary_tree(OCTAHEDRAL, ctx), ctx)
+            assert left != right, ctx
+            failing += 1
+    assert failing == 11  # p = 5 and 7 for m = 1 to 4, and char 0 at p = 5, 7 and 11
 
 
 @pytest.mark.xfail(
