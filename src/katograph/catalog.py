@@ -161,14 +161,22 @@ class Catalog:
     catalogs with different extensions share neither."""
 
     def __init__(self, extensions: Iterable[PrintedEntry] = ()):
-        self._extensions: dict[tuple[GroupSymbol, int], PrintedEntry] = {}
+        # The printed entry of (group, p): the extension's, else the built-in one, or None.
+        self._entries = _Kept(lambda key: _builtin_printed(*key))
         for entry in extensions:
             key = (entry.tree.group, entry.p)
-            if key in self._extensions:
+            if key in self._entries:
                 raise CatalogError(f"duplicate extension entry for {key[0]} at p={entry.p}")
-            self._extensions[key] = entry
+            self._entries[key] = entry
         self._trees = _Kept(lambda key: self._build_tree(*key))
         self._traces = _Kept(lambda key: self._traces_of(*key))
+        # Every extension trace meets its two trees now, so a bad one fails at load, used or not.
+        for (g, p), entry in tuple(self._entries.items()):  # the check keeps built-in entries
+            for e, _ in entry.traces:
+                try:
+                    self._embed_traces(e, g, FieldContext(0, p, 1))
+                except CatalogError as exc:
+                    raise CatalogError(f"entry for {g} at p={p}: {exc}") from exc
 
     # -- trees ---------------------------------------------------------------
 
@@ -183,7 +191,7 @@ class Catalog:
         if ctx.positive_char or ctx.p > 5 or order(g, ctx) % ctx.p != 0:
             return self._star_tree(g, ctx)
         # Residue characteristic p <= 5 dividing the group order: a printed tree.
-        entry = self._extensions.get((g, ctx.p)) or _builtin_printed(g, ctx.p)
+        entry = self._entries[g, ctx.p]
         if entry is None:
             raise CatalogError(
                 f"catalog entry required: {g} at char 0 with residue characteristic {ctx.p} "
@@ -245,8 +253,9 @@ class Catalog:
         tree, and ``_star_traces`` gives its gluings; a non-cyclic char-0 edge
         group glues by the embed maps of its printed tree (``_embed_traces``).
         Returns () when T*(vertex_group) has no site for the edge group; raises
-        CatalogError when the edge group glues nowhere in ctx: in char p when it
-        is not of Borel form, in char 0 when its tree is missing or not printed.
+        CatalogError when the edge group glues nowhere in ctx (in char p when it
+        is not of Borel form, in char 0 when its tree is missing or not printed)
+        and when an embed trace breaks a printed-trace rule (``_trace_error``).
         Kept like trees, per (edge_group, vertex_group, ctx); errors are not kept.
         """
         return self._traces[edge_group, vertex_group, ctx]
@@ -294,15 +303,51 @@ class Catalog:
     def _embed_traces(self, e: GroupSymbol, v: GroupSymbol, ctx: FieldContext):
         """The traces of e named by the entry that gives T*(v), and by no other entry."""
         try:
-            printed = self.elementary_tree(e, ctx).printed
-        except CatalogError:
-            printed = False
-        if not printed:
+            edge_tree = self.elementary_tree(e, ctx)
+        except (CatalogError, ContextError):  # an extension names any edge group
+            edge_tree = None
+        if edge_tree is None or not edge_tree.printed:
             raise CatalogError(
                 f"edge group not Borel/cyclic/printed ({e} has no gluing data in this context)"
             )
-        entry = self._extensions.get((v, ctx.p)) or _builtin_printed(v, ctx.p)
-        return tuple(t for g, t in entry.traces if g == e) if entry else ()
+        entry = self._entries[v, ctx.p]
+        traces = tuple(t for g, t in entry.traces if g == e) if entry else ()
+        for t in traces:
+            if reason := _trace_error(edge_tree, t, entry.tree):
+                raise CatalogError(f"{t.kind} trace of {e} into {v}: {reason}")
+        return traces
+
+
+def _trace_error(edge_tree: ElementaryTree, trace: AttachmentTrace, tree: ElementaryTree):
+    """Why ``trace`` cannot glue the printed ``edge_tree`` into ``tree``, or None. The rules:
+    the edge group is non-cyclic, with a tree of one vertex (two glued copies of an edge would
+    close a cycle). The vertex map sends exactly that vertex to a vertex, the cusp map exactly
+    the unmarked cusps onto cusps, and the mark map exactly the marked ones: a fold trace's
+    onto neighbours of the vertex's image, an iso trace's onto distinct marked cusps."""
+    if edge_tree.group.kind == KIND_CYCLIC:
+        return "a cyclic edge group glues by its star tree"
+    if len(edge_tree.vertices) != 1:
+        return f"T*({edge_tree.group}) must have one vertex, not {len(edge_tree.vertices)}"
+    (ev,), (vertex_map, cusp_map, mark_map) = edge_tree.vertices, map(dict, trace.embed)
+    image = vertex_map.get(ev.id)
+    if vertex_map.keys() != {ev.id} or image not in {v.id for v in tree.vertices}:
+        return f"the vertex map must send exactly {ev.id} to a vertex"
+    unmarked = {c.id for c in edge_tree.cusps if c.marked_point is None}
+    if cusp_map.keys() != unmarked or not set(cusp_map.values()) <= {c.id for c in tree.cusps}:
+        return f"the cusp map must send exactly {sorted(unmarked)} onto cusps"
+    marked = {c.id for c in edge_tree.cusps} - unmarked
+    if mark_map.keys() != marked:
+        return f"the mark map must send exactly {sorted(marked)}"
+    kinds, locs = {k for k, _ in mark_map.values()}, [loc for _, loc in mark_map.values()]
+    if trace.kind == KIND_FOLD:
+        ends = {x for te in tree.internal_edges if image in te.ends for x in te.ends}
+        if kinds - {"vertex"} or not set(locs) <= ends - {image}:
+            return f"the marks must land on neighbours of {image}"
+    elif kinds - {"mark"} or len(set(locs)) < len(locs) or not set(locs) <= {
+        c.id for c in tree.cusps if c.marked_point is not None
+    }:
+        return "the marks must land on distinct marked cusps"
+    return None
 
 
 def _tree(g, vertices, edges, cusps, printed=False) -> ElementaryTree:
@@ -458,16 +503,14 @@ def _validate_entry(entry: PrintedEntry) -> None:
         raise CatalogError("underlying graph is not a tree")
     if betti(vids, [ed.ends for ed in tree.internal_edges]) != 0:
         raise CatalogError("underlying graph is not connected")
-    expect = 2 if tree.group.kind == KIND_CYCLIC else 3
+    expect = DEFAULT_CATALOG.boundary_count(tree.group, ctx)
     if len(tree.cusps) != expect:
         raise CatalogError(
             f"char-0 entry for {tree.group} must have {expect} cusps, got {len(tree.cusps)}"
         )
-    cids = set()
-    for c in tree.cusps:
-        if c.id in cids:
+    for i, c in enumerate(tree.cusps):
+        if c.id in (d.id for d in tree.cusps[:i]):
             raise CatalogError(f"duplicate cusp id {c.id}")
-        cids.add(c.id)
         if c.base_vertex not in vids:
             raise CatalogError(f"cusp {c.id} references unknown vertex")
         if c.stabilizer == TRIVIAL:
@@ -485,15 +528,13 @@ def _validate_entry(entry: PrintedEntry) -> None:
     for v in tree.vertices:
         if not is_admissible(v.stabilizer, ctx):
             raise CatalogError(f"vertex stabilizer {v.stabilizer} inadmissible")
-    targets = {"vertex": vids, "mark": cids}
-    for edge_group, trace in entry.traces:
-        maps = trace.embed
-        locations = [(loc, vids) for _, loc in maps.vertex_map]
-        locations += [(loc, cids) for _, loc in maps.cusp_map]
-        locations += [(loc, targets.get(kind, ())) for _, (kind, loc) in maps.mark_map]
-        for loc, known in locations:
-            if loc not in known:
-                raise CatalogError(f"embed trace of {edge_group} maps to unknown location {loc}")
+    stab = dict(tree.vertices)
+    for ed in tree.internal_edges:
+        if not is_admissible(ed.stabilizer, ctx):
+            raise CatalogError(f"edge {ed.id}: stabilizer {ed.stabilizer} inadmissible")
+        for h in (stab[x] for x in ed.ends):
+            if not symbol_contains(h, ed.stabilizer, ctx):
+                raise CatalogError(f"edge {ed.id}: stabilizer {ed.stabilizer} not contained in {h}")
 
 
 DEFAULT_CATALOG = Catalog()

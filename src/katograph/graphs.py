@@ -500,8 +500,9 @@ class _Builder:
         """Glue a printed edge tree by its embed maps: ``fid``'s trace folds and
         ``iid``'s is a tree isomorphism. Printed gluings go first and each vertex
         joins at most one, so both trees are as placed and the maps name their own
-        ids. A mark uses up the iso side's marked site and must cover an internal
-        edge of the fold tree, from its cusp's base to the vertex it lands on."""
+        ids; the catalog's printed-trace rules make the two maps name the same
+        edge-tree locations. A mark uses up the iso side's marked site, and its
+        initial segment covers the fold tree's edge to the vertex it lands on."""
         if tf.kind == ti.kind:
             both = "fold" if tf.kind == KIND_FOLD else "are tree isomorphisms"
             raise RealizeError(
@@ -512,61 +513,18 @@ class _Builder:
                 raise RealizeError(
                     f"edge {edge.id}: vertex {side} already used by a printed-tree gluing"
                 )
-        edge_tree = self.catalog.elementary_tree(edge.group, self.ctx)
-        if len(edge_tree.vertices) > 1:  # both trees' copies of its edges would stay: a cycle
-            raise RealizeError(
-                f"edge {edge.id}: unsupported printed gluing (T*({edge.group}) has "
-                f"{len(edge_tree.vertices)} vertices; an edge tree must have one)"
-            )
-        fmap, imap = dict(tf.embed.vertex_map), dict(ti.embed.vertex_map)
-        fcusp, icusp = dict(tf.embed.cusp_map), dict(ti.embed.cusp_map)
-        fmarks, imarks = dict(tf.embed.mark_map), dict(ti.embed.mark_map)
-        for ev in edge_tree.vertices:
-            if ev.id not in fmap or ev.id not in imap:
-                raise RealizeError(
-                    f"edge {edge.id}: printed trace does not cover edge-tree vertex {ev.id}"
-                )
-            self.merge([f"{fid}:{fmap[ev.id]}", f"{iid}:{imap[ev.id]}"])
-        cusp_ids = {c.id for c in edge_tree.cusps}
-        for ec in sorted(cusp_ids):
-            in_cusp = ec in fcusp and ec in icusp
-            in_mark = ec in fmarks and ec in imarks
-            if not (in_cusp or in_mark):
-                raise RealizeError(
-                    f"edge {edge.id}: printed trace does not cover edge-tree cusp {ec}"
-                )
-        # Extension data may map a cusp on the fold side only, or mark a non-cusp.
-        if not (fcusp.keys() <= icusp.keys() and fmarks.keys() <= imarks.keys() & cusp_ids):
-            raise RealizeError(f"edge {edge.id}: printed traces disagree on the edge-tree cusps")
-        for ec, target in sorted(fcusp.items()):
+        self.embedded.update((fid, iid))
+        fmaps, imaps = tf.embed, ti.embed
+        self.merge([f"{fid}:{fmaps.vertex_map[0][1]}", f"{iid}:{imaps.vertex_map[0][1]}"])
+        icusp, imarks = dict(imaps.cusp_map), dict(imaps.mark_map)
+        for ec, target in sorted(fmaps.cusp_map):
             self.merge([f"{fid}:{target}", f"{iid}:{icusp[ec]}"], f"edge {edge.id}")
-        fold_tree = self.trees[fid]
-        for ec, (fkind, floc) in sorted(fmarks.items()):
-            ikind, iloc = imarks[ec]
-            if fkind != "vertex" or ikind != "mark":
-                raise RealizeError(
-                    f"edge {edge.id}: unsupported printed mark correspondence "
-                    f"({fkind} vs {ikind})"
-                )
-            base = fmap[edge_tree.cusp(ec).base_vertex]
-            if all(set(te.ends) != {base, floc} for te in fold_tree.internal_edges):
-                raise RealizeError(
-                    f"edge {edge.id}: the mark of edge-tree cusp {ec} covers no internal "
-                    f"edge of T*({fold_tree.group}) (from {base} to {floc})"
-                )
-            # The trees are fresh, so only an earlier mark can have used the site.
-            cut = self.ids.find(f"{iid}:{iloc}")
-            if cut in self.consumed:
-                raise RealizeError(
-                    f"edge {edge.id}: attachment site {iid}:{iloc} already used by "
-                    "another mark"
-                )
+        for ec, (_, floc) in sorted(fmaps.mark_map):
+            iloc = imarks[ec][1]
             w = f"{edge.id}:w:{ec}"
-            self.add(w, self.trees[iid].cusp(iloc).marked_point or self.stab[cut])
-            self.consume(cut)
+            self.add(w, self.trees[iid].cusp(iloc).marked_point)
+            self.consume(f"{iid}:{iloc}")
             self.merge([w, f"{fid}:{floc}"])
-        self.embedded.add(fid)
-        self.embedded.add(iid)
 
     # -- output --
 

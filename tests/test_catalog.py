@@ -10,6 +10,7 @@ from katograph.catalog import (
     KIND_FOLD,
     KIND_INJECTIVE,
     KIND_ISO,
+    _trace_error,
     load_extension_file,
     parse_extension,
 )
@@ -324,6 +325,16 @@ def test_trace_embed_pair_for_triangle():
     assert into_a5[0].embed is not None and into_d10[0].embed is not None
 
 
+def test_every_builtin_trace_keeps_the_printed_trace_rules():
+    # The trace table checks each trace against both trees; the built-in ones pass.
+    ctx = FieldContext(0, 5, 1)
+    edge_tree = CAT.elementary_tree(dihedral(5), ctx)
+    for g in (dihedral(5), dihedral(10), dihedral(20), dihedral(30), ICOSAHEDRAL):
+        traces = CAT.attachment_traces(dihedral(5), g, ctx)
+        tree = CAT.elementary_tree(g, ctx)
+        assert [_trace_error(edge_tree, t, tree) for t in traces] == [None], g
+
+
 def test_trace_none_for_unrelated():
     ctx = FieldContext(2, 2, 4)
     assert CAT.attachment_traces(borel(2, 3), dihedral(5), ctx) == ()
@@ -542,19 +553,82 @@ def test_extension_without_traces_admits_no_gluing():
     assert [t.kind for t in CAT.attachment_traces(dihedral(5), dihedral(10), ctx)] == [KIND_ISO]
 
 
+_D5 = {"kind": "dihedral", "n": 5}
+_FOLD_D5 = {
+    "edge_group": _D5,
+    "kind": "fold",
+    "vertex_map": {"v0": "v0"},
+    "cusp_map": {"c1": "c1", "c2": "c2"},
+    "mark_map": {"c0": ["vertex", "v0"]},
+}
+
+
 def test_extension_traces_replace_the_builtin_traces():
+    # A two-vertex D10, shaped like the A5 tree, with a fold of the D5 edge tree
+    # onto v1 whose mark covers the edge v1 -- v0.
     ctx = FieldContext(0, 5, 1)
-    trace = {
-        "edge_group": {"kind": "dihedral", "n": 5},
-        "kind": "fold",
-        "vertex_map": {"v0": "v0"},
-        "cusp_map": {"c1": "c1", "c2": "c2"},
-        "mark_map": {"c0": ["vertex", "v0"]},
-    }
-    cat = Catalog(parse_extension(d10_entry(embed_traces=[trace])))
+    doc = d10_entry(
+        vertices=[{"id": "v0", "group": {"kind": "dihedral", "n": 10}}, {"id": "v1", "group": _D5}],
+        internal_edges=[{"id": "e0", "ends": ["v0", "v1"], "group": _D5}],
+        embed_traces=[dict(_FOLD_D5, vertex_map={"v0": "v1"})],
+    )
+    cat = Catalog(parse_extension(doc))
     traces = cat.attachment_traces(dihedral(5), dihedral(10), ctx)
     assert [(t.kind, t.site) for t in traces] == [(KIND_FOLD, "c1")]
     assert traces[0].embed.mark_map == (("c0", ("vertex", "v0")),)
+
+
+@pytest.mark.parametrize(
+    "trace, message",
+    [
+        (_FOLD_D5, "fold trace of D5 into D10: the marks must land on neighbours of v0"),
+        (
+            dict(_FOLD_D5, vertex_map={"v0": "v0", "v1": "v0"}),
+            "fold trace of D5 into D10: the vertex map must send exactly v0 to a vertex",
+        ),
+        (
+            dict(_FOLD_D5, cusp_map={"c0": "c0", "c1": "c1", "c2": "c2"}),
+            "fold trace of D5 into D10: the cusp map must send exactly ['c1', 'c2'] onto cusps",
+        ),
+        (
+            dict(_FOLD_D5, edge_group={"kind": "dihedral", "n": 15}),
+            "edge group not Borel/cyclic/printed (D15 has no gluing data in this context)",
+        ),
+        (
+            dict(_FOLD_D5, edge_group={"kind": "borel", "t": 1, "n": 2}),
+            "edge group not Borel/cyclic/printed (B(1,2) has no gluing data in this context)",
+        ),
+    ],
+    ids=["fold-onto-its-own-vertex", "stray-vertex-key", "marked-cusp-in-cusp-map",
+         "edge-group-without-tree", "edge-group-inadmissible"],
+)
+def test_extension_trace_breaking_a_rule_fails_at_load(trace, message):
+    # Each of these used to load. The first could never glue: the one-vertex
+    # D10 has no edge for a fold's mark to cover.
+    entries = parse_extension(d10_entry(embed_traces=[trace]))
+    with pytest.raises(CatalogError) as info:
+        Catalog(entries)
+    assert str(info.value) == f"entry for D10 at p=5: {message}"
+
+
+def test_extension_trace_of_a_cyclic_edge_group_fails_at_load():
+    # C5 has a printed tree here, but a cyclic edge group glues by its star
+    # tree, so the catalog never reads its embed traces.
+    c5 = {"kind": "cyclic", "n": 5}
+    doc = d10_entry(embed_traces=[dict(_FOLD_D5, edge_group=c5)])
+    doc["entries"].append(
+        {
+            "group": c5,
+            "context": {"char_K": 0, "p": 5},
+            "vertices": [{"id": "v0", "group": c5}],
+            "cusps": [{"id": f"c{i}", "base": "v0", "group": c5} for i in (0, 1)],
+        }
+    )
+    with pytest.raises(CatalogError) as info:
+        Catalog(parse_extension(doc))
+    assert str(info.value) == (
+        "entry for D10 at p=5: fold trace of C5 into D10: a cyclic edge group glues by its star tree"
+    )
 
 
 def test_extension_rejects_disconnected_tree():
@@ -676,6 +750,53 @@ def test_extension_pins_each_entry_rejection(doc, message):
     with pytest.raises(CatalogError) as info:
         parse_extension(doc)
     assert str(info.value) == f"<extension>: entries[0]: {message}"
+
+
+def _d15_with_internal_edge(group):
+    """A two-vertex D15 at p = 5 whose internal edge joins its D15 and D5 vertices."""
+    doc = d15_entry()
+    doc["entries"][0].update(
+        vertices=[{"id": "v0", "group": {"kind": "dihedral", "n": 15}}, {"id": "v1", "group": _D5}],
+        internal_edges=[{"id": "e0", "ends": ["v0", "v1"], "group": group}],
+    )
+    return doc
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ({"kind": "icosahedral"}, "edge e0: stabilizer A5 not contained in D15"),
+        ({"kind": "dihedral", "n": 3}, "edge e0: stabilizer D3 not contained in D5"),
+        (_B12, "edge e0: stabilizer B(1,2) inadmissible"),
+    ],
+    ids=["in-neither-end", "in-one-end", "inadmissible"],
+)
+def test_extension_rejects_an_internal_edge_its_ends_cannot_hold(group, message):
+    # The A5 edge loaded, and the realized graph failed the structural check
+    # (exit 1) as if the mathematics disagreed.
+    with pytest.raises(CatalogError) as info:
+        parse_extension(_d15_with_internal_edge(group))
+    assert str(info.value) == f"<extension>: entries[0]: {message}"
+
+
+def test_extension_shaped_like_the_builtin_a5_tree_loads():
+    # Its D5 edge lies in both ends' groups, A5 and D5, so the edge check passes it.
+    a5 = {"kind": "icosahedral"}
+    entry = {
+        "group": a5,
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "v0", "group": a5}, {"id": "v1", "group": _D5}],
+        "internal_edges": [{"id": "e0", "ends": ["v0", "v1"], "group": _D5}],
+        "cusps": [
+            {"id": "c0", "base": "v0", "group": {"kind": "cyclic", "n": 3}},
+            {"id": "c1", "base": "v1", "group": {"kind": "cyclic", "n": 2}},
+            {"id": "c2", "base": "v1", "group": {"kind": "cyclic", "n": 5}},
+        ],
+    }
+    (loaded,) = parse_extension({"entries": [entry]})
+    builtin = CAT.elementary_tree(ICOSAHEDRAL, FieldContext(0, 5, 1))
+    assert loaded.tree.vertices == builtin.vertices and loaded.tree.cusps == builtin.cusps
+    assert [e.stabilizer for e in loaded.tree.internal_edges] == [dihedral(5)]
 
 
 def test_extension_rejects_two_entries_for_one_group():

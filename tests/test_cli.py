@@ -399,6 +399,11 @@ def test_main_rejects_extension_edge_ends_that_are_not_a_pair(ends, got, tmp_pat
     )
 
 
+def _load_error(tmp_path, reason):
+    """The one line of an extension that fails at load, as ``_run_triangle`` writes it."""
+    return f"parse error: {tmp_path / 'in.json'}: catalog_extension: {reason}\n"
+
+
 def _run_a5_extension(tmp_path, cusp_map, mark_map, *entries):
     """Run the triangle with an extension A5 tree (replacing the built-in
     one) whose fold trace into D10 has the given maps; ``entries`` are
@@ -472,18 +477,27 @@ def test_run_extension_tree_without_traces_admits_no_gluing(entry, target, tmp_p
 
 
 @pytest.mark.parametrize(
-    "cusp_map, mark_map",
+    "cusp_map, mark_map, reason",
     [
-        ({"c1": "c1", "c2": "c2", "zz": "c1"}, {"c0": ["vertex", "v0"]}),
-        ({"c1": "c1", "c2": "c2"}, {"c0": ["vertex", "v0"], "zz": ["vertex", "v1"]}),
+        (
+            {"c1": "c1", "c2": "c2", "zz": "c1"},
+            {"c0": ["vertex", "v0"]},
+            "the cusp map must send exactly ['c1', 'c2'] onto cusps",
+        ),
+        (
+            {"c1": "c1", "c2": "c2"},
+            {"c0": ["vertex", "v0"], "zz": ["vertex", "v1"]},
+            "the mark map must send exactly ['c0']",
+        ),
     ],
     ids=["cusp-key-without-partner", "mark-key-not-an-edge-tree-cusp"],
 )
-def test_run_printed_traces_with_stray_keys_are_rejected(cusp_map, mark_map, tmp_path):
-    # The fold trace names an edge-tree cusp the D10 side does not map.
+def test_run_printed_traces_with_stray_keys_are_rejected(cusp_map, mark_map, reason, tmp_path):
+    # The fold trace names a cusp the D5 edge tree does not have, so it fails
+    # when the extension loads, before any D10 trace could disagree with it.
     text, code = _run_a5_extension(tmp_path, cusp_map, mark_map)
     assert code == EXIT_INVALID
-    assert text == "realization rejected: edge e0: printed traces disagree on the edge-tree cusps\n"
+    assert text == _load_error(tmp_path, f"entry for A5 at p=5: fold trace of D5 into A5: {reason}")
 
 
 def test_run_printed_mark_covering_no_fold_tree_edge_is_rejected(tmp_path):
@@ -491,7 +505,9 @@ def test_run_printed_mark_covering_no_fold_tree_edge_is_rejected(tmp_path):
     # would be a self-loop at v1 instead of the A5 tree's edge v0 -- v1.
     text, code = _run_a5_extension(tmp_path, {"c1": "c1", "c2": "c2"}, {"c0": ["vertex", "v1"]})
     assert code == EXIT_INVALID
-    assert text.startswith("realization rejected: edge e0: ") and text.count("\n") == 1
+    assert text == _load_error(
+        tmp_path, "entry for A5 at p=5: fold trace of D5 into A5: the marks must land on neighbours of v1"
+    )
 
 
 def _d10_with_d5_trace(**trace):
@@ -512,8 +528,21 @@ def _d10_with_d5_trace(**trace):
 
 
 def test_run_printed_marks_naming_one_site_twice_are_rejected(tmp_path):
-    # An extension D10 tree whose iso trace sends the marks of c0 and c1 to its
-    # one marked site c0; the A5 fold trace marks both as well.
+    # An extension D5 edge tree with two marked cusps, c0 and c1. The A5 fold
+    # trace marks both; the extension D10 tree's iso trace sends both marks to its
+    # one marked site c0, which only one mark can use up.
+    c2 = _g("cyclic", n=2)
+    marked = {"group": c2, "marked_point": {"group": c2}, "fold_on_attach": True}
+    d5 = {
+        "group": _g("dihedral", n=5),
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "v0", "group": _g("dihedral", n=5)}],
+        "cusps": [
+            {"id": "c0", "base": "v0", **marked},
+            {"id": "c1", "base": "v0", **marked},
+            {"id": "c2", "base": "v0", "group": _g("cyclic", n=5)},
+        ],
+    }
     d10 = _d10_with_d5_trace(
         kind="iso",
         vertex_map={"v0": "v0"},
@@ -521,9 +550,11 @@ def test_run_printed_marks_naming_one_site_twice_are_rejected(tmp_path):
         mark_map={"c0": ["mark", "c0"], "c1": ["mark", "c0"]},
     )
     marks = {"c0": ["vertex", "v0"], "c1": ["vertex", "v0"]}
-    text, code = _run_a5_extension(tmp_path, {"c2": "c2"}, marks, d10)
+    text, code = _run_a5_extension(tmp_path, {"c2": "c2"}, marks, d10, d5)
     assert code == EXIT_INVALID
-    assert text == "realization rejected: edge e0: attachment site d:c0 already used by another mark\n"
+    assert text == _load_error(
+        tmp_path, "entry for D10 at p=5: iso trace of D5 into D10: the marks must land on distinct marked cusps"
+    )
 
 
 def _run_printed(tmp_path, vertices, edges):
@@ -540,26 +571,17 @@ def _run_printed(tmp_path, vertices, edges):
 
 
 def test_run_pins_each_printed_gluing_rejection(tmp_path):
+    # Gluing rejects what depends on the input: two ends that both fold or are both
+    # tree isomorphisms, and a vertex in a second printed gluing.
     d10, d20, a5 = _g("dihedral", n=10), _g("dihedral", n=20), _g("icosahedral")
-    cusp_map, fold_mark, iso_mark = {"c1": "c1", "c2": "c2"}, ["vertex", "v0"], ["mark", "c0"]
-    fold_d10 = _d10_with_d5_trace(
-        kind="fold", vertex_map={"v0": "v0"}, cusp_map=cusp_map, mark_map={"c0": fold_mark}
-    )
-    iso_d10 = _d10_with_d5_trace(kind="iso", cusp_map=cusp_map, mark_map={"c0": iso_mark})
     runs = [
-        (_run_triangle(tmp_path, fold_d10), "unsupported printed gluing (both morphisms fold)"),
+        (
+            _run_printed(tmp_path, [("a", a5), ("b", a5)], [("e0", "a", "b")]),
+            "unsupported printed gluing (both morphisms fold)",
+        ),
         (
             _run_printed(tmp_path, [("d", d10), ("f", d20)], [("e0", "d", "f")]),
             "unsupported printed gluing (both morphisms are tree isomorphisms)",
-        ),
-        (_run_triangle(tmp_path, iso_d10), "printed trace does not cover edge-tree vertex v0"),
-        (
-            _run_a5_extension(tmp_path, {"c1": "c1"}, {"c0": fold_mark}),
-            "printed trace does not cover edge-tree cusp c2",
-        ),
-        (
-            _run_a5_extension(tmp_path, cusp_map, {"c0": iso_mark}),
-            "unsupported printed mark correspondence (mark vs mark)",
         ),
     ]
     for (text, code), reason in runs:
@@ -571,12 +593,38 @@ def test_run_pins_each_printed_gluing_rejection(tmp_path):
         "realization rejected: edge e1: vertex a already used by a printed-tree gluing\n",
         EXIT_INVALID,
     )
+    # Bad trace data fails when its extension loads, before anything is glued.
+    cusp_map, fold_mark, iso_mark = {"c1": "c1", "c2": "c2"}, ["vertex", "v0"], ["mark", "c0"]
+    fold_d10 = _d10_with_d5_trace(
+        kind="fold", vertex_map={"v0": "v0"}, cusp_map=cusp_map, mark_map={"c0": fold_mark}
+    )
+    iso_d10 = _d10_with_d5_trace(kind="iso", cusp_map=cusp_map, mark_map={"c0": iso_mark})
+    loads = [
+        (_run_triangle(tmp_path, fold_d10), "D10", "fold", "the marks must land on neighbours of v0"),
+        (_run_triangle(tmp_path, iso_d10), "D10", "iso", "the vertex map must send exactly v0 to a vertex"),
+        (
+            _run_a5_extension(tmp_path, {"c1": "c1"}, {"c0": fold_mark}),
+            "A5",
+            "fold",
+            "the cusp map must send exactly ['c1', 'c2'] onto cusps",
+        ),
+        (
+            _run_a5_extension(tmp_path, cusp_map, {"c0": iso_mark}),
+            "A5",
+            "fold",
+            "the marks must land on neighbours of v1",
+        ),
+    ]
+    for (text, code), g, kind, reason in loads:
+        line = _load_error(tmp_path, f"entry for {g} at p=5: {kind} trace of D5 into {g}: {reason}")
+        assert (text, code) == (line, EXIT_INVALID)
 
 
 def test_main_rejects_a_printed_edge_tree_of_two_vertices(tmp_path, capsys):
     # An extension A5 tree shaped like the built-in one, with a fold and an iso
     # trace of itself. Gluing both copies vertex by vertex would keep both
-    # copies of its internal edge, a cycle; it used to end in a traceback.
+    # copies of its internal edge, a cycle; it used to end in a traceback, and
+    # now fails when the extension loads.
     a5, d5 = _g("icosahedral"), _g("dihedral", n=5)
     ids = {"v0": "v0", "v1": "v1"}
     entry = {
@@ -610,8 +658,62 @@ def test_main_rejects_a_printed_edge_tree_of_two_vertices(tmp_path, capsys):
     capsys.readouterr()
     assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
     assert capsys.readouterr() == (
-        "realization rejected: edge e: unsupported printed gluing "
-        "(T*(A5) has 2 vertices; an edge tree must have one)\n",
+        _load_error(
+            tmp_path, "entry for A5 at p=5: fold trace of A5 into A5: T*(A5) must have one vertex, not 2"
+        ),
+        "",
+    )
+
+
+def test_run_builtin_traces_into_a_replaced_edge_tree_fail_before_gluing(tmp_path):
+    # An extension T*(D5) with its own ids: the built-in A5 and D10 traces name
+    # the built-in tree's v0 and c0-c2, so the trace table rejects them before
+    # any edge glues. It used to fail in the gluing, on the vertex map.
+    c2, d5 = _g("cyclic", n=2), _g("dihedral", n=5)
+    entry = {
+        "group": d5,
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "x0", "group": d5}],
+        "cusps": [
+            {"id": "k0", "base": "x0", "group": c2, "marked_point": {"group": c2},
+             "fold_on_attach": True},
+            {"id": "k1", "base": "x0", "group": c2},
+            {"id": "k2", "base": "x0", "group": _g("cyclic", n=5)},
+        ],
+    }
+    assert _run_triangle(tmp_path, entry) == (
+        "validation failed:\n"
+        "- edge e0: fold trace of D5 into A5: the vertex map must send exactly x0 to a vertex\n",
+        EXIT_INVALID,
+    )
+
+
+def test_main_rejects_an_extension_internal_edge_its_ends_cannot_hold(tmp_path, capsys):
+    # A D15 tree whose edge between its D15 and D5 vertices carries A5 used to
+    # load; the realized graph then failed the structural check (exit 1) with
+    # "incident stabilizer A5 is not contained in D15".
+    d15 = _g("dihedral", n=15)
+    entry = {
+        "group": d15,
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "v0", "group": d15}, {"id": "v1", "group": _g("dihedral", n=5)}],
+        "internal_edges": [{"id": "e0", "ends": ["v0", "v1"], "group": _g("icosahedral")}],
+        "cusps": [
+            {"id": "c0", "base": "v0", "group": _g("cyclic", n=2)},
+            {"id": "c1", "base": "v1", "group": _g("cyclic", n=2)},
+            {"id": "c2", "base": "v0", "group": _g("cyclic", n=15)},
+        ],
+    }
+    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
+    spec["catalog_extension"] = "ext.json"
+    (tmp_path / "ext.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
+    capsys.readouterr()
+    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        _load_error(
+            tmp_path, f"{tmp_path / 'ext.json'}: entries[0]: edge e0: stabilizer A5 not contained in D15"
+        ),
         "",
     )
 

@@ -617,6 +617,33 @@ def test_realize_equivalent_sites_picked_deterministically():
     assert len(g.cusps) == 4
 
 
+def test_realize_takes_the_smallest_of_equivalent_sites():
+    # An extension D15 lists its order-2 cusps as c1, c0. The first live trace
+    # would fold at a:c1 and leave a:c0; the smallest site, c0, leaves a:c1.
+    # So the choice shows in the realized cusps, and select_trace keeps its min.
+    from katograph.catalog import parse_extension
+
+    c2 = {"kind": "cyclic", "n": 2}
+    entry = {
+        "group": {"kind": "dihedral", "n": 15},
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "v0", "group": {"kind": "dihedral", "n": 15}}],
+        "cusps": [
+            {"id": "c1", "base": "v0", "group": c2},
+            {"id": "c0", "base": "v0", "group": c2},
+            {"id": "c2", "base": "v0", "group": {"kind": "cyclic", "n": 15}},
+        ],
+    }
+    cat = Catalog(parse_extension({"entries": [entry]}))
+    raw = InputGraphOfGroups(
+        CTX5,
+        (InputVertex("a", dihedral(15)), InputVertex("b", dihedral(3))),
+        (InputEdge("e0", ("a", "b"), cyclic(2)),),
+    )
+    g = realize(check_input(raw, cat))
+    assert [c.id for c in g.cusps] == ["a:c1", "a:c2", "b:c1", "b:c2"]
+
+
 def test_realize_deterministic():
     raw = triangle_input(2)
     g1 = realize(check_input(raw))
