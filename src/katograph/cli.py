@@ -28,7 +28,7 @@ from .analysis import (
     separation_plan,
     structural_check,
 )
-from .catalog import Catalog, DEFAULT_CATALOG, _Kept, load_extension_file
+from .catalog import Catalog, CatalogError, DEFAULT_CATALOG, _Kept, _shown, load_extension_file
 from .fuzz import random_input
 from .graphs import (
     GenusEdge,
@@ -44,7 +44,6 @@ from .graphs import (
 )
 from .groups import (
     FieldContext,
-    GroupSymbol,
     SymbolError,
     TRIVIAL,
     canonicalize,
@@ -72,7 +71,7 @@ def parse_spec(path) -> tuple[InputGraphOfGroups, Catalog]:
     relative to the input file's directory.
     """
     path = Path(path)
-    name = str(path) if str(path).isprintable() else repr(str(path))  # one line in a message
+    name = _shown(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -86,13 +85,17 @@ def parse_spec(path) -> tuple[InputGraphOfGroups, Catalog]:
     ext = data.get("catalog_extension") if isinstance(data, dict) else None
     if ext is not None and not isinstance(ext, str):
         raise ParseError(f"{name}: catalog_extension must be a file name, got {type(ext).__name__}")
-    catalog = Catalog()
+    entries = ()
     if ext:
         try:
-            catalog = Catalog(load_extension_file(path.parent / ext))
+            entries = load_extension_file(path.parent / ext)
         # ValueError covers bad JSON, bad UTF-8, CatalogError and a NUL byte in the name.
         except (OSError, ValueError, RecursionError) as exc:
             raise ParseError(f"{name}: catalog_extension: {exc}") from exc
+    try:
+        catalog = Catalog(entries)
+    except CatalogError as exc:  # only extension entries fail; named as parse_extension does
+        raise ParseError(f"{name}: catalog_extension: {_shown(path.parent / ext)}: {exc}") from exc
     return parse_spec_dict(data, source=name), catalog
 
 
@@ -150,6 +153,17 @@ def _require_object(value, what: str) -> dict:
     return value
 
 
+# Printed forms depend only on their symbol, and a name on the context too, because
+# PGL2(p^t) prints p^t as a number. So they are kept for the life of the process. A
+# group block of ``echo_text`` is json.dumps's own text, indented to its place there.
+_NAMES = _Kept(lambda ctx: _Kept(lambda g: format_symbol(g, ctx)))
+_GROUP_BLOCKS = _Kept(
+    lambda g: '      "group": '
+    + json.dumps(symbol_to_dict(g), indent=2, sort_keys=True).replace("\n", "\n      ")
+    + ",\n"
+)
+
+
 def input_echo(raw: InputGraphOfGroups) -> dict:
     """Canonical dict form of an input; parse_spec_dict of it is equivalent."""
     out = {
@@ -182,16 +196,7 @@ def echo_text(raw: InputGraphOfGroups) -> str:
     whose ids and site hints are strings, as ``check_input`` requires. It is
     written from the echo's fixed shape, because ``json`` falls back to its
     pure-Python encoder when ``indent`` is set."""
-    q = encode_basestring_ascii
-
-    def group(g: GroupSymbol) -> str:
-        fields = ",\n".join(
-            f'        "{k}": {q(v) if isinstance(v, str) else v}'
-            for k, v in sorted(symbol_to_dict(g).items())
-        )
-        return f'      "group": {{\n{fields}\n      }},\n'
-
-    groups = _Kept(group)
+    q, groups = encode_basestring_ascii, _GROUP_BLOCKS
 
     def listed(key: str, items: list[str]) -> str:
         return f'  "{key}": [\n' + ",\n".join(items) + "\n  ]" if items else f'  "{key}": []'
@@ -231,7 +236,7 @@ def emit_dot(obj: KatoGraph | QuotientSkeleton) -> str:
     sinks, dashed genus loops, each in the order ``obj`` lists them. Ids escape ``"`` as
     ``\\"``, Graphviz's quote, and nothing else."""
     q = lambda name: name.replace('"', '\\"')
-    names = _Kept(lambda g: format_symbol(g, obj.ctx))
+    names = _NAMES[obj.ctx]
     if isinstance(obj, KatoGraph):
         cusps, edges, loops = obj.cusps, obj.finite_edges, obj.genus_loops
     else:
@@ -282,7 +287,7 @@ class RunReport(NamedTuple):
 
     def render(self) -> str:
         g, sk, plan = self.graph, self.skeleton, self.plan
-        names = _Kept(lambda s: format_symbol(s, g.ctx))
+        names = _NAMES[g.ctx]
         vertex = lambda v: f"  {v.id}: {names[v.stabilizer]}"
         link = lambda e: f"  {e.id}: {e.ends[0]} -- {e.ends[1]}"
         edge = lambda e: f"{link(e)} [{names[e.stabilizer]}]"

@@ -14,7 +14,8 @@ iterated. Everything here is a pure function of its arguments; no state is share
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Union
+from collections.abc import Mapping
+from typing import NamedTuple, Union
 
 KIND_TRIVIAL = "trivial"
 KIND_CYCLIC = "cyclic"

@@ -10,15 +10,25 @@ every collapse it recounts valencies over all edges, renames the removed
 vertex in every edge and rescans the edges in ascending id order. It is at
 least quadratic, which is why the engine's ``analysis.contract`` keeps a
 worklist instead; the two must give the same skeleton, warnings included.
+
+``generation_verdict`` is the structural check's generation rule (b) as
+``analysis.structural_check`` applied it before the rule moved into the
+catalog, with ``_generation_violation``, ``_whitelist_patterns`` and
+``_matches_pattern`` copied verbatim. It recomputes every verdict;
+``Catalog.generation_violation`` keeps them, and the two must give the same
+message for every vertex.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from itertools import permutations
 
 from katograph.analysis import Cluster, QuotientSkeleton, SeparationPlan
+from katograph.catalog import CatalogError
 from katograph.graphs import GraphEdge, GraphVertex, KatoGraph, betti
-from katograph.groups import TRIVIAL, GroupSymbol, order
+from katograph.groups import TRIVIAL, ContextError, GroupSymbol, order, symbol_contains
 
 
 def contract(g: KatoGraph) -> QuotientSkeleton:
@@ -139,3 +149,66 @@ def _bfs(start: str, adj) -> dict[str, int]:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
+
+
+def generation_verdict(gv, inc, ctx, catalog) -> str | None:
+    """The (b) message of a vertex of group ``gv`` with the incident stabilizers
+    ``inc``, in the order the structural check collects them, without its
+    ``vertex <id>: `` prefix; None when (b) holds there."""
+    if gv == TRIVIAL:
+        return "trivial stabilizer with non-trivial incidences" if inc else None
+    if not inc:
+        return f"stabilizer {gv} with no incident groups"
+    return _generation_violation(gv, inc, ctx, catalog)
+
+
+def _generation_violation(gv, inc, ctx, catalog) -> str | None:
+    vorder = order(gv, ctx)
+    lcm = 1
+    for s in inc:
+        if not symbol_contains(gv, s, ctx):
+            return f"incident stabilizer {s} is not contained in {gv}"
+        lcm = math.lcm(lcm, order(s, ctx))
+    if vorder % lcm != 0:
+        return f"lcm of incident orders {lcm} does not divide |{gv}| = {vorder}"
+    if any(s == gv for s in inc):
+        return None
+    for pattern in _whitelist_patterns(gv, ctx, catalog):
+        if _matches_pattern(inc, pattern, ctx):
+            return None
+    return (
+        f"incident pattern {sorted(str(s) for s in inc)} is not on the whitelist for {gv}"
+    )
+
+
+def _whitelist_patterns(gv, ctx, catalog) -> list[list[tuple[GroupSymbol, bool]]]:
+    """Per catalog vertex carrying gv: its cusp/internal-edge stabs, marked flagged."""
+    try:
+        tree = catalog.elementary_tree(gv, ctx)
+    except (CatalogError, ContextError):
+        return []
+    patterns = []
+    for tv in tree.vertices:
+        if tv.stabilizer != gv:
+            continue
+        entries: list[tuple[GroupSymbol, bool]] = []
+        for c in tree.cusps:
+            if c.base_vertex == tv.id:
+                entries.append((c.stabilizer, c.marked_point is not None))
+        for e in tree.internal_edges:
+            if tv.id in e.ends:
+                entries.append((e.stabilizer, False))
+        patterns.append(entries)
+    return patterns
+
+
+def _matches_pattern(inc, pattern, ctx) -> bool:
+    """Whether some order of ``inc`` meets ``pattern`` entry by entry; a marked
+    entry also accepts a group containing its stabilizer."""
+    return len(inc) == len(pattern) and any(
+        all(
+            s == stab or (marked and symbol_contains(s, stab, ctx))
+            for s, (stab, marked) in zip(order, pattern)
+        )
+        for order in permutations(inc)
+    )

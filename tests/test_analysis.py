@@ -15,6 +15,7 @@ from katograph.analysis import (
     separation_plan,
     structural_check,
 )
+from katograph.catalog import Catalog
 from katograph.cli import parse_spec
 from katograph.fuzz import random_input
 from katograph.graphs import (
@@ -367,10 +368,21 @@ def test_structural_lcm_violation():
     assert not rep.ok
 
 
-def test_structural_check_reads_the_catalog_that_realized_the_graph():
+@pytest.mark.parametrize("extended_first", [False, True], ids=["plain-first", "extended-first"])
+def test_structural_check_reads_the_catalog_that_realized_the_graph(extended_first):
     # The D15 vertices glue by the extension's tree; the built-in catalog has none.
+    # Each catalog keeps its own verdicts, so the order the two are asked in is moot.
     raw, cat = parse_spec(FIXTURES / "d15_chain_k5.json")
-    assert structural_check(realize(check_input(raw, cat))).ok
+    extended = realize(check_input(raw, cat))
+    plain = extended._replace(catalog=Catalog())
+    for g in (extended, plain) if extended_first else (plain, extended):
+        if g is plain:
+            assert structural_check(g).generation_violations == tuple(
+                f"vertex {v}: incident pattern ['C15', 'C2', 'C2'] is not on the whitelist for D15"
+                for v in ("a:v0", "b:v0")
+            )
+        else:
+            assert structural_check(g).ok
 
 
 def test_structural_vertex_group_without_a_tree_matches_no_pattern():

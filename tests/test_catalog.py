@@ -332,7 +332,7 @@ def test_every_builtin_trace_keeps_the_printed_trace_rules():
     for g in (dihedral(5), dihedral(10), dihedral(20), dihedral(30), ICOSAHEDRAL):
         traces = CAT.attachment_traces(dihedral(5), g, ctx)
         tree = CAT.elementary_tree(g, ctx)
-        assert [_trace_error(edge_tree, t, tree) for t in traces] == [None], g
+        assert [_trace_error(edge_tree, t, tree, ctx) for t in traces] == [None], g
 
 
 def test_trace_none_for_unrelated():
@@ -598,9 +598,18 @@ def test_extension_traces_replace_the_builtin_traces():
             dict(_FOLD_D5, edge_group={"kind": "borel", "t": 1, "n": 2}),
             "edge group not Borel/cyclic/printed (B(1,2) has no gluing data in this context)",
         ),
+        (
+            dict(_FOLD_D5, cusp_map={"c1": "c2", "c2": "c1"}),
+            "fold trace of D5 into D10: the image c1 of cusp c2 must contain its stabilizer C5",
+        ),
+        (
+            dict(_FOLD_D5, cusp_map={"c1": "c2", "c2": "c2"}),
+            "fold trace of D5 into D10: the cusp map must be one to one",
+        ),
     ],
     ids=["fold-onto-its-own-vertex", "stray-vertex-key", "marked-cusp-in-cusp-map",
-         "edge-group-without-tree", "edge-group-inadmissible"],
+         "edge-group-without-tree", "edge-group-inadmissible", "image-without-the-stabilizer",
+         "one-image-twice"],
 )
 def test_extension_trace_breaking_a_rule_fails_at_load(trace, message):
     # Each of these used to load. The first could never glue: the one-vertex

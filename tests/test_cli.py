@@ -400,8 +400,9 @@ def test_main_rejects_extension_edge_ends_that_are_not_a_pair(ends, got, tmp_pat
 
 
 def _load_error(tmp_path, reason):
-    """The one line of an extension that fails at load, as ``_run_triangle`` writes it."""
-    return f"parse error: {tmp_path / 'in.json'}: catalog_extension: {reason}\n"
+    """The one line of an extension that fails at load, as ``_run_triangle`` writes it;
+    it names the extension file, as ``parse_extension``'s errors do."""
+    return f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: {reason}\n"
 
 
 def _run_a5_extension(tmp_path, cusp_map, mark_map, *entries):
@@ -665,6 +666,56 @@ def test_main_rejects_a_printed_edge_tree_of_two_vertices(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "cusp_map, reason",
+    [
+        ({"c1": "c2", "c2": "c1"}, "the image c1 of cusp c2 must contain its stabilizer C5"),
+        ({"c1": "c2", "c2": "c2"}, "the cusp map must be one to one"),
+    ],
+    ids=["swapped-images", "one-image-twice"],
+)
+def test_main_rejects_an_iso_trace_whose_cusp_map_gluing_would_break(
+    cusp_map, reason, tmp_path, capsys
+):
+    # Both loaded. Swapped images failed only in the gluing, on merging C5 with
+    # C2; one image used twice realized A5 -[D5]- D10 and exited 0, merging A5's
+    # C2 and C5 cusps into one C10 cusp.
+    d10 = _d10_with_d5_trace(
+        kind="iso", vertex_map={"v0": "v0"}, cusp_map=cusp_map, mark_map={"c0": ["mark", "c0"]}
+    )
+    capsys.readouterr()
+    _run_triangle(tmp_path, d10)  # writes in.json and ext.json
+    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        _load_error(tmp_path, f"entry for D10 at p=5: iso trace of D5 into D10: {reason}"), ""
+    )
+
+
+def test_main_names_the_extension_file_of_a_duplicate_entry(tmp_path, capsys):
+    # The duplicate is found when the catalog is built from the parsed entries.
+    maps = {"vertex_map": {"v0": "v0"}, "cusp_map": {"c1": "c1", "c2": "c2"}}
+    d10 = _d10_with_d5_trace(kind="iso", mark_map={"c0": ["mark", "c0"]}, **maps)
+    capsys.readouterr()
+    _run_triangle(tmp_path, d10, d10)
+    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        _load_error(tmp_path, "duplicate extension entry for D10 at p=5"), ""
+    )
+
+
+def test_reports_print_a_projective_linear_group_with_their_own_field_size():
+    # Printed names are kept for the life of the process, per context: PGL2(p^t)
+    # prints p^t as a number, so one name per symbol would print a stale field size.
+    pgl = {"kind": "proj_linear", "variant": "PGL", "t": 1}
+    for p, size in ((2, 2), (3, 3), (2, 2)):
+        field = {"char_K": p, "p": p, "m": 2}
+        report = build_report(
+            parse_spec_dict({"field": field, "vertices": [{"id": "v", "group": pgl}]}), Catalog()
+        )
+        assert f"\n  v:v0: PGL2({size})\n" in report.render()
+        assert f'"v:v0" [shape=ellipse, label="PGL2({size})"]' in emit_dot(report.graph)
+
+
 def test_run_builtin_traces_into_a_replaced_edge_tree_fail_before_gluing(tmp_path):
     # An extension T*(D5) with its own ids: the built-in A5 and D10 traces name
     # the built-in tree's v0 and c0-c2, so the trace table rejects them before
@@ -711,9 +762,7 @@ def test_main_rejects_an_extension_internal_edge_its_ends_cannot_hold(tmp_path, 
     capsys.readouterr()
     assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
     assert capsys.readouterr() == (
-        _load_error(
-            tmp_path, f"{tmp_path / 'ext.json'}: entries[0]: edge e0: stabilizer A5 not contained in D15"
-        ),
+        _load_error(tmp_path, "entries[0]: edge e0: stabilizer A5 not contained in D15"),
         "",
     )
 

@@ -390,7 +390,7 @@ def test_symbol_contains_spot_checks():
 
 def test_symbol_contains_respects_lagrange():
     # A contained subgroup's order divides the larger order. This is why the lcm
-    # rule of analysis._generation_violation never fires: every incident
+    # rule of Catalog.generation_violation never fires: every incident
     # stabilizer has passed symbol_contains first. The rule stays, because its
     # order call also rejects an inadmissible stabilizer of a hand-built graph.
     family = [TRIVIAL, TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL]
