@@ -717,6 +717,7 @@ def test_extension_edge_ends_must_be_a_pair(ends, got):
 
 
 _B12 = {"kind": "borel", "t": 1, "n": 2}
+_D10 = {"kind": "dihedral", "n": 10}
 
 
 def _d10_cusp(i, **changes):
@@ -725,34 +726,186 @@ def _d10_cusp(i, **changes):
     return doc
 
 
+def _d10_edges(*changes, vertices=("v1",)):
+    """d10_entry with D5 ``vertices`` beside v0 and one internal edge per change of the
+    D5 edge e0 from v0 to v1."""
+    return d10_entry(
+        vertices=[{"id": "v0", "group": _D10}] + [{"id": v, "group": _D5} for v in vertices],
+        internal_edges=[dict(id="e0", ends=["v0", "v1"], group=_D5) | c for c in changes],
+    )
+
+
+def _d10_trace(**changes):
+    return d10_entry(embed_traces=[dict(_FOLD_D5, **changes)])
+
+
+def _d3_at_5():
+    d3 = {"kind": "dihedral", "n": 3}
+    cusps = [
+        {"id": f"c{i}", "base": "v0", "group": {"kind": "cyclic", "n": k}}
+        for i, k in enumerate((2, 2, 3))
+    ]
+    return d10_entry(group=d3, vertices=[{"id": "v0", "group": d3}], cusps=cusps)
+
+
+# Each entry breaks one rule, so its message is the same in any order of checks.
 @pytest.mark.parametrize(
     "doc, message",
     [
-        (d10_entry(context={"char_K": 5, "p": 5}), "extension entries are char-0 instances"),
-        (
-            d10_entry(
-                embed_traces=[{"edge_group": {"kind": "dihedral", "n": 5}, "kind": "injective"}]
-            ),
-            "embed trace kind must be fold or iso",
+        pytest.param(
+            d10_entry(context={"char_K": 5, "p": 5}), "extension entries are char-0 instances",
+            id="char-p",
         ),
-        (d10_entry(group=_B12), "B(1,2) is not admissible at char 0, p=5"),
-        (d10_entry(vertices=[]), "vertex ids must be unique and non-empty"),
-        (_d10_cusp(1, id="c0"), "duplicate cusp id c0"),
-        (_d10_cusp(0, base="v9"), "cusp c0 references unknown vertex"),
-        (_d10_cusp(0, group=_B12), "cusp stabilizer B(1,2) inadmissible"),
-        (
+        pytest.param(
+            _d10_trace(kind="injective"), "embed trace kind must be fold or iso", id="trace-kind"
+        ),
+        pytest.param(
+            d10_entry(group=_B12), "B(1,2) is not admissible at char 0, p=5",
+            id="group-inadmissible",
+        ),
+        pytest.param(
+            d10_entry(vertices=[]), "vertex ids must be unique and non-empty", id="no-vertices"
+        ),
+        pytest.param(_d10_cusp(1, id="c0"), "duplicate cusp id c0", id="duplicate-cusp-id"),
+        pytest.param(
+            _d10_cusp(0, base="v9"), "cusp c0 references unknown vertex", id="cusp-base-unknown"
+        ),
+        pytest.param(
+            _d10_cusp(0, group=_B12), "cusp stabilizer B(1,2) inadmissible",
+            id="cusp-group-inadmissible",
+        ),
+        pytest.param(
             _d10_cusp(0, marked_point={"group": {"kind": "cyclic", "n": 3}}),
             "marked point stabilizer must contain the cusp stabilizer on c0",
+            id="mark-not-containing",
         ),
-        (
+        pytest.param(
             d10_entry(vertices=[{"id": "v0", "group": _B12}]),
             "vertex stabilizer B(1,2) inadmissible",
+            id="vertex-inadmissible",
         ),
-    ],
-    ids=[
-        "char-p", "trace-kind", "group-inadmissible", "no-vertices", "duplicate-cusp-id",
-        "cusp-base-unknown", "cusp-group-inadmissible", "mark-not-containing",
-        "vertex-inadmissible",
+        pytest.param(
+            d10_entry(group=None), "group description must be a symbol or a mapping, got None",
+            id="group-null",
+        ),
+        pytest.param(d10_entry(context={"char_K": 0}), "missing key 'p'", id="no-p"),
+        pytest.param(
+            d10_entry(context={"char_K": 0.0, "p": 5}), "char_K must be an integer, got float",
+            id="char-K-float",
+        ),
+        pytest.param(
+            _d3_at_5(), "entry for D3 at p=5 is never read (needs p <= 5 dividing its order)",
+            id="never-read",
+        ),
+        pytest.param(
+            d10_entry(vertices=[{"id": 0, "group": _D10}]), "id 0 must be a string, got int",
+            id="vertex-id-number",
+        ),
+        pytest.param(
+            d10_entry(vertices=[{"id": "v\ud800", "group": _D10}]),
+            "id 'v\\ud800' must be printable",
+            id="vertex-id-unprintable",
+        ),
+        pytest.param(
+            d10_entry(vertices=[{"id": "v0", "group": _D10}] * 2),
+            "vertex ids must be unique and non-empty",
+            id="duplicate-vertex-id",
+        ),
+        pytest.param(
+            _d10_edges({"id": None}), "id None must be a string, got NoneType", id="edge-id-null"
+        ),
+        pytest.param(
+            _d10_edges({"id": "e\x00"}), "id 'e\\x00' must be printable",
+            id="edge-id-unprintable",
+        ),
+        pytest.param(
+            _d10_edges({"ends": ["v0"]}), "edge e0: ends must be a pair, got list of 1",
+            id="edge-ends-not-a-pair",
+        ),
+        pytest.param(
+            _d10_edges({"ends": ["v0", 1]}), "id 1 must be a string, got int",
+            id="edge-end-number",
+        ),
+        pytest.param(
+            _d10_edges({"ends": ["v0", "v9"]}), "edge e0 references unknown vertex",
+            id="edge-end-unknown",
+        ),
+        pytest.param(
+            _d10_edges({"group": _B12}), "edge e0: stabilizer B(1,2) inadmissible",
+            id="edge-group-inadmissible",
+        ),
+        pytest.param(
+            _d10_edges({"group": {"kind": "cyclic", "n": 10}}),
+            "edge e0: stabilizer C10 not contained in D5",
+            id="edge-group-in-one-end",
+        ),
+        pytest.param(
+            _d10_edges({}, {"ends": ["v0", "v2"]}, vertices=("v1", "v2")),
+            "internal edge ids must be unique",
+            id="duplicate-edge-id",
+        ),
+        pytest.param(
+            _d10_edges({}, vertices=("v1", "v2")), "underlying graph is not a tree",
+            id="too-few-edges",
+        ),
+        pytest.param(
+            _d10_edges({}, {"id": "e1"}, vertices=("v1", "v2")),
+            "underlying graph is not connected",
+            id="disconnected",
+        ),
+        pytest.param(
+            d10_entry(cusps=d10_entry()["entries"][0]["cusps"][:2]),
+            "char-0 entry for D10 must have 3 cusps, got 2",
+            id="two-cusps",
+        ),
+        pytest.param(
+            _d10_cusp(0, id=None), "id None must be a string, got NoneType", id="cusp-id-null"
+        ),
+        pytest.param(
+            _d10_cusp(2, id="c\n2 forged"), "id 'c\\n2 forged' must be printable",
+            id="cusp-id-unprintable",
+        ),
+        pytest.param(
+            _d10_cusp(0, base=0), "id 0 must be a string, got int", id="cusp-base-number"
+        ),
+        pytest.param(
+            _d10_cusp(0, group={"kind": "trivial"}), "cusp c0 has trivial stabilizer",
+            id="cusp-trivial",
+        ),
+        pytest.param(
+            _d10_cusp(2, group={"kind": "cyclic", "n": 7}),
+            "cusp stabilizer C7 order does not divide |D10|",
+            id="cusp-order-not-dividing",
+        ),
+        pytest.param(
+            _d10_cusp(0, fold_on_attach="true"), "fold_on_attach must be true or false, got str",
+            id="fold-on-attach-string",
+        ),
+        pytest.param(
+            d10_entry(cusps=None), "'NoneType' object is not iterable", id="cusps-null"
+        ),
+        pytest.param(
+            _d10_trace(vertex_map={"v0": 0}), "id 0 must be a string, got int",
+            id="vertex-map-number",
+        ),
+        pytest.param(
+            _d10_trace(cusp_map={"c1": "c1", "c2": "c\n2"}), "id 'c\\n2' must be printable",
+            id="cusp-map-unprintable",
+        ),
+        pytest.param(
+            _d10_trace(mark_map={"c0": [5, "v0"]}), "id 5 must be a string, got int",
+            id="mark-map-kind-number",
+        ),
+        pytest.param(
+            _d10_trace(mark_map={"c0": ["vertex"]}),
+            "not enough values to unpack (expected 2, got 1)",
+            id="mark-map-not-a-pair",
+        ),
+        pytest.param(
+            _d10_trace(edge_group={"kind": "cyclic", "n": 0}),
+            "cyclic order must be positive, got 0",
+            id="edge-group-bad",
+        ),
     ],
 )
 def test_extension_pins_each_entry_rejection(doc, message):
