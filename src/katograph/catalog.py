@@ -13,8 +13,7 @@ no traces for an edge group admits no gluing of that group.
 
 All trees and traces are immutable. A Catalog builds each tree, each pair's
 traces and each generation verdict once, on first request, and keeps them in
-its own tables for as long as it lives; it is still safe to share freely. The
-report's printed names are kept likewise, for the life of the process.
+its own tables for as long as it lives; it is still safe to share freely.
 """
 
 from __future__ import annotations
@@ -459,138 +458,123 @@ def parse_extension(data: Mapping, *, source: str = "<extension>") -> tuple[Prin
     entries = []
     for i, raw in enumerate(data["entries"]):
         try:
-            entry = _parse_entry(raw)
-            _validate_entry(entry)
+            entries.append(_read_entry(raw))
         # Any shape error of the raw data (a missing key, a number where an
         # object or a pair belongs) ends here; CatalogError is a ValueError.
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise CatalogError(f"{source}: entries[{i}]: {reason}") from exc
-        entries.append(entry)
     return tuple(entries)
 
 
-def _parse_entry(raw) -> PrintedEntry:
+def _read_entry(raw) -> PrintedEntry:
+    """One entry; each part is checked as it is read, so the first broken rule is reported."""
+    from .graphs import betti, pair_error  # graphs imports this module
+
     group = canonicalize(raw["group"])
     e_ctx = raw.get("context", {})
     p = json_scalar(e_ctx["p"], int, "p")
     if json_scalar(e_ctx.get("char_K", 0), int, "char_K") != 0:
         raise CatalogError("extension entries are char-0 instances")
-    vertices = tuple(TreeVertex(vr["id"], canonicalize(vr["group"])) for vr in raw["vertices"])
-    edges = tuple(
-        TreeEdge(er["id"], er["ends"], canonicalize(er["group"]))
-        for er in raw.get("internal_edges", [])
-    )
-    cusps = []
+    ctx = FieldContext(0, p, 1)
+    if not is_admissible(group, ctx):
+        raise CatalogError(f"{group} is not admissible at char 0, p={p}")
+    group_order = order(group, ctx)
+    if p > 5 or group_order % p != 0:  # the built-in star tree serves it
+        raise CatalogError(
+            f"entry for {group} at p={p} is never read (needs p <= 5 dividing its order)"
+        )
+    vertices = {}
+    for vr in raw["vertices"]:
+        v = TreeVertex(_id(vr["id"]), canonicalize(vr["group"]))
+        if not is_admissible(v.stabilizer, ctx):
+            raise CatalogError(f"vertex stabilizer {v.stabilizer} inadmissible")
+        vertices[v.id] = v
+    if len(vertices) != len(raw["vertices"]) or not vertices:
+        raise CatalogError("vertex ids must be unique and non-empty")
+    edges = {}
+    for er in raw.get("internal_edges", []):
+        eid, ends = _id(er["id"]), er["ends"]
+        if msg := pair_error(ends, f"edge {eid}: ends"):  # a list of three must not lose a name
+            raise CatalogError(msg)
+        if not {_id(x) for x in ends} <= vertices.keys():
+            raise CatalogError(f"edge {eid} references unknown vertex")
+        h = canonicalize(er["group"])
+        if not is_admissible(h, ctx):
+            raise CatalogError(f"edge {eid}: stabilizer {h} inadmissible")
+        for end in (vertices[x].stabilizer for x in ends):
+            if not symbol_contains(end, h, ctx):
+                raise CatalogError(f"edge {eid}: stabilizer {h} not contained in {end}")
+        if eid in edges:
+            raise CatalogError("internal edge ids must be unique")
+        edges[eid] = TreeEdge(eid, tuple(ends), h)
+    if len(edges) != len(vertices) - 1:
+        raise CatalogError("underlying graph is not a tree")
+    if betti(vertices, [ed.ends for ed in edges.values()]) != 0:
+        raise CatalogError("underlying graph is not connected")
+    cusps = {}
     for cr in raw["cusps"]:
         mark = cr.get("marked_point")
-        cusps.append(
-            CuspSite(
-                cr["id"],
-                cr["base"],
-                canonicalize(cr["group"]),
-                canonicalize(mark["group"]) if mark else None,
-                json_scalar(cr.get("fold_on_attach", False), bool, "fold_on_attach"),
-            )
-        )
-    traces = []
-    for tr in raw.get("embed_traces", []):
-        if tr.get("kind") not in (KIND_FOLD, KIND_ISO):
-            raise CatalogError("embed trace kind must be fold or iso")
-        maps = EmbedMaps(
-            tuple(tr.get("vertex_map", {}).items()),
-            tuple(tr.get("cusp_map", {}).items()),
-            tuple((a, (kind_, loc)) for a, (kind_, loc) in tr.get("mark_map", {}).items()),
-        )
-        traces.append((canonicalize(tr["edge_group"]), _embed_trace(tr["kind"], maps)))
-    tree = ElementaryTree(group, vertices, edges, tuple(cusps), printed=True)
-    return PrintedEntry(p, tree, tuple(traces))
-
-
-def load_extension_file(path) -> tuple[PrintedEntry, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return parse_extension(data, source=_shown(path))
-
-
-def _shown(path) -> str:
-    """``path`` for a message: a literal when it is unprintable, so the message is one line."""
-    return str(path) if str(path).isprintable() else repr(str(path))
-
-
-def _validate_entry(entry: PrintedEntry) -> None:
-    from .graphs import betti, pair_error  # graphs imports this module
-
-    tree, ctx = entry.tree, FieldContext(0, entry.p, 1)
-    if not is_admissible(tree.group, ctx):
-        raise CatalogError(f"{tree.group} is not admissible at char 0, p={entry.p}")
-    group_order = order(tree.group, ctx)
-    if entry.p > 5 or group_order % entry.p != 0:  # the built-in star tree serves it
-        raise CatalogError(
-            f"entry for {tree.group} at p={entry.p} is never read (needs p <= 5 dividing its order)"
-        )
-
-    def check_names(names):
-        for xid in names:
-            if not isinstance(xid, str):
-                raise CatalogError(f"id {xid!r} must be a string, got {type(xid).__name__}")
-            if not xid.isprintable():  # realized ids, and so the report's lines, contain it
-                raise CatalogError(f"id {xid!r} must be printable")
-
-    check_names(x.id for part in (tree.vertices, tree.internal_edges, tree.cusps) for x in part)
-    for ed in tree.internal_edges:  # ends as given: a list of three must not lose a name
-        msg = pair_error(ed.ends, f"edge {ed.id}: ends")
-        if msg:
-            raise CatalogError(msg)
-    names = [c.base_vertex for c in tree.cusps] + [y for e in tree.internal_edges for y in e.ends]
-    for maps in (trace.embed for _, trace in entry.traces):
-        names += [x for pair in maps.vertex_map + maps.cusp_map for x in pair]
-        names += [x for key, (kind, loc) in maps.mark_map for x in (key, kind, loc)]
-    check_names(names)
-    vids = {v.id for v in tree.vertices}
-    if len(vids) != len(tree.vertices) or not tree.vertices:
-        raise CatalogError("vertex ids must be unique and non-empty")
-    if len({ed.id for ed in tree.internal_edges}) != len(tree.internal_edges):
-        raise CatalogError("internal edge ids must be unique")
-    for ed in tree.internal_edges:
-        if not set(ed.ends) <= vids:
-            raise CatalogError(f"edge {ed.id} references unknown vertex")
-    if len(tree.internal_edges) != len(vids) - 1:
-        raise CatalogError("underlying graph is not a tree")
-    if betti(vids, [ed.ends for ed in tree.internal_edges]) != 0:
-        raise CatalogError("underlying graph is not connected")
-    expect = DEFAULT_CATALOG.boundary_count(tree.group, ctx)
-    if len(tree.cusps) != expect:
-        raise CatalogError(
-            f"char-0 entry for {tree.group} must have {expect} cusps, got {len(tree.cusps)}"
-        )
-    for i, c in enumerate(tree.cusps):
-        if c.id in (d.id for d in tree.cusps[:i]):
+        c = CuspSite(_id(cr["id"]), _id(cr["base"]), canonicalize(cr["group"]))
+        if c.id in cusps:
             raise CatalogError(f"duplicate cusp id {c.id}")
-        if c.base_vertex not in vids:
+        if c.base_vertex not in vertices:
             raise CatalogError(f"cusp {c.id} references unknown vertex")
         if c.stabilizer == TRIVIAL:
             raise CatalogError(f"cusp {c.id} has trivial stabilizer")
         if not is_admissible(c.stabilizer, ctx):
             raise CatalogError(f"cusp stabilizer {c.stabilizer} inadmissible")
         if group_order % order(c.stabilizer, ctx) != 0:
-            raise CatalogError(
-                f"cusp stabilizer {c.stabilizer} order does not divide |{tree.group}|"
-            )
-        if c.marked_point is not None and not symbol_contains(c.marked_point, c.stabilizer, ctx):
-            raise CatalogError(
-                f"marked point stabilizer must contain the cusp stabilizer on {c.id}"
-            )
-    for v in tree.vertices:
-        if not is_admissible(v.stabilizer, ctx):
-            raise CatalogError(f"vertex stabilizer {v.stabilizer} inadmissible")
-    stab = dict(tree.vertices)
-    for ed in tree.internal_edges:
-        if not is_admissible(ed.stabilizer, ctx):
-            raise CatalogError(f"edge {ed.id}: stabilizer {ed.stabilizer} inadmissible")
-        for h in (stab[x] for x in ed.ends):
-            if not symbol_contains(h, ed.stabilizer, ctx):
-                raise CatalogError(f"edge {ed.id}: stabilizer {ed.stabilizer} not contained in {h}")
+            raise CatalogError(f"cusp stabilizer {c.stabilizer} order does not divide |{group}|")
+        marked_point = canonicalize(mark["group"]) if mark else None
+        if marked_point is not None and not symbol_contains(marked_point, c.stabilizer, ctx):
+            raise CatalogError(f"marked point stabilizer must contain the cusp stabilizer on {c.id}")
+        fold = json_scalar(cr.get("fold_on_attach", False), bool, "fold_on_attach")
+        cusps[c.id] = c._replace(marked_point=marked_point, fold_on_attach=fold)
+    if len(cusps) != (expect := DEFAULT_CATALOG.boundary_count(group, ctx)):
+        raise CatalogError(f"char-0 entry for {group} must have {expect} cusps, got {len(cusps)}")
+    traces = []
+    for tr in raw.get("embed_traces", []):
+        if tr.get("kind") not in (KIND_FOLD, KIND_ISO):
+            raise CatalogError("embed trace kind must be fold or iso")
+        maps = EmbedMaps(
+            tuple((_id(a), _id(b)) for a, b in tr.get("vertex_map", {}).items()),
+            tuple((_id(a), _id(b)) for a, b in tr.get("cusp_map", {}).items()),
+            tuple((_id(a), (_id(k), _id(loc))) for a, (k, loc) in tr.get("mark_map", {}).items()),
+        )
+        traces.append((canonicalize(tr["edge_group"]), _embed_trace(tr["kind"], maps)))
+    parts = (tuple(part.values()) for part in (vertices, edges, cusps))
+    return PrintedEntry(p, ElementaryTree(group, *parts, printed=True), tuple(traces))
+
+
+def _id(xid) -> str:
+    """``xid`` as it is, if a printable string: realized ids, so report lines, contain it."""
+    if not isinstance(xid, str):
+        raise CatalogError(f"id {xid!r} must be a string, got {type(xid).__name__}")
+    if not xid.isprintable():
+        raise CatalogError(f"id {xid!r} must be printable")
+    return xid
+
+
+def load_extension_file(path) -> tuple[PrintedEntry, ...]:
+    return parse_extension(_read_json(path, CatalogError), source=_shown(path))
+
+
+def _read_json(path, error: type[Exception]):
+    """The JSON document in the UTF-8 file at ``path``; else ``error``, naming the file."""
+    name = _shown(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{name}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # e.g. bad UTF-8, deep nesting
+        raise error(f"{name}: {exc}") from exc
+
+
+def _shown(path) -> str:
+    """``path`` for a message: a literal when it is unprintable, so the message is one line."""
+    return str(path) if str(path).isprintable() else repr(str(path))
 
 
 DEFAULT_CATALOG = Catalog()

@@ -28,7 +28,9 @@ from .analysis import (
     separation_plan,
     structural_check,
 )
-from .catalog import Catalog, CatalogError, DEFAULT_CATALOG, _Kept, _shown, load_extension_file
+from .catalog import (
+    Catalog, CatalogError, DEFAULT_CATALOG, _Kept, _read_json, _shown, load_extension_file
+)
 from .fuzz import random_input
 from .graphs import (
     GenusEdge,
@@ -72,16 +74,7 @@ def parse_spec(path) -> tuple[InputGraphOfGroups, Catalog]:
     """
     path = Path(path)
     name = _shown(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{name}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{name}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
-        raise ParseError(f"{name}: {exc}") from exc
+    data = _read_json(path, ParseError)
     ext = data.get("catalog_extension") if isinstance(data, dict) else None
     if ext is not None and not isinstance(ext, str):
         raise ParseError(f"{name}: catalog_extension must be a file name, got {type(ext).__name__}")
@@ -89,8 +82,7 @@ def parse_spec(path) -> tuple[InputGraphOfGroups, Catalog]:
     if ext:
         try:
             entries = load_extension_file(path.parent / ext)
-        # ValueError covers bad JSON, bad UTF-8, CatalogError and a NUL byte in the name.
-        except (OSError, ValueError, RecursionError) as exc:
+        except CatalogError as exc:  # it names the extension file
             raise ParseError(f"{name}: catalog_extension: {exc}") from exc
     try:
         catalog = Catalog(entries)

@@ -413,11 +413,10 @@ def derive_edge_group(gu: GroupSymbol, gv: GroupSymbol, ctx: FieldContext) -> Gr
     )
 
 
-def format_symbol(g: GroupSymbol, ctx: FieldContext | None = None) -> str:
-    """Pretty form; with a context the projective linear field size is concrete."""
-    if g.kind == KIND_PROJ_LINEAR and ctx is not None:
-        return f"{g.variant}2({ctx.p ** g.t})"
-    return str(g)
+def format_symbol(g: GroupSymbol, ctx: FieldContext) -> str:
+    """Pretty form in ``ctx``: the projective linear field size is concrete; ``str(g)``
+    gives the form without a context."""
+    return f"{g.variant}2({ctx.p ** g.t})" if g.kind == KIND_PROJ_LINEAR else str(g)
 
 
 def _is_prime(n: int) -> bool:

@@ -405,6 +405,28 @@ def _load_error(tmp_path, reason):
     return f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: {reason}\n"
 
 
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b'{"entries": [\n', "line 2, column 1: Expecting value"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (None, "[Errno 2] No such file or directory: '{ext}'"),
+    ],
+    ids=["not-json", "not-utf-8", "missing"],
+)
+def test_main_names_an_extension_file_it_cannot_read(data, reason, tmp_path, capsys):
+    # The first two used to leave the file out, and name only the input file.
+    _run_triangle(tmp_path)
+    ext = tmp_path / "ext.json"
+    if data is None:
+        ext.unlink()
+    else:
+        ext.write_bytes(data)
+    capsys.readouterr()
+    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    assert capsys.readouterr() == (_load_error(tmp_path, reason.format(ext=ext)), "")
+
+
 def _run_a5_extension(tmp_path, cusp_map, mark_map, *entries):
     """Run the triangle with an extension A5 tree (replacing the built-in
     one) whose fold trace into D10 has the given maps; ``entries`` are
