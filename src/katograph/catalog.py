@@ -242,7 +242,7 @@ class Catalog:
         elif g.kind == KIND_ICOSAHEDRAL:
             groups = [c2, cyclic(3), cyclic(5)]
         else:
-            raise CatalogError(f"no star-shaped tree for {g}")
+            raise CatalogError(f"no star-shaped tree for kind {g.kind!r}")
         cusps = [(0, h, False) for h in groups] + ([] if marked is None else [(0, marked, True)])
         return _tree(g, [g], [], cusps)
 

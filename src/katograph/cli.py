@@ -1,7 +1,7 @@
 """Batch front door: parse an input file, realize, analyze, report, emit DOT.
 
 Exit codes: 0 = all checks agree, 1 = formula/structural failure,
-2 = validation or parse error, or a failure to write the ``--out`` files.
+2 = validation, parse or usage error, or a failure to write the ``--out`` files.
 """
 
 from __future__ import annotations
@@ -76,10 +76,11 @@ def parse_spec(path) -> tuple[InputGraphOfGroups, Catalog]:
     name = _shown(path)
     data = _read_json(path, ParseError)
     ext = data.get("catalog_extension") if isinstance(data, dict) else None
-    if ext is not None and not isinstance(ext, str):
-        raise ParseError(f"{name}: catalog_extension must be a file name, got {type(ext).__name__}")
+    if ext is not None and not (isinstance(ext, str) and ext):
+        got = "an empty string" if ext == "" else type(ext).__name__
+        raise ParseError(f"{name}: catalog_extension must be a file name, got {got}")
     entries = ()
-    if ext:
+    if ext is not None:
         try:
             entries = load_extension_file(path.parent / ext)
         except CatalogError as exc:  # it names the extension file
@@ -225,9 +226,10 @@ def echo_text(raw: InputGraphOfGroups) -> str:
 
 def emit_dot(obj: KatoGraph | QuotientSkeleton) -> str:
     """Deterministic DOT text: ellipse vertices, solid labeled edges, cusp arrows into point
-    sinks, dashed genus loops, each in the order ``obj`` lists them. Ids escape ``"`` as
-    ``\\"``, Graphviz's quote, and nothing else."""
-    q = lambda name: name.replace('"', '\\"')
+    sinks, dashed genus loops, each in the order ``obj`` lists them. In an id, ``\\`` is
+    written ``\\\\`` and ``"`` is written ``\\"``, the two pairs Graphviz reads in a quoted
+    string; nothing else is escaped."""
+    q = lambda name: name.replace("\\", "\\\\").replace('"', '\\"')
     names = _NAMES[obj.ctx]
     if isinstance(obj, KatoGraph):
         cusps, edges, loops = obj.cusps, obj.finite_edges, obj.genus_loops
@@ -409,15 +411,25 @@ def main(argv=None) -> int:
         "--out", metavar="DIR", help="write the report and the Kato graph and skeleton DOT to DIR"
     )
     parser.add_argument("--strict", action="store_true", help="treat warnings as errors")
-    parser.add_argument("--seed", type=int, default=0, help="seed for --fuzz")
+    parser.add_argument("--seed", type=int, help="seed for --fuzz (default 0)")
     parser.add_argument(
         "--fuzz", type=_count, metavar="K", help="run the random formula-agreement suite"
     )
     args = parser.parse_args(argv)
+    # An argument that the chosen mode would ignore is a usage error, not dropped silently.
     if args.fuzz is not None:
-        text, code = run_fuzz(args.fuzz, args.seed)
+        for what, given in (
+            ("an input file", args.input is not None),
+            ("--out", args.out is not None),
+            ("--strict", args.strict),
+        ):
+            if given:
+                parser.error(f"{what} cannot be given with --fuzz")
+        text, code = run_fuzz(args.fuzz, 0 if args.seed is None else args.seed)
         sys.stdout.write(text)
         return code
+    if args.seed is not None:
+        parser.error("--seed needs --fuzz")
     if args.input is None:
         parser.error("an input file is required unless --fuzz is given")
     text, code = run(args.input, out_dir=args.out, strict=args.strict)

@@ -1,4 +1,3 @@
-import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,7 @@ from katograph.catalog import (
 from katograph.groups import (
     ContextError,
     FieldContext,
+    GroupSymbol,
     SymbolError,
     ICOSAHEDRAL,
     OCTAHEDRAL,
@@ -223,6 +223,18 @@ def test_tree_table_keeps_no_errors():
             cat.elementary_tree(dihedral(15), FieldContext(0, 5, 1))
         with pytest.raises(ContextError):
             cat.elementary_tree(TETRAHEDRAL, FieldContext(3, 3, 1))
+
+
+def test_tree_lookups_name_what_is_missing():
+    tree = CAT.elementary_tree(dihedral(5), FieldContext(0, 5, 1))
+    assert tree.cusp("c2").stabilizer == cyclic(5)
+    with pytest.raises(KeyError, match="c9"):
+        tree.cusp("c9")
+    # Only a hand-built symbol has an unknown kind, and str() of it fails, so the
+    # message names the kind.
+    with pytest.raises(CatalogError) as info:
+        CAT.elementary_tree(GroupSymbol("x"), FieldContext(0, 7, 1))
+    assert str(info.value) == "no star-shaped tree for kind 'x'"
 
 
 @pytest.mark.parametrize("extended_first", [False, True], ids=["plain-first", "extended-first"])
@@ -578,48 +590,6 @@ def test_extension_traces_replace_the_builtin_traces():
     assert traces[0].embed.mark_map == (("c0", ("vertex", "v0")),)
 
 
-@pytest.mark.parametrize(
-    "trace, message",
-    [
-        (_FOLD_D5, "fold trace of D5 into D10: the marks must land on neighbours of v0"),
-        (
-            dict(_FOLD_D5, vertex_map={"v0": "v0", "v1": "v0"}),
-            "fold trace of D5 into D10: the vertex map must send exactly v0 to a vertex",
-        ),
-        (
-            dict(_FOLD_D5, cusp_map={"c0": "c0", "c1": "c1", "c2": "c2"}),
-            "fold trace of D5 into D10: the cusp map must send exactly ['c1', 'c2'] onto cusps",
-        ),
-        (
-            dict(_FOLD_D5, edge_group={"kind": "dihedral", "n": 15}),
-            "edge group not Borel/cyclic/printed (D15 has no gluing data in this context)",
-        ),
-        (
-            dict(_FOLD_D5, edge_group={"kind": "borel", "t": 1, "n": 2}),
-            "edge group not Borel/cyclic/printed (B(1,2) has no gluing data in this context)",
-        ),
-        (
-            dict(_FOLD_D5, cusp_map={"c1": "c2", "c2": "c1"}),
-            "fold trace of D5 into D10: the image c1 of cusp c2 must contain its stabilizer C5",
-        ),
-        (
-            dict(_FOLD_D5, cusp_map={"c1": "c2", "c2": "c2"}),
-            "fold trace of D5 into D10: the cusp map must be one to one",
-        ),
-    ],
-    ids=["fold-onto-its-own-vertex", "stray-vertex-key", "marked-cusp-in-cusp-map",
-         "edge-group-without-tree", "edge-group-inadmissible", "image-without-the-stabilizer",
-         "one-image-twice"],
-)
-def test_extension_trace_breaking_a_rule_fails_at_load(trace, message):
-    # Each of these used to load. The first could never glue: the one-vertex
-    # D10 has no edge for a fold's mark to cover.
-    entries = parse_extension(d10_entry(embed_traces=[trace]))
-    with pytest.raises(CatalogError) as info:
-        Catalog(entries)
-    assert str(info.value) == f"entry for D10 at p=5: {message}"
-
-
 def test_extension_trace_of_a_cyclic_edge_group_fails_at_load():
     # C5 has a printed tree here, but a cyclic edge group glues by its star
     # tree, so the catalog never reads its embed traces.
@@ -649,30 +619,6 @@ def test_extension_rejects_disconnected_tree():
         ],
     )
     with pytest.raises(CatalogError, match="not connected"):
-        parse_extension(doc)
-
-
-def test_extension_rejects_duplicate_internal_edge_ids():
-    # Both edges would realize under one name, and contract keys edges by name.
-    doc = d10_entry(
-        vertices=[{"id": v, "group": {"kind": "dihedral", "n": 10}} for v in ("v0", "v1", "v2")],
-        internal_edges=[
-            {"id": "e0", "ends": ["v0", v], "group": {"kind": "cyclic", "n": 2}} for v in ("v1", "v2")
-        ],
-    )
-    with pytest.raises(CatalogError, match="internal edge ids must be unique"):
-        parse_extension(doc)
-    # Realized ids contain every catalog id, so an id must also be printable.
-    for part, i, xid in [("cusps", 2, "c\n2 forged"), ("vertices", 0, "v\ud800")]:
-        doc = d15_entry()
-        doc["entries"][0][part][i]["id"] = xid
-        with pytest.raises(CatalogError, match=re.escape(f"id {xid!r} must be printable")):
-            parse_extension(doc)
-    doc = d10_entry(
-        vertices=[{"id": v, "group": {"kind": "dihedral", "n": 10}} for v in ("v0", "v1")],
-        internal_edges=[{"id": "e\x00", "ends": ["v0", "v1"], "group": {"kind": "cyclic", "n": 2}}],
-    )
-    with pytest.raises(CatalogError, match=re.escape("id 'e\\x00' must be printable")):
         parse_extension(doc)
 
 
@@ -748,160 +694,173 @@ def _d3_at_5():
     return d10_entry(group=d3, vertices=[{"id": "v0", "group": d3}], cusps=cusps)
 
 
+def _entry(doc, message, id):
+    """A row of the entry table: the first entry of ``doc`` breaks the rule of ``message``."""
+    return pytest.param(doc, f"entries[0]: {message}", id=id)
+
+
 # Each entry breaks one rule, so its message is the same in any order of checks.
 @pytest.mark.parametrize(
     "doc, message",
     [
         pytest.param(
+            {"entries": 5}, "extension document needs a top-level 'entries' list",
+            id="entries-not-a-list",
+        ),
+        _entry(
             d10_entry(context={"char_K": 5, "p": 5}), "extension entries are char-0 instances",
             id="char-p",
         ),
-        pytest.param(
+        _entry(
             _d10_trace(kind="injective"), "embed trace kind must be fold or iso", id="trace-kind"
         ),
-        pytest.param(
+        _entry(
             d10_entry(group=_B12), "B(1,2) is not admissible at char 0, p=5",
             id="group-inadmissible",
         ),
-        pytest.param(
+        _entry(
             d10_entry(vertices=[]), "vertex ids must be unique and non-empty", id="no-vertices"
         ),
-        pytest.param(_d10_cusp(1, id="c0"), "duplicate cusp id c0", id="duplicate-cusp-id"),
-        pytest.param(
+        _entry(_d10_cusp(1, id="c0"), "duplicate cusp id c0", id="duplicate-cusp-id"),
+        _entry(
             _d10_cusp(0, base="v9"), "cusp c0 references unknown vertex", id="cusp-base-unknown"
         ),
-        pytest.param(
+        _entry(
             _d10_cusp(0, group=_B12), "cusp stabilizer B(1,2) inadmissible",
             id="cusp-group-inadmissible",
         ),
-        pytest.param(
+        _entry(
             _d10_cusp(0, marked_point={"group": {"kind": "cyclic", "n": 3}}),
             "marked point stabilizer must contain the cusp stabilizer on c0",
             id="mark-not-containing",
         ),
-        pytest.param(
+        _entry(
             d10_entry(vertices=[{"id": "v0", "group": _B12}]),
             "vertex stabilizer B(1,2) inadmissible",
             id="vertex-inadmissible",
         ),
-        pytest.param(
+        _entry(
             d10_entry(group=None), "group description must be a symbol or a mapping, got None",
             id="group-null",
         ),
-        pytest.param(d10_entry(context={"char_K": 0}), "missing key 'p'", id="no-p"),
-        pytest.param(
+        _entry(d10_entry(context={"char_K": 0}), "missing key 'p'", id="no-p"),
+        _entry(
+            d10_entry(context={"char_K": 0, "p": 4}), "residue characteristic 4 is not prime",
+            id="p-not-prime",
+        ),
+        _entry(
             d10_entry(context={"char_K": 0.0, "p": 5}), "char_K must be an integer, got float",
             id="char-K-float",
         ),
-        pytest.param(
+        _entry(
             _d3_at_5(), "entry for D3 at p=5 is never read (needs p <= 5 dividing its order)",
             id="never-read",
         ),
-        pytest.param(
+        _entry(
             d10_entry(vertices=[{"id": 0, "group": _D10}]), "id 0 must be a string, got int",
             id="vertex-id-number",
         ),
-        pytest.param(
+        _entry(
             d10_entry(vertices=[{"id": "v\ud800", "group": _D10}]),
             "id 'v\\ud800' must be printable",
             id="vertex-id-unprintable",
         ),
-        pytest.param(
+        _entry(
             d10_entry(vertices=[{"id": "v0", "group": _D10}] * 2),
             "vertex ids must be unique and non-empty",
             id="duplicate-vertex-id",
         ),
-        pytest.param(
+        _entry(
             _d10_edges({"id": None}), "id None must be a string, got NoneType", id="edge-id-null"
         ),
-        pytest.param(
+        _entry(
             _d10_edges({"id": "e\x00"}), "id 'e\\x00' must be printable",
             id="edge-id-unprintable",
         ),
-        pytest.param(
+        _entry(
             _d10_edges({"ends": ["v0"]}), "edge e0: ends must be a pair, got list of 1",
             id="edge-ends-not-a-pair",
         ),
-        pytest.param(
+        _entry(
             _d10_edges({"ends": ["v0", 1]}), "id 1 must be a string, got int",
             id="edge-end-number",
         ),
-        pytest.param(
+        _entry(
             _d10_edges({"ends": ["v0", "v9"]}), "edge e0 references unknown vertex",
             id="edge-end-unknown",
         ),
-        pytest.param(
+        _entry(
             _d10_edges({"group": _B12}), "edge e0: stabilizer B(1,2) inadmissible",
             id="edge-group-inadmissible",
         ),
-        pytest.param(
+        _entry(
             _d10_edges({"group": {"kind": "cyclic", "n": 10}}),
             "edge e0: stabilizer C10 not contained in D5",
             id="edge-group-in-one-end",
         ),
-        pytest.param(
+        _entry(
             _d10_edges({}, {"ends": ["v0", "v2"]}, vertices=("v1", "v2")),
             "internal edge ids must be unique",
             id="duplicate-edge-id",
         ),
-        pytest.param(
+        _entry(
             _d10_edges({}, vertices=("v1", "v2")), "underlying graph is not a tree",
             id="too-few-edges",
         ),
-        pytest.param(
+        _entry(
             _d10_edges({}, {"id": "e1"}, vertices=("v1", "v2")),
             "underlying graph is not connected",
             id="disconnected",
         ),
-        pytest.param(
+        _entry(
             d10_entry(cusps=d10_entry()["entries"][0]["cusps"][:2]),
             "char-0 entry for D10 must have 3 cusps, got 2",
             id="two-cusps",
         ),
-        pytest.param(
+        _entry(
             _d10_cusp(0, id=None), "id None must be a string, got NoneType", id="cusp-id-null"
         ),
-        pytest.param(
+        _entry(
             _d10_cusp(2, id="c\n2 forged"), "id 'c\\n2 forged' must be printable",
             id="cusp-id-unprintable",
         ),
-        pytest.param(
+        _entry(
             _d10_cusp(0, base=0), "id 0 must be a string, got int", id="cusp-base-number"
         ),
-        pytest.param(
+        _entry(
             _d10_cusp(0, group={"kind": "trivial"}), "cusp c0 has trivial stabilizer",
             id="cusp-trivial",
         ),
-        pytest.param(
+        _entry(
             _d10_cusp(2, group={"kind": "cyclic", "n": 7}),
             "cusp stabilizer C7 order does not divide |D10|",
             id="cusp-order-not-dividing",
         ),
-        pytest.param(
+        _entry(
             _d10_cusp(0, fold_on_attach="true"), "fold_on_attach must be true or false, got str",
             id="fold-on-attach-string",
         ),
-        pytest.param(
+        _entry(
             d10_entry(cusps=None), "'NoneType' object is not iterable", id="cusps-null"
         ),
-        pytest.param(
+        _entry(
             _d10_trace(vertex_map={"v0": 0}), "id 0 must be a string, got int",
             id="vertex-map-number",
         ),
-        pytest.param(
+        _entry(
             _d10_trace(cusp_map={"c1": "c1", "c2": "c\n2"}), "id 'c\\n2' must be printable",
             id="cusp-map-unprintable",
         ),
-        pytest.param(
+        _entry(
             _d10_trace(mark_map={"c0": [5, "v0"]}), "id 5 must be a string, got int",
             id="mark-map-kind-number",
         ),
-        pytest.param(
+        _entry(
             _d10_trace(mark_map={"c0": ["vertex"]}),
             "not enough values to unpack (expected 2, got 1)",
             id="mark-map-not-a-pair",
         ),
-        pytest.param(
+        _entry(
             _d10_trace(edge_group={"kind": "cyclic", "n": 0}),
             "cyclic order must be positive, got 0",
             id="edge-group-bad",
@@ -911,7 +870,78 @@ def _d3_at_5():
 def test_extension_pins_each_entry_rejection(doc, message):
     with pytest.raises(CatalogError) as info:
         parse_extension(doc)
-    assert str(info.value) == f"<extension>: entries[0]: {message}"
+    assert str(info.value) == f"<extension>: {message}"
+
+
+def _marks_on_one_site():
+    """An extension D5 with two marked cusps, and a D10 with one marked cusp whose iso
+    trace of D5 sends both marks onto it: only one mark can use a site up."""
+    c2 = {"kind": "cyclic", "n": 2}
+    mark = {"marked_point": {"group": c2}, "fold_on_attach": True}
+    doc = _d10_trace(
+        kind="iso", cusp_map={"c2": "c2"}, mark_map={"c0": ["mark", "c0"], "c1": ["mark", "c0"]}
+    )
+    doc["entries"][0]["cusps"][0].update(mark)
+    d5_cusps = [{"id": f"c{i}", "base": "v0", "group": c2, **mark} for i in (0, 1)]
+    d5_cusps.append({"id": "c2", "base": "v0", "group": {"kind": "cyclic", "n": 5}})
+    d5 = d10_entry(group=_D5, vertices=[{"id": "v0", "group": _D5}], cusps=d5_cusps)
+    doc["entries"] += d5["entries"]
+    return doc
+
+
+# Each trace breaks one printed-trace rule; the catalog checks it when it is built.
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_d10_trace(), "fold trace of D5 into D10: the marks must land on neighbours of v0"),
+        (
+            _d10_trace(vertex_map={"v0": "v0", "v1": "v0"}),
+            "fold trace of D5 into D10: the vertex map must send exactly v0 to a vertex",
+        ),
+        (
+            _d10_trace(cusp_map={"c0": "c0", "c1": "c1", "c2": "c2"}),
+            "fold trace of D5 into D10: the cusp map must send exactly ['c1', 'c2'] onto cusps",
+        ),
+        (
+            _d10_trace(edge_group={"kind": "dihedral", "n": 15}),
+            "edge group not Borel/cyclic/printed (D15 has no gluing data in this context)",
+        ),
+        (
+            _d10_trace(edge_group=_B12),
+            "edge group not Borel/cyclic/printed (B(1,2) has no gluing data in this context)",
+        ),
+        (
+            _d10_trace(cusp_map={"c1": "c2", "c2": "c1"}),
+            "fold trace of D5 into D10: the image c1 of cusp c2 must contain its stabilizer C5",
+        ),
+        (
+            _d10_trace(cusp_map={"c1": "c2", "c2": "c2"}),
+            "fold trace of D5 into D10: the cusp map must be one to one",
+        ),
+        (
+            _d10_trace(mark_map={"c0": ["vertex", "v0"], "zz": ["vertex", "v0"]}),
+            "fold trace of D5 into D10: the mark map must send exactly ['c0']",
+        ),
+        (
+            _d10_trace(edge_group={"kind": "icosahedral"}),
+            "fold trace of A5 into D10: T*(A5) must have one vertex, not 2",
+        ),
+        (
+            _marks_on_one_site(),
+            "iso trace of D5 into D10: the marks must land on distinct marked cusps",
+        ),
+    ],
+    ids=["fold-onto-its-own-vertex", "stray-vertex-key", "marked-cusp-in-cusp-map",
+         "edge-group-without-tree", "edge-group-inadmissible", "image-without-the-stabilizer",
+         "one-image-twice", "stray-mark-key", "edge-tree-of-two-vertices", "marks-on-one-site"],
+)
+def test_extension_trace_breaking_a_rule_fails_at_load(doc, message):
+    # The first row could never glue: the one-vertex D10 has no edge for a fold's
+    # mark to cover.
+    entries = parse_extension(doc)
+    with pytest.raises(CatalogError) as info:
+        Catalog(entries)
+    assert str(info.value) == f"entry for D10 at p=5: {message}"
 
 
 def _d15_with_internal_edge(group):

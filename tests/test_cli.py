@@ -29,6 +29,7 @@ from katograph.graphs import (
     GenusEdge,
     InputGraphOfGroups,
     InputVertex,
+    RealizeError,
     check_input,
     realize,
     validate_input,
@@ -427,6 +428,21 @@ def test_main_names_an_extension_file_it_cannot_read(data, reason, tmp_path, cap
     assert capsys.readouterr() == (_load_error(tmp_path, reason.format(ext=ext)), "")
 
 
+@pytest.mark.parametrize(
+    "value, got", [(5, "int"), ("", "an empty string")], ids=["number", "empty"]
+)
+def test_main_rejects_a_catalog_extension_that_is_not_a_file_name(value, got, tmp_path, capsys):
+    # An empty name used to load no extension, so the D15 vertices failed validation.
+    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
+    spec["catalog_extension"] = value
+    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        f"parse error: {tmp_path / 'in.json'}: catalog_extension must be a file name, got {got}\n",
+        "",
+    )
+
+
 def _run_a5_extension(tmp_path, cusp_map, mark_map, *entries):
     """Run the triangle with an extension A5 tree (replacing the built-in
     one) whose fold trace into D10 has the given maps; ``entries`` are
@@ -550,36 +566,6 @@ def _d10_with_d5_trace(**trace):
     }
 
 
-def test_run_printed_marks_naming_one_site_twice_are_rejected(tmp_path):
-    # An extension D5 edge tree with two marked cusps, c0 and c1. The A5 fold
-    # trace marks both; the extension D10 tree's iso trace sends both marks to its
-    # one marked site c0, which only one mark can use up.
-    c2 = _g("cyclic", n=2)
-    marked = {"group": c2, "marked_point": {"group": c2}, "fold_on_attach": True}
-    d5 = {
-        "group": _g("dihedral", n=5),
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "v0", "group": _g("dihedral", n=5)}],
-        "cusps": [
-            {"id": "c0", "base": "v0", **marked},
-            {"id": "c1", "base": "v0", **marked},
-            {"id": "c2", "base": "v0", "group": _g("cyclic", n=5)},
-        ],
-    }
-    d10 = _d10_with_d5_trace(
-        kind="iso",
-        vertex_map={"v0": "v0"},
-        cusp_map={"c2": "c2"},
-        mark_map={"c0": ["mark", "c0"], "c1": ["mark", "c0"]},
-    )
-    marks = {"c0": ["vertex", "v0"], "c1": ["vertex", "v0"]}
-    text, code = _run_a5_extension(tmp_path, {"c2": "c2"}, marks, d10, d5)
-    assert code == EXIT_INVALID
-    assert text == _load_error(
-        tmp_path, "entry for D10 at p=5: iso trace of D5 into D10: the marks must land on distinct marked cusps"
-    )
-
-
 def _run_printed(tmp_path, vertices, edges):
     """Run a char-0, p = 5 input of D5 edges between built-in printed trees."""
     spec = {
@@ -615,76 +601,6 @@ def test_run_pins_each_printed_gluing_rejection(tmp_path):
     assert (text, code) == (
         "realization rejected: edge e1: vertex a already used by a printed-tree gluing\n",
         EXIT_INVALID,
-    )
-    # Bad trace data fails when its extension loads, before anything is glued.
-    cusp_map, fold_mark, iso_mark = {"c1": "c1", "c2": "c2"}, ["vertex", "v0"], ["mark", "c0"]
-    fold_d10 = _d10_with_d5_trace(
-        kind="fold", vertex_map={"v0": "v0"}, cusp_map=cusp_map, mark_map={"c0": fold_mark}
-    )
-    iso_d10 = _d10_with_d5_trace(kind="iso", cusp_map=cusp_map, mark_map={"c0": iso_mark})
-    loads = [
-        (_run_triangle(tmp_path, fold_d10), "D10", "fold", "the marks must land on neighbours of v0"),
-        (_run_triangle(tmp_path, iso_d10), "D10", "iso", "the vertex map must send exactly v0 to a vertex"),
-        (
-            _run_a5_extension(tmp_path, {"c1": "c1"}, {"c0": fold_mark}),
-            "A5",
-            "fold",
-            "the cusp map must send exactly ['c1', 'c2'] onto cusps",
-        ),
-        (
-            _run_a5_extension(tmp_path, cusp_map, {"c0": iso_mark}),
-            "A5",
-            "fold",
-            "the marks must land on neighbours of v1",
-        ),
-    ]
-    for (text, code), g, kind, reason in loads:
-        line = _load_error(tmp_path, f"entry for {g} at p=5: {kind} trace of D5 into {g}: {reason}")
-        assert (text, code) == (line, EXIT_INVALID)
-
-
-def test_main_rejects_a_printed_edge_tree_of_two_vertices(tmp_path, capsys):
-    # An extension A5 tree shaped like the built-in one, with a fold and an iso
-    # trace of itself. Gluing both copies vertex by vertex would keep both
-    # copies of its internal edge, a cycle; it used to end in a traceback, and
-    # now fails when the extension loads.
-    a5, d5 = _g("icosahedral"), _g("dihedral", n=5)
-    ids = {"v0": "v0", "v1": "v1"}
-    entry = {
-        "group": a5,
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "v0", "group": a5}, {"id": "v1", "group": d5}],
-        "internal_edges": [{"id": "e0", "ends": ["v0", "v1"], "group": d5}],
-        "cusps": [
-            {"id": "c0", "base": "v0", "group": _g("cyclic", n=3)},
-            {"id": "c1", "base": "v1", "group": _g("cyclic", n=2)},
-            {"id": "c2", "base": "v1", "group": _g("cyclic", n=5)},
-        ],
-        "embed_traces": [
-            {"edge_group": a5, "kind": "fold", "vertex_map": ids,
-             "cusp_map": {"c1": "c1", "c0": "c0", "c2": "c2"}},
-            {"edge_group": a5, "kind": "iso", "vertex_map": ids,
-             "cusp_map": {"c0": "c0", "c1": "c1", "c2": "c2"}},
-        ],
-    }
-    spec = {
-        "field": {"char_K": 0, "p": 5},
-        "catalog_extension": "ext.json",
-        "vertices": [{"id": "a", "group": a5}, {"id": "b", "group": a5}],
-        "edges": [
-            {"id": "e", "from": "a", "to": "b", "group": a5,
-             "site_hints": {"from": "c1", "to": "c0"}},
-        ],
-    }
-    (tmp_path / "ext.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
-    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
-    capsys.readouterr()
-    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
-    assert capsys.readouterr() == (
-        _load_error(
-            tmp_path, "entry for A5 at p=5: fold trace of A5 into A5: T*(A5) must have one vertex, not 2"
-        ),
-        "",
     )
 
 
@@ -1102,6 +1018,13 @@ def test_render_pins_every_conditional_line():
     )
 
 
+def test_formulas_disagree_when_only_the_char0_count_does():
+    report = build_report(*parse_spec(fixture("triangle_k5.json")))
+    assert report.formulas_agree and report.passed
+    report = report._replace(char0=report.direct + 1)
+    assert not report.formulas_agree and not report.passed
+
+
 # -- determinism -----------------------------------------------------------------------
 
 
@@ -1152,17 +1075,23 @@ def test_dot_empty_graph():
 def test_dot_escapes_quotes_in_ids():
     from katograph.graphs import GraphCusp, GraphVertex, KatoGraph
 
-    # Graphviz reads \" as a quote and any other backslash as itself.
+    # Graphviz reads \\ as a backslash and \" as a quote. So a backslash is doubled
+    # before a quote is escaped: neither a\"b nor a trailing backslash may end an id early.
     graph = KatoGraph(
         FieldContext(0, 7, 1),
-        (GraphVertex('a"b:v0', dihedral(3)), GraphVertex("c\\d:v0", cyclic(2))),
+        (
+            GraphVertex('a"b:v0', dihedral(3)),
+            GraphVertex('a\\"b:v0', cyclic(2)),
+            GraphVertex("a:v0\\", cyclic(3)),
+        ),
         (),
         (GraphCusp('a"b:c0', 'a"b:v0', cyclic(3)),),
         (),
     )
     assert emit_dot(graph).splitlines()[3:] == [
         '  "a\\"b:v0" [shape=ellipse, label="D3"];',
-        '  "c\\d:v0" [shape=ellipse, label="C2"];',
+        '  "a\\\\\\"b:v0" [shape=ellipse, label="C2"];',
+        '  "a:v0\\\\" [shape=ellipse, label="C3"];',
         '  "a\\"b:c0@end" [shape=point, label=""];',
         '  "a\\"b:v0" -> "a\\"b:c0@end" [label="C3"];',
         "}",
@@ -1222,6 +1151,28 @@ def test_main_fuzz_count_must_be_a_count(count, capsys):
     assert f"argument --fuzz: expected a count of zero or more, got '{count}'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["in.json", "--fuzz", "3"], "an input file cannot be given with --fuzz"),
+        (["--fuzz", "3", "--out", "DIR"], "--out cannot be given with --fuzz"),
+        (["--fuzz", "3", "--strict"], "--strict cannot be given with --fuzz"),
+        (["in.json", "--seed", "3"], "--seed needs --fuzz"),
+        ([], "an input file is required unless --fuzz is given"),
+    ],
+    ids=["fuzz-with-input", "fuzz-with-out", "fuzz-with-strict", "seed-without-fuzz", "no-input"],
+)
+def test_main_rejects_arguments_its_mode_would_ignore(argv, message, tmp_path, capsys, monkeypatch):
+    # The first three used to run the fuzz suite alone, and the fourth to drop --seed.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"katograph: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_fuzz_function():
     text, code = run_fuzz(40, 11)
     assert code == EXIT_OK and "0 failures" in text
@@ -1237,6 +1188,17 @@ def test_run_fuzz_counts_non_ordinary_reports(monkeypatch, capsys):
     text, code = run_fuzz(5, 11)
     assert (text, code) == ("fuzz: 5 inputs, 5 failures (seed 11)\n", EXIT_CHECK_FAILED)
     assert capsys.readouterr().err.count("ordinarity") == 5
+
+
+def test_run_fuzz_counts_inputs_that_fail_to_realize(monkeypatch, capsys):
+    import katograph.cli as cli
+
+    def reject(raw, catalog):
+        raise RealizeError("no gluing")
+
+    monkeypatch.setattr(cli, "build_report", reject)
+    assert run_fuzz(2, 11) == ("fuzz: 2 inputs, 2 failures (seed 11)\n", EXIT_CHECK_FAILED)
+    assert capsys.readouterr().err.count(": failed to realize: no gluing\n") == 2
 
 
 def test_run_fuzz_prints_a_reproducer_for_each_failure(monkeypatch, capsys):

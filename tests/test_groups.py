@@ -18,6 +18,7 @@ from katograph.groups import (
     ICOSAHEDRAL,
     borel,
     borel_extends,
+    borel_params,
     canonicalize,
     cyclic,
     derive_edge_group,
@@ -62,6 +63,27 @@ def test_rejections():
 
 
 @pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: borel(-1, 2), "Borel rank must be non-negative, got B(-1,2)"),
+        (lambda: proj_linear("SL", 1), "projective linear variant must be PGL or PSL, got 'SL'"),
+        (lambda: borel_params(dihedral(3)), "D3 is not of Borel form"),
+        (
+            lambda: pl_invariants(dihedral(3), FieldContext(0, 7)),
+            "pl_invariants needs a projective linear symbol, got D3",
+        ),
+    ],
+    ids=[
+        "borel-negative-rank", "pl-variant", "borel-params-of-dihedral", "pl-invariants-of-dihedral"
+    ],
+)
+def test_symbol_helpers_pin_each_rejection(build, message):
+    with pytest.raises(SymbolError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "kind", [["cyclic"], {"kind": "cyclic"}, 3, None, True],
     ids=["list", "object", "number", "null", "bool"],
 )
@@ -98,12 +120,16 @@ def test_canonicalize_idempotent(raw):
     [
         ((0, 2 ** 31), "residue characteristic 2147483648 must be below 2^31"),
         ((0, 9), "residue characteristic 9 is not prime"),
+        ((0, 1), "residue characteristic 1 is not prime"),
         ((3, 3, 0), "residue degree m=0 must be >= 1"),
         ((2, 2, 65), "residue field size p^m (p=2, m=65) must be below 2^64"),
         ((0, 65521, 5), "residue field size p^m (p=65521, m=5) must be below 2^64"),
         ((5, 7), "char K must be 0 or p=7, got 5"),
     ],
-    ids=["p-too-large", "p-not-prime", "m-below-one", "m-too-large", "field-too-large", "char-K"],
+    ids=[
+        "p-too-large", "p-not-prime", "p-one", "m-below-one", "m-too-large", "field-too-large",
+        "char-K",
+    ],
 )
 def test_field_context_rejections(args, message):
     with pytest.raises(ContextError) as info:
