@@ -239,10 +239,8 @@ class Catalog:
             groups = [c2, cyclic(3), cyclic(4)]
         elif g.kind == KIND_ICOSAHEDRAL and ctx.p == 3:
             groups, marked = [cyclic(5)], borel(1, 2)
-        elif g.kind == KIND_ICOSAHEDRAL:
+        else:  # icosahedral
             groups = [c2, cyclic(3), cyclic(5)]
-        else:
-            raise CatalogError(f"no star-shaped tree for kind {g.kind!r}")
         cusps = [(0, h, False) for h in groups] + ([] if marked is None else [(0, marked, True)])
         return _tree(g, [g], [], cusps)
 

@@ -126,10 +126,13 @@ def _read_list(data: dict, key: str, source: str, build) -> tuple:
 def _input_edge(raw) -> InputEdge:
     _require_object(raw, "an edge")
     derive = json_scalar(raw.get("derive", False), bool, "derive")
-    if not derive and "group" not in raw:
-        raise TypeError("needs 'group' or 'derive': true")
+    if derive == ("group" in raw):
+        both = "'group' and 'derive': true exclude each other"
+        raise TypeError(both if derive else "needs 'group' or 'derive': true")
     group = None if derive else canonicalize(raw["group"])
     hints = _require_object(raw.get("site_hints", {}), "site_hints")
+    if extra := hints.keys() - {"from", "to"}:
+        raise TypeError(f"site_hints takes only 'from' and 'to', got {sorted(extra)}")
     return InputEdge(
         raw["id"], (raw["from"], raw["to"]), group, derive, (hints.get("from"), hints.get("to"))
     )

@@ -258,6 +258,8 @@ def validate_in_context(g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
     characteristic 0 every Dickson type is admissible except the p-order
     families (Borel and projective linear symbols with t >= 1).
     """
+    if g.kind not in _KINDS:  # only a hand-built symbol; canonicalize rejects the kind
+        return (f"unknown group kind {g.kind!r}",)
     if g.kind == KIND_TRIVIAL:
         return ()
     bad: list[str] = []

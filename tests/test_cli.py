@@ -158,6 +158,7 @@ def test_run_malformed_fixture():
 
 _FIELD = {"char_K": 0, "p": 7}
 _VERTICES = [{"id": "a", "group": {"kind": "cyclic", "n": 2}}, {"id": "b", "group": {"kind": "trivial"}}]
+_EDGE = {"id": "e", "from": "a", "to": "b", "group": {"kind": "trivial"}}
 
 
 @pytest.mark.parametrize(
@@ -166,13 +167,7 @@ _VERTICES = [{"id": "a", "group": {"kind": "cyclic", "n": 2}}, {"id": "b", "grou
         [_FIELD, _VERTICES],
         {"field": _FIELD, "vertices": [{"id": "a", "group": {"kind": "cyclic", "n": "x"}}]},
         {"field": _FIELD, "vertices": _VERTICES, "edges": [["e", "a", "b"]]},
-        {
-            "field": _FIELD,
-            "vertices": _VERTICES,
-            "edges": [
-                {"id": "e", "from": "a", "to": "b", "group": {"kind": "trivial"}, "site_hints": ["c0"]}
-            ],
-        },
+        {"field": _FIELD, "vertices": _VERTICES, "edges": [_EDGE | {"site_hints": ["c0"]}]},
         {"field": _FIELD, "vertices": 5},
         {"field": _FIELD, "vertices": _VERTICES, "edges": None},
         {"field": _FIELD, "vertices": _VERTICES, "genus_edges": 5},
@@ -189,14 +184,11 @@ _VERTICES = [{"id": "a", "group": {"kind": "cyclic", "n": 2}}, {"id": "b", "grou
         {"field": _FIELD, "vertices": [{"id": "a", "group": {"kind": "cyclic", "n": 2.7}}]},
         {"field": {"char_K": 0, "p": 7.9}, "vertices": []},
         {"field": _FIELD, "vertices": [{"id": "a", "group": {"kind": "cyclic", "n": True}}]},
-        {
-            "field": _FIELD,
-            "vertices": _VERTICES,
-            "edges": [
-                {"id": "e", "from": "a", "to": "b", "group": {"kind": "trivial"}, "derive": "false"}
-            ],
-        },
+        {"field": _FIELD, "vertices": _VERTICES, "edges": [_EDGE | {"derive": "false"}]},
         {"field": {"char_K": 0, "p": "7"}, "vertices": []},
+        # A key the parser would not read is an error, not dropped.
+        {"field": _FIELD, "vertices": _VERTICES, "edges": [_EDGE | {"site_hints": {"form": "c9"}}]},
+        {"field": _FIELD, "vertices": _VERTICES, "edges": [_EDGE | {"derive": True}]},
     ],
     ids=[
         "top-level-list", "non-integer-n", "edge-as-list", "site-hints-as-list",
@@ -204,6 +196,7 @@ _VERTICES = [{"id": "a", "group": {"kind": "cyclic", "n": 2}}, {"id": "b", "grou
         "p-1e400", "char-K-infinity", "m-minus-infinity", "n-1e400", "t-infinity",
         "integer-too-long", "nesting-too-deep", "not-utf-8",
         "n-float", "p-float", "n-bool", "derive-string", "p-numeric-string",
+        "site-hint-typo", "derive-and-group",
     ],
 )
 def test_run_malformed_shapes_are_parse_errors(data, tmp_path):
@@ -218,6 +211,14 @@ def test_run_malformed_shapes_are_parse_errors(data, tmp_path):
     "key, item, message",
     [
         ("edges", {"id": "e", "from": "a", "to": "b"}, "edges[0]: needs 'group' or 'derive': true"),
+        (
+            "edges", _EDGE | {"derive": True},
+            "edges[0]: 'group' and 'derive': true exclude each other",
+        ),
+        (
+            "edges", _EDGE | {"site_hints": {"from": "c0", "form": "c9"}},
+            "edges[0]: site_hints takes only 'from' and 'to', got ['form']",
+        ),
         ("genus_edges", {"id": "g", "from": "a"}, "genus_edges[0]: 'to'"),
         (
             "genus_edges",
@@ -225,7 +226,10 @@ def test_run_malformed_shapes_are_parse_errors(data, tmp_path):
             "genus_edges[0]: unknown group kind 'sporadic'",
         ),
     ],
-    ids=["edge-without-group", "genus-edge-without-end", "genus-edge-unknown-kind"],
+    ids=[
+        "edge-without-group", "derive-and-group", "site-hint-typo", "genus-edge-without-end",
+        "genus-edge-unknown-kind",
+    ],
 )
 def test_parse_pins_each_edge_item_error(key, item, message):
     with pytest.raises(ParseError) as info:
@@ -247,115 +251,6 @@ def test_parse_a_kind_that_is_not_a_string_is_one_parse_error(kind, tmp_path):
     assert run(path) == (message, EXIT_INVALID)
 
 
-def _d15_extension(**changes):
-    entry = json.loads((FIXTURES / "extension_d15_k5.json").read_text(encoding="utf-8"))["entries"][0]
-    entry.update(changes)
-    return {"entries": [entry]}
-
-
-_NO_VERTICES = _d15_extension()
-del _NO_VERTICES["entries"][0]["vertices"]
-_FOLD_FLAG_STRING = _d15_extension()
-_FOLD_FLAG_STRING["entries"][0]["cusps"][0]["fold_on_attach"] = "false"
-
-
-@pytest.mark.parametrize(
-    "name, extension",
-    [
-        (5, None),
-        ("a\0b", None),
-        ("ext.json", {"entries": 5}),
-        ("ext.json", _NO_VERTICES),
-        ("ext.json", _d15_extension(context=[5])),
-        ("ext.json", _d15_extension(context={"char_K": 0, "p": 4})),
-        (
-            "ext.json",
-            _d15_extension(
-                embed_traces=[
-                    {
-                        "edge_group": {"kind": "dihedral", "n": 5},
-                        "kind": "iso",
-                        "mark_map": {"c0": "mark"},
-                    }
-                ]
-            ),
-        ),
-        (
-            "ext.json",
-            _d15_extension(
-                embed_traces=[
-                    {
-                        "edge_group": {"kind": "dihedral", "n": 5},
-                        "kind": "iso",
-                        "cusp_map": {"c1": "c9"},
-                    }
-                ]
-            ),
-        ),
-        ("ext.json", _FOLD_FLAG_STRING),
-        ("ext.json", _d15_extension(context={"char_K": 0, "p": 5.5})),
-    ],
-    ids=[
-        "name-not-a-string", "name-with-nul", "entries-not-a-list", "entry-without-vertices",
-        "context-not-an-object", "p-not-prime", "mark-map-value-not-a-pair",
-        "embed-trace-to-unknown-cusp", "fold-on-attach-string", "p-float",
-    ],
-)
-def test_run_malformed_extension_is_parse_error(name, extension, tmp_path):
-    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
-    spec["catalog_extension"] = name
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
-    if extension is not None:
-        (tmp_path / "ext.json").write_text(json.dumps(extension), encoding="utf-8")
-    text, code = run(path)
-    assert code == EXIT_INVALID
-    assert text.startswith("parse error: ") and text.count("\n") == 1
-
-
-def test_run_rejects_an_extension_entry_the_catalog_never_reads(tmp_path):
-    # At p = 7 every D7 tree is the built-in star; an entry for it used to load and be ignored.
-    d7, c2 = {"kind": "dihedral", "n": 7}, {"kind": "cyclic", "n": 2}
-    entry = {
-        "group": d7,
-        "context": {"char_K": 0, "p": 7},
-        "vertices": [{"id": "v0", "group": d7}],
-        "cusps": [
-            {"id": "x0", "base": "v0", "group": c2},
-            {"id": "x1", "base": "v0", "group": c2},
-            {"id": "x2", "base": "v0", "group": {"kind": "cyclic", "n": 7}},
-        ],
-    }
-    (tmp_path / "ext.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
-    spec = {
-        "field": {"char_K": 0, "p": 7},
-        "catalog_extension": "ext.json",
-        "vertices": [{"id": "a", "group": d7}],
-    }
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
-    assert run(path) == (
-        f"parse error: {path}: catalog_extension: {tmp_path / 'ext.json'}: entries[0]: "
-        "entry for D7 at p=7 is never read (needs p <= 5 dividing its order)\n",
-        EXIT_INVALID,
-    )
-
-
-@pytest.mark.parametrize("value", [0, None, ["c"]], ids=["number", "null", "list"])
-def test_run_extension_id_that_is_not_a_string_is_one_parse_error(value, tmp_path):
-    ext = _d15_extension()
-    ext["entries"][0]["cusps"][0]["id"] = value
-    (tmp_path / "ext.json").write_text(json.dumps(ext), encoding="utf-8")
-    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
-    spec["catalog_extension"] = "ext.json"
-    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
-    assert run(tmp_path / "in.json") == (
-        f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: "
-        f"entries[0]: id {value!r} must be a string, got {type(value).__name__}\n",
-        EXIT_INVALID,
-    )
-
-
 def _g(kind, **params):
     return dict(kind=kind, **params)
 
@@ -373,59 +268,43 @@ def _run_triangle(tmp_path, *entries):
     return run(tmp_path / "in.json")
 
 
-@pytest.mark.parametrize(
-    "ends, got",
-    [(["v0", "v1", "v9"], "list of 3"), (["v0"], "list of 1"), ("v0v1", "str")],
-    ids=["three-names", "one-name", "string"],
-)
-def test_main_rejects_extension_edge_ends_that_are_not_a_pair(ends, got, tmp_path, capsys):
-    d10 = {
-        "group": _g("dihedral", n=10),
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": v, "group": _g("dihedral", n=10)} for v in ("v0", "v1")],
-        "internal_edges": [{"id": "e0", "ends": ends, "group": _g("cyclic", n=2)}],
-        "cusps": [
-            {"id": "c0", "base": "v0", "group": _g("cyclic", n=2)},
-            {"id": "c1", "base": "v1", "group": _g("cyclic", n=2)},
-            {"id": "c2", "base": "v1", "group": _g("cyclic", n=10)},
-        ],
-    }
-    _run_triangle(tmp_path, d10)
-    capsys.readouterr()
-    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
-    assert capsys.readouterr() == (
-        f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: "
-        f"entries[0]: edge e0: ends must be a pair, got {got}\n",
-        "",
-    )
-
-
 def _load_error(tmp_path, reason):
     """The one line of an extension that fails at load, as ``_run_triangle`` writes it;
     it names the extension file, as ``parse_extension``'s errors do."""
     return f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: {reason}\n"
 
 
+def _d15_chain_naming(tmp_path, extension):
+    """The path of in.json in ``tmp_path``: the D15 chain fixture, with ``extension`` as its
+    ``catalog_extension``."""
+    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
+    spec["catalog_extension"] = extension
+    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
+    return tmp_path / "in.json"
+
+
 @pytest.mark.parametrize(
-    "data, reason",
+    "name, data, reason",
     [
-        (b'{"entries": [\n', "line 2, column 1: Expecting value"),
-        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-        (None, "[Errno 2] No such file or directory: '{ext}'"),
+        ("ext.json", b'{"entries": [\n', "{ext}: line 2, column 1: Expecting value"),
+        (
+            "ext.json", b"\xff{}",
+            "{ext}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+        ("ext.json", None, "{ext}: [Errno 2] No such file or directory: '{ext}'"),
+        ("a\0b", None, "{ext!r}: embedded null byte"),
     ],
-    ids=["not-json", "not-utf-8", "missing"],
+    ids=["not-json", "not-utf-8", "missing", "name-with-nul"],
 )
-def test_main_names_an_extension_file_it_cannot_read(data, reason, tmp_path, capsys):
-    # The first two used to leave the file out, and name only the input file.
-    _run_triangle(tmp_path)
-    ext = tmp_path / "ext.json"
-    if data is None:
-        ext.unlink()
-    else:
-        ext.write_bytes(data)
-    capsys.readouterr()
-    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
-    assert capsys.readouterr() == (_load_error(tmp_path, reason.format(ext=ext)), "")
+def test_main_names_an_extension_file_it_cannot_read(name, data, reason, tmp_path, capsys):
+    # The first two used to leave the file out, and name only the input file. A name
+    # that is not printable is shown as a literal, so the reason stays one line.
+    path = _d15_chain_naming(tmp_path, name)
+    if data is not None:
+        (tmp_path / name).write_bytes(data)
+    assert main([str(path)]) == EXIT_INVALID
+    shown = reason.format(ext=str(tmp_path / name))
+    assert capsys.readouterr() == (f"parse error: {path}: catalog_extension: {shown}\n", "")
 
 
 @pytest.mark.parametrize(
@@ -433,41 +312,11 @@ def test_main_names_an_extension_file_it_cannot_read(data, reason, tmp_path, cap
 )
 def test_main_rejects_a_catalog_extension_that_is_not_a_file_name(value, got, tmp_path, capsys):
     # An empty name used to load no extension, so the D15 vertices failed validation.
-    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
-    spec["catalog_extension"] = value
-    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
-    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    path = _d15_chain_naming(tmp_path, value)
+    assert main([str(path)]) == EXIT_INVALID
     assert capsys.readouterr() == (
-        f"parse error: {tmp_path / 'in.json'}: catalog_extension must be a file name, got {got}\n",
-        "",
+        f"parse error: {path}: catalog_extension must be a file name, got {got}\n", ""
     )
-
-
-def _run_a5_extension(tmp_path, cusp_map, mark_map, *entries):
-    """Run the triangle with an extension A5 tree (replacing the built-in
-    one) whose fold trace into D10 has the given maps; ``entries`` are
-    further extension entries."""
-    a5 = {
-        "group": _g("icosahedral"),
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "v0", "group": _g("icosahedral")}, {"id": "v1", "group": _g("dihedral", n=5)}],
-        "internal_edges": [{"id": "e0", "ends": ["v0", "v1"], "group": _g("dihedral", n=5)}],
-        "cusps": [
-            {"id": "c0", "base": "v0", "group": _g("cyclic", n=3)},
-            {"id": "c1", "base": "v1", "group": _g("cyclic", n=2)},
-            {"id": "c2", "base": "v1", "group": _g("cyclic", n=5)},
-        ],
-        "embed_traces": [
-            {
-                "edge_group": _g("dihedral", n=5),
-                "kind": "fold",
-                "vertex_map": {"v0": "v1"},
-                "cusp_map": cusp_map,
-                "mark_map": mark_map,
-            }
-        ],
-    }
-    return _run_triangle(tmp_path, a5, *entries)
 
 
 _D10_RENAMED = {
@@ -515,57 +364,6 @@ def test_run_extension_tree_without_traces_admits_no_gluing(entry, target, tmp_p
     )
 
 
-@pytest.mark.parametrize(
-    "cusp_map, mark_map, reason",
-    [
-        (
-            {"c1": "c1", "c2": "c2", "zz": "c1"},
-            {"c0": ["vertex", "v0"]},
-            "the cusp map must send exactly ['c1', 'c2'] onto cusps",
-        ),
-        (
-            {"c1": "c1", "c2": "c2"},
-            {"c0": ["vertex", "v0"], "zz": ["vertex", "v1"]},
-            "the mark map must send exactly ['c0']",
-        ),
-    ],
-    ids=["cusp-key-without-partner", "mark-key-not-an-edge-tree-cusp"],
-)
-def test_run_printed_traces_with_stray_keys_are_rejected(cusp_map, mark_map, reason, tmp_path):
-    # The fold trace names a cusp the D5 edge tree does not have, so it fails
-    # when the extension loads, before any D10 trace could disagree with it.
-    text, code = _run_a5_extension(tmp_path, cusp_map, mark_map)
-    assert code == EXIT_INVALID
-    assert text == _load_error(tmp_path, f"entry for A5 at p=5: fold trace of D5 into A5: {reason}")
-
-
-def test_run_printed_mark_covering_no_fold_tree_edge_is_rejected(tmp_path):
-    # The mark of c0 lands on v1, the base of c0's image: the initial segment
-    # would be a self-loop at v1 instead of the A5 tree's edge v0 -- v1.
-    text, code = _run_a5_extension(tmp_path, {"c1": "c1", "c2": "c2"}, {"c0": ["vertex", "v1"]})
-    assert code == EXIT_INVALID
-    assert text == _load_error(
-        tmp_path, "entry for A5 at p=5: fold trace of D5 into A5: the marks must land on neighbours of v1"
-    )
-
-
-def _d10_with_d5_trace(**trace):
-    """An extension D10 tree shaped like the built-in one, with one D5 trace."""
-    c2 = _g("cyclic", n=2)
-    marked = {"marked_point": {"group": c2}, "fold_on_attach": True}
-    return {
-        "group": _g("dihedral", n=10),
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "v0", "group": _g("dihedral", n=10)}],
-        "cusps": [
-            {"id": "c0", "base": "v0", "group": c2, **marked},
-            {"id": "c1", "base": "v0", "group": c2},
-            {"id": "c2", "base": "v0", "group": _g("cyclic", n=10)},
-        ],
-        "embed_traces": [dict(edge_group=_g("dihedral", n=5), **trace)],
-    }
-
-
 def _run_printed(tmp_path, vertices, edges):
     """Run a char-0, p = 5 input of D5 edges between built-in printed trees."""
     spec = {
@@ -604,37 +402,10 @@ def test_run_pins_each_printed_gluing_rejection(tmp_path):
     )
 
 
-@pytest.mark.parametrize(
-    "cusp_map, reason",
-    [
-        ({"c1": "c2", "c2": "c1"}, "the image c1 of cusp c2 must contain its stabilizer C5"),
-        ({"c1": "c2", "c2": "c2"}, "the cusp map must be one to one"),
-    ],
-    ids=["swapped-images", "one-image-twice"],
-)
-def test_main_rejects_an_iso_trace_whose_cusp_map_gluing_would_break(
-    cusp_map, reason, tmp_path, capsys
-):
-    # Both loaded. Swapped images failed only in the gluing, on merging C5 with
-    # C2; one image used twice realized A5 -[D5]- D10 and exited 0, merging A5's
-    # C2 and C5 cusps into one C10 cusp.
-    d10 = _d10_with_d5_trace(
-        kind="iso", vertex_map={"v0": "v0"}, cusp_map=cusp_map, mark_map={"c0": ["mark", "c0"]}
-    )
-    capsys.readouterr()
-    _run_triangle(tmp_path, d10)  # writes in.json and ext.json
-    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
-    assert capsys.readouterr() == (
-        _load_error(tmp_path, f"entry for D10 at p=5: iso trace of D5 into D10: {reason}"), ""
-    )
-
-
 def test_main_names_the_extension_file_of_a_duplicate_entry(tmp_path, capsys):
     # The duplicate is found when the catalog is built from the parsed entries.
-    maps = {"vertex_map": {"v0": "v0"}, "cusp_map": {"c1": "c1", "c2": "c2"}}
-    d10 = _d10_with_d5_trace(kind="iso", mark_map={"c0": ["mark", "c0"]}, **maps)
     capsys.readouterr()
-    _run_triangle(tmp_path, d10, d10)
+    _run_triangle(tmp_path, _D10_RENAMED, _D10_RENAMED)
     assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
     assert capsys.readouterr() == (
         _load_error(tmp_path, "duplicate extension entry for D10 at p=5"), ""
@@ -693,12 +464,10 @@ def test_main_rejects_an_extension_internal_edge_its_ends_cannot_hold(tmp_path, 
             {"id": "c2", "base": "v0", "group": _g("cyclic", n=15)},
         ],
     }
-    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
-    spec["catalog_extension"] = "ext.json"
+    path = _d15_chain_naming(tmp_path, "ext.json")
     (tmp_path / "ext.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
-    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
     capsys.readouterr()
-    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    assert main([str(path)]) == EXIT_INVALID
     assert capsys.readouterr() == (
         _load_error(tmp_path, "entries[0]: edge e0: stabilizer A5 not contained in D15"),
         "",

@@ -273,6 +273,10 @@ def test_validate_spec_examples():
     assert not is_admissible(TETRAHEDRAL, FieldContext(3, 3, 1))
     msgs = validate_in_context(TETRAHEDRAL, FieldContext(3, 3, 1))
     assert msgs and "2,3" in msgs[0]
+    # canonicalize rejects an unknown kind, so only a symbol built by hand has one.
+    for ctx in (FieldContext(0, 7, 1), FieldContext(3, 3, 1)):
+        assert is_admissible(GroupSymbol("x"), ctx) is False
+        assert validate_in_context(GroupSymbol("x"), ctx) == ("unknown group kind 'x'",)
 
 
 def test_icosahedral_at_three_needs_even_degree():
