@@ -467,6 +467,34 @@ def test_extension_fixture_loads():
     assert [(e.tree.group, e.p) for e in entries] == [(dihedral(15), 5)]
 
 
+def test_extension_rejects_bad_cusp_count():
+    doc = d15_entry()
+    doc["entries"][0]["cusps"] = doc["entries"][0]["cusps"][:2]
+    with pytest.raises(CatalogError, match="3 cusps"):
+        parse_extension(doc)
+
+
+def test_extension_rejects_trivial_cusp():
+    doc = d15_entry()
+    doc["entries"][0]["cusps"][0]["group"] = {"kind": "trivial"}
+    with pytest.raises(CatalogError, match="trivial"):
+        parse_extension(doc)
+
+
+def test_extension_rejects_non_tree():
+    doc = d15_entry()
+    doc["entries"][0]["vertices"].append({"id": "v1", "group": {"kind": "cyclic", "n": 3}})
+    with pytest.raises(CatalogError, match="tree"):
+        parse_extension(doc)
+
+
+def test_extension_rejects_nondividing_cusp():
+    doc = d15_entry()
+    doc["entries"][0]["cusps"][2]["group"] = {"kind": "cyclic", "n": 7}
+    with pytest.raises(CatalogError, match="divide"):
+        parse_extension(doc)
+
+
 def d15_marked_entry_with_embed():
     """A D15 instance shaped like the printed D_{10m} trees, with gluing data
     for the D5 edge tree."""
@@ -535,6 +563,42 @@ def test_extension_without_traces_admits_no_gluing():
     cat = Catalog(parse_extension(d10_entry()))
     assert cat.attachment_traces(dihedral(5), dihedral(10), ctx) == ()
     assert [t.kind for t in CAT.attachment_traces(dihedral(5), dihedral(10), ctx)] == [KIND_ISO]
+
+
+def test_extension_rejects_disconnected_tree():
+    # Edges number vertices - 1, but v0-v1 twice leaves v2 alone.
+    doc = d10_entry(
+        vertices=[{"id": v, "group": {"kind": "dihedral", "n": 10}} for v in ("v0", "v1", "v2")],
+        internal_edges=[
+            {"id": e, "ends": ["v0", "v1"], "group": {"kind": "cyclic", "n": 2}} for e in ("e0", "e1")
+        ],
+    )
+    with pytest.raises(CatalogError, match="not connected"):
+        parse_extension(doc)
+
+
+def test_extension_rejects_edge_to_unknown_vertex():
+    doc = d10_entry(
+        internal_edges=[{"id": "e0", "ends": ["v0", "v9"], "group": {"kind": "cyclic", "n": 2}}]
+    )
+    with pytest.raises(CatalogError, match="e0 references unknown vertex"):
+        parse_extension(doc)
+
+
+@pytest.mark.parametrize(
+    "ends, got",
+    [(["v0", "v1", "v9"], "list of 3"), (["v0"], "list of 1"), ("v0v1", "str")],
+    ids=["three-names", "one-name", "string"],
+)
+def test_extension_edge_ends_must_be_a_pair(ends, got):
+    # A third name is not dropped, nor is a string read as its first two letters.
+    doc = d10_entry(
+        vertices=[{"id": v, "group": {"kind": "dihedral", "n": 10}} for v in ("v0", "v1")],
+        internal_edges=[{"id": "e0", "ends": ends, "group": {"kind": "cyclic", "n": 2}}],
+    )
+    with pytest.raises(CatalogError) as info:
+        parse_extension(doc)
+    assert str(info.value) == f"<extension>: entries[0]: edge e0: ends must be a pair, got {got}"
 
 
 _D5 = {"kind": "dihedral", "n": 5}

@@ -251,6 +251,96 @@ def test_parse_a_kind_that_is_not_a_string_is_one_parse_error(kind, tmp_path):
     assert run(path) == (message, EXIT_INVALID)
 
 
+def _d15_extension(**changes):
+    entry = json.loads((FIXTURES / "extension_d15_k5.json").read_text(encoding="utf-8"))["entries"][0]
+    entry.update(changes)
+    return {"entries": [entry]}
+
+
+_FOLD_FLAG_STRING = _d15_extension()
+_FOLD_FLAG_STRING["entries"][0]["cusps"][0]["fold_on_attach"] = "false"
+
+
+@pytest.mark.parametrize(
+    "name, extension",
+    [
+        (5, None),
+        ("ext.json", {"entries": 5}),
+        ("ext.json", _d15_extension(context={"char_K": 0, "p": 4})),
+        (
+            "ext.json",
+            _d15_extension(
+                embed_traces=[
+                    {
+                        "edge_group": {"kind": "dihedral", "n": 5},
+                        "kind": "iso",
+                        "cusp_map": {"c1": "c9"},
+                    }
+                ]
+            ),
+        ),
+        ("ext.json", _FOLD_FLAG_STRING),
+    ],
+    ids=[
+        "name-not-a-string", "entries-not-a-list", "p-not-prime", "embed-trace-to-unknown-cusp",
+        "fold-on-attach-string",
+    ],
+)
+def test_run_malformed_extension_is_parse_error(name, extension, tmp_path):
+    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
+    spec["catalog_extension"] = name
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    if extension is not None:
+        (tmp_path / "ext.json").write_text(json.dumps(extension), encoding="utf-8")
+    text, code = run(path)
+    assert code == EXIT_INVALID
+    assert text.startswith("parse error: ") and text.count("\n") == 1
+
+
+def test_run_rejects_an_extension_entry_the_catalog_never_reads(tmp_path):
+    # At p = 7 every D7 tree is the built-in star; an entry for it used to load and be ignored.
+    d7, c2 = {"kind": "dihedral", "n": 7}, {"kind": "cyclic", "n": 2}
+    entry = {
+        "group": d7,
+        "context": {"char_K": 0, "p": 7},
+        "vertices": [{"id": "v0", "group": d7}],
+        "cusps": [
+            {"id": "x0", "base": "v0", "group": c2},
+            {"id": "x1", "base": "v0", "group": c2},
+            {"id": "x2", "base": "v0", "group": {"kind": "cyclic", "n": 7}},
+        ],
+    }
+    (tmp_path / "ext.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    spec = {
+        "field": {"char_K": 0, "p": 7},
+        "catalog_extension": "ext.json",
+        "vertices": [{"id": "a", "group": d7}],
+    }
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert run(path) == (
+        f"parse error: {path}: catalog_extension: {tmp_path / 'ext.json'}: entries[0]: "
+        "entry for D7 at p=7 is never read (needs p <= 5 dividing its order)\n",
+        EXIT_INVALID,
+    )
+
+
+@pytest.mark.parametrize("value", [0, None, ["c"]], ids=["number", "null", "list"])
+def test_run_extension_id_that_is_not_a_string_is_one_parse_error(value, tmp_path):
+    ext = _d15_extension()
+    ext["entries"][0]["cusps"][0]["id"] = value
+    (tmp_path / "ext.json").write_text(json.dumps(ext), encoding="utf-8")
+    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
+    spec["catalog_extension"] = "ext.json"
+    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert run(tmp_path / "in.json") == (
+        f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: "
+        f"entries[0]: id {value!r} must be a string, got {type(value).__name__}\n",
+        EXIT_INVALID,
+    )
+
+
 def _g(kind, **params):
     return dict(kind=kind, **params)
 
@@ -266,6 +356,39 @@ def _run_triangle(tmp_path, *entries):
     (tmp_path / "ext.json").write_text(json.dumps({"entries": list(entries)}), encoding="utf-8")
     (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
     return run(tmp_path / "in.json")
+
+
+def _load_error(tmp_path, reason):
+    """The one line of an extension that fails at load, as ``_run_triangle`` writes it;
+    it names the extension file, as ``parse_extension``'s errors do."""
+    return f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "ends, got",
+    [(["v0", "v1", "v9"], "list of 3"), (["v0"], "list of 1"), ("v0v1", "str")],
+    ids=["three-names", "one-name", "string"],
+)
+def test_main_rejects_extension_edge_ends_that_are_not_a_pair(ends, got, tmp_path, capsys):
+    d10 = {
+        "group": _g("dihedral", n=10),
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": v, "group": _g("dihedral", n=10)} for v in ("v0", "v1")],
+        "internal_edges": [{"id": "e0", "ends": ends, "group": _g("cyclic", n=2)}],
+        "cusps": [
+            {"id": "c0", "base": "v0", "group": _g("cyclic", n=2)},
+            {"id": "c1", "base": "v1", "group": _g("cyclic", n=2)},
+            {"id": "c2", "base": "v1", "group": _g("cyclic", n=10)},
+        ],
+    }
+    _run_triangle(tmp_path, d10)
+    capsys.readouterr()
+    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: "
+        f"entries[0]: edge e0: ends must be a pair, got {got}\n",
+        "",
+    )
 
 
 def _load_error(tmp_path, reason):
@@ -361,6 +484,139 @@ def test_run_extension_tree_without_traces_admits_no_gluing(entry, target, tmp_p
     assert text == (
         "validation failed:\n"
         f"- edge e0: no attachment trace of T*(D5) into T*({target}; gluing inadmissible\n"
+    )
+
+
+def _run_a5_extension(tmp_path, cusp_map, mark_map, *entries):
+    """Run the triangle with an extension A5 tree (replacing the built-in
+    one) whose fold trace into D10 has the given maps; ``entries`` are
+    further extension entries."""
+    a5 = {
+        "group": _g("icosahedral"),
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "v0", "group": _g("icosahedral")}, {"id": "v1", "group": _g("dihedral", n=5)}],
+        "internal_edges": [{"id": "e0", "ends": ["v0", "v1"], "group": _g("dihedral", n=5)}],
+        "cusps": [
+            {"id": "c0", "base": "v0", "group": _g("cyclic", n=3)},
+            {"id": "c1", "base": "v1", "group": _g("cyclic", n=2)},
+            {"id": "c2", "base": "v1", "group": _g("cyclic", n=5)},
+        ],
+        "embed_traces": [
+            {
+                "edge_group": _g("dihedral", n=5),
+                "kind": "fold",
+                "vertex_map": {"v0": "v1"},
+                "cusp_map": cusp_map,
+                "mark_map": mark_map,
+            }
+        ],
+    }
+    return _run_triangle(tmp_path, a5, *entries)
+
+
+_D10_RENAMED = {
+    "group": _g("dihedral", n=10),
+    "context": {"char_K": 0, "p": 5},
+    "vertices": [{"id": "x0", "group": _g("dihedral", n=10)}],
+    "cusps": [
+        {
+            "id": "k0",
+            "base": "x0",
+            "group": _g("cyclic", n=2),
+            "marked_point": {"group": _g("cyclic", n=2)},
+            "fold_on_attach": True,
+        },
+        {"id": "k1", "base": "x0", "group": _g("cyclic", n=2)},
+        {"id": "k2", "base": "x0", "group": _g("cyclic", n=10)},
+    ],
+}
+_A5_RENAMED = {
+    "group": _g("icosahedral"),
+    "context": {"char_K": 0, "p": 5},
+    "vertices": [{"id": "x0", "group": _g("icosahedral")}, {"id": "x1", "group": _g("dihedral", n=5)}],
+    "internal_edges": [{"id": "e0", "ends": ["x0", "x1"], "group": _g("dihedral", n=5)}],
+    "cusps": [
+        {"id": "c0", "base": "x0", "group": _g("cyclic", n=3)},
+        {"id": "c1", "base": "x1", "group": _g("cyclic", n=2)},
+        {"id": "c2", "base": "x1", "group": _g("cyclic", n=5)},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "entry, target",
+    [(_D10_RENAMED, "D10) at vertex d"), (_A5_RENAMED, "A5) at vertex a")],
+    ids=["d10", "a5"],
+)
+def test_run_extension_tree_without_traces_admits_no_gluing(entry, target, tmp_path):
+    # The built-in traces name the built-in tree's ids, so they never glue
+    # into an extension tree; these entries name no D5 trace of their own.
+    text, code = _run_triangle(tmp_path, entry)
+    assert code == EXIT_INVALID
+    assert text == (
+        "validation failed:\n"
+        f"- edge e0: no attachment trace of T*(D5) into T*({target}; gluing inadmissible\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "cusp_map, mark_map, reason",
+    [
+        (
+            {"c1": "c1", "c2": "c2"},
+            {"c0": ["vertex", "v0"], "zz": ["vertex", "v1"]},
+            "the mark map must send exactly ['c0']",
+        ),
+    ],
+    ids=["mark-key-not-an-edge-tree-cusp"],
+)
+def test_run_printed_traces_with_stray_keys_are_rejected(cusp_map, mark_map, reason, tmp_path):
+    # The fold trace names a cusp the D5 edge tree does not have, so it fails
+    # when the extension loads, before any D10 trace could disagree with it.
+    text, code = _run_a5_extension(tmp_path, cusp_map, mark_map)
+    assert code == EXIT_INVALID
+    assert text == _load_error(tmp_path, f"entry for A5 at p=5: fold trace of D5 into A5: {reason}")
+
+
+def _d10_with_d5_trace(**trace):
+    """An extension D10 tree shaped like the built-in one, with one D5 trace."""
+    c2 = _g("cyclic", n=2)
+    marked = {"marked_point": {"group": c2}, "fold_on_attach": True}
+    return {
+        "group": _g("dihedral", n=10),
+        "context": {"char_K": 0, "p": 5},
+        "vertices": [{"id": "v0", "group": _g("dihedral", n=10)}],
+        "cusps": [
+            {"id": "c0", "base": "v0", "group": c2, **marked},
+            {"id": "c1", "base": "v0", "group": c2},
+            {"id": "c2", "base": "v0", "group": _g("cyclic", n=10)},
+        ],
+        "embed_traces": [dict(edge_group=_g("dihedral", n=5), **trace)],
+    }
+
+
+@pytest.mark.parametrize(
+    "cusp_map, reason",
+    [
+        ({"c1": "c2", "c2": "c1"}, "the image c1 of cusp c2 must contain its stabilizer C5"),
+        ({"c1": "c2", "c2": "c2"}, "the cusp map must be one to one"),
+    ],
+    ids=["swapped-images", "one-image-twice"],
+)
+def test_main_rejects_an_iso_trace_whose_cusp_map_gluing_would_break(
+    cusp_map, reason, tmp_path, capsys
+):
+    # Both loaded. Swapped images failed only in the gluing, on merging C5 with
+    # C2; one image used twice realized A5 -[D5]- D10 and exited 0, merging A5's
+    # C2 and C5 cusps into one C10 cusp.
+    d10 = _d10_with_d5_trace(
+        kind="iso", vertex_map={"v0": "v0"}, cusp_map=cusp_map, mark_map={"c0": ["mark", "c0"]}
+    )
+    capsys.readouterr()
+    _run_triangle(tmp_path, d10)  # writes in.json and ext.json
+    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        _load_error(tmp_path, f"entry for D10 at p=5: iso trace of D5 into D10: {reason}"), ""
     )
 
 
