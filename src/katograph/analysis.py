@@ -216,7 +216,7 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
     out_edges = tuple(
         GraphEdge(eid, (edges[eid][0], edges[eid][1]), edges[eid][2]) for eid in sorted(edges)
     )
-    b1 = betti(stab, [(a, b) for a, b, _ in edges.values()])
+    b1 = betti([(a, b) for a, b, _ in edges.values()])
     return QuotientSkeleton(ctx, vertices, out_edges, b1, tuple(warnings))
 
 

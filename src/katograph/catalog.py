@@ -471,6 +471,8 @@ def _read_entry(raw) -> PrintedEntry:
 
     group = canonicalize(raw["group"])
     e_ctx = raw.get("context", {})
+    if not isinstance(e_ctx, dict):
+        raise CatalogError(f"context must be an object, got {type(e_ctx).__name__}")
     p = json_scalar(e_ctx["p"], int, "p")
     if json_scalar(e_ctx.get("char_K", 0), int, "char_K") != 0:
         raise CatalogError("extension entries are char-0 instances")
@@ -508,7 +510,7 @@ def _read_entry(raw) -> PrintedEntry:
         edges[eid] = TreeEdge(eid, tuple(ends), h)
     if len(edges) != len(vertices) - 1:
         raise CatalogError("underlying graph is not a tree")
-    if betti(vertices, [ed.ends for ed in edges.values()]) != 0:
+    if betti([ed.ends for ed in edges.values()]) != 0:
         raise CatalogError("underlying graph is not connected")
     cusps = {}
     for cr in raw["cusps"]:
@@ -535,6 +537,9 @@ def _read_entry(raw) -> PrintedEntry:
     for tr in raw.get("embed_traces", []):
         if tr.get("kind") not in (KIND_FOLD, KIND_ISO):
             raise CatalogError("embed trace kind must be fold or iso")
+        for a, mark in tr.get("mark_map", {}).items():
+            if msg := pair_error(mark, f"mark_map {_id(a)}"):
+                raise CatalogError(msg)
         maps = EmbedMaps(
             tuple((_id(a), _id(b)) for a, b in tr.get("vertex_map", {}).items()),
             tuple((_id(a), _id(b)) for a, b in tr.get("cusp_map", {}).items()),

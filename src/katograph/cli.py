@@ -46,6 +46,7 @@ from .graphs import (
 )
 from .groups import (
     FieldContext,
+    GroupSymbol,
     SymbolError,
     TRIVIAL,
     canonicalize,
@@ -102,7 +103,7 @@ def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: field: {exc}") from exc
     vertices = _read_list(
-        data, "vertices", source, lambda raw: InputVertex(raw["id"], canonicalize(raw["group"]))
+        data, "vertices", source, lambda raw: InputVertex(raw["id"], _symbol(raw["group"]))
     )
     edges = _read_list(data, "edges", source, _input_edge)
     genus_edges = _read_list(data, "genus_edges", source, _genus_edge)
@@ -129,7 +130,7 @@ def _input_edge(raw) -> InputEdge:
     if derive == ("group" in raw):
         both = "'group' and 'derive': true exclude each other"
         raise TypeError(both if derive else "needs 'group' or 'derive': true")
-    group = None if derive else canonicalize(raw["group"])
+    group = None if derive else _symbol(raw["group"])
     hints = _require_object(raw.get("site_hints", {}), "site_hints")
     if extra := hints.keys() - {"from", "to"}:
         raise TypeError(f"site_hints takes only 'from' and 'to', got {sorted(extra)}")
@@ -139,7 +140,7 @@ def _input_edge(raw) -> InputEdge:
 
 
 def _genus_edge(raw) -> GenusEdge:
-    group = canonicalize(raw["group"]) if "group" in raw else TRIVIAL
+    group = _symbol(raw["group"]) if "group" in raw else TRIVIAL
     return GenusEdge(raw["id"], (raw["from"], raw["to"]), group)
 
 
@@ -147,6 +148,20 @@ def _require_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"{what} must be an object, got {type(value).__name__}")
     return value
+
+
+# A group description's symbol depends only on its four fields. It is kept for the life of the
+# process when they are exactly str, int, int and str, since True == 1 but "n": true is refused.
+_SYMBOLS = _Kept(lambda key: canonicalize(dict(zip(("kind", "n", "t", "variant"), key))))
+
+
+def _symbol(raw) -> GroupSymbol:
+    """``canonicalize(raw)``, kept in ``_SYMBOLS`` for a description read from JSON."""
+    if isinstance(raw, dict):
+        key = (raw.get("kind"), raw.get("n", 0), raw.get("t", 0), raw.get("variant", ""))
+        if tuple(map(type, key)) == (str, int, int, str):
+            return _SYMBOLS[key]
+    return canonicalize(raw)
 
 
 # Printed forms depend only on their symbol, and a name on the context too, because

@@ -127,6 +127,8 @@ class KatoGraph(NamedTuple):
 class _UnionFind:
     """Path-halving union-find over string ids.
 
+    ``parent`` holds only the ids merged into another id; any other id is its own
+    root, so ids need no adding and ``len(parent)`` counts the merging unions.
     ``union`` makes the lexicographically smaller root the new root, so each
     realized vertex and cusp keeps the smallest id merged into it; union by
     rank would rename them and change every report.
@@ -135,14 +137,12 @@ class _UnionFind:
     def __init__(self):
         self.parent: dict[str, str] = {}
 
-    def add(self, x: str):
-        self.parent.setdefault(x, x)
-
     def find(self, x: str) -> str:
         p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
+        while (up := p.get(x)) is not None:
+            if (top := p.get(up)) is None:
+                return up
+            p[x] = x = top  # path halving: x skips its parent
         return x
 
     def union(self, a: str, b: str) -> str:
@@ -162,15 +162,13 @@ def pair_error(value, what: str) -> str | None:
     return f"{what} must be a pair, got {type(value).__name__}{size}"
 
 
-def betti(vertices: Iterable[str], edge_pairs: list[tuple[str, str]]) -> int:
-    """First Betti number: edges minus vertices plus connected components."""
+def betti(edge_pairs: list[tuple[str, str]]) -> int:
+    """First Betti number of the graph of ``edge_pairs`` and any isolated vertices:
+    edges minus the unions that merged two classes."""
     uf = _UnionFind()
-    for v in vertices:
-        uf.add(v)
     for a, b in edge_pairs:
         uf.union(a, b)
-    components = len({uf.find(v) for v in uf.parent})
-    return len(edge_pairs) - len(uf.parent) + components
+    return len(edge_pairs) - len(uf.parent)
 
 
 # -- the input contract -----------------------------------------------------------
@@ -211,7 +209,6 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             bad.append(f"vertex {v.id}: duplicate id")
             continue
         seen_v[v.id] = v.group
-        uf.add(v.id)
         try:
             catalog.elementary_tree(v.group, ctx)  # only an admissible group gets a tree
         except ContextError:
@@ -305,6 +302,7 @@ class _Builder:
         self.consumed: set[str] = set()
         self.edges: list[tuple[str, str, str, GroupSymbol]] = []
         self.trees: dict[str, ElementaryTree] = {}
+        self.anchors: dict[str, str] = {}  # each input vertex's first tree vertex, realized
         self.embedded: set[str] = set()
         self.notes: list[str] = []
         self.violations: list[str] = []
@@ -312,10 +310,10 @@ class _Builder:
     # -- primitives --
 
     def add(self, xid: str, stab: GroupSymbol, base: str | None = None):
-        """A realized vertex, or a cusp based at the vertex ``base``."""
-        if xid in self.ids.parent:
+        """A realized vertex, or a cusp based at the vertex ``base``. An id is taken
+        while it is a root, which keeps a stabilizer, and once it is merged away."""
+        if xid in self.stab or xid in self.ids.parent:
             raise RealizeError(f"realized id {xid} names two vertices or cusps; rename an id")
-        self.ids.add(xid)
         self.stab[xid] = stab
         if base is not None:
             self.cbase[xid] = base
@@ -352,17 +350,15 @@ class _Builder:
         for v in sorted(self.checked.vertices, key=lambda x: x.id):
             tree = self.catalog.elementary_tree(v.group, self.ctx)
             self.trees[v.id] = tree
+            pre = v.id + ":"
+            self.anchors[v.id] = pre + tree.vertices[0].id
             for tv in tree.vertices:
-                self.add(f"{v.id}:{tv.id}", tv.stabilizer)
+                self.add(pre + tv.id, tv.stabilizer)
             for te in tree.internal_edges:
-                self.edges.append(
-                    (f"{v.id}:{te.id}", f"{v.id}:{te.ends[0]}", f"{v.id}:{te.ends[1]}", te.stabilizer)
-                )
+                a, b = te.ends
+                self.edges.append((pre + te.id, pre + a, pre + b, te.stabilizer))
             for c in tree.cusps:
-                self.add(f"{v.id}:{c.id}", c.stabilizer, f"{v.id}:{c.base_vertex}")
-
-    def anchor(self, input_vid: str) -> str:
-        return f"{input_vid}:{self.trees[input_vid].vertices[0].id}"
+                self.add(pre + c.id, c.stabilizer, pre + c.base_vertex)
 
     # -- trace selection --
 
@@ -418,12 +414,12 @@ class _Builder:
             raise RealizeError(
                 f"edge {edge.id}: all matching attachment sites at {vid} already used"
             )
-        if not all(t.equivalent(live[0][0]) for t, _ in live[1:]):
+        if len(live) > 1 and not all(t.equivalent(live[0][0]) for t, _ in live[1:]):
             raise RealizeError(
                 f"edge {edge.id}: ambiguous attachment at {vid} "
                 f"(sites {sorted(t.site for t, _ in live)}); give a site hint"
             )
-        t, roots = min(live, key=lambda live_trace: live_trace[0].site)
+        t, roots = min(live, key=lambda live_trace: live_trace[0].site) if live[1:] else live[0]
         if t.kind == KIND_ISO and len(set(roots)) == 1:
             return AttachmentTrace(t.site, KIND_FOLD), roots[1:]
         return t, roots
@@ -433,7 +429,7 @@ class _Builder:
     def glue(self, edge: InputEdge, traces):
         uid, vid = edge.ends
         if edge.group == TRIVIAL:
-            self.edges.append((edge.id, self.anchor(uid), self.anchor(vid), TRIVIAL))
+            self.edges.append((edge.id, self.anchors[uid], self.anchors[vid], TRIVIAL))
             return
         tu, ru = self.select_trace(edge, 0, traces[0])
         tv, rv = self.select_trace(edge, 1, traces[1])
@@ -443,10 +439,9 @@ class _Builder:
                 "(the two fold points of a line gluing must differ)"
             )
         # A fold end goes before an iso end, and a fold at a marked point before a plain fold.
-        first, second = sorted(
-            [(uid, tu, ru), (vid, tv, rv)],
-            key=lambda end: (end[1].kind == KIND_ISO, not end[1].fold_at_mark),
-        )
+        first, second = (uid, tu, ru), (vid, tv, rv)
+        if (tv.kind == KIND_ISO, not tv.fold_at_mark) < (tu.kind == KIND_ISO, not tu.fold_at_mark):
+            first, second = second, first
         if tu.embed is not None:
             self.glue_embed(edge, *first[:2], *second[:2])
         else:
@@ -486,7 +481,7 @@ class _Builder:
         if tv.kind != KIND_ISO:
             self.consume(rv[-1])
             return
-        self.merge([line[-1] if line else self.anchor(uid), self.anchor(vid)])
+        self.merge([line[-1] if line else self.anchors[uid], self.anchors[vid]])
         if tu.fold_at_mark:
             merges = [rv]
         elif tu.kind == KIND_ISO:
@@ -543,19 +538,18 @@ class _Builder:
         for edge in sorted(edges, key=lambda e: e.id not in printed):
             self.glue(edge, traces.get(edge.id))
         # The roots are exactly the ids that keep a stabilizer.
-        roots = sorted(self.stab)
+        roots, find, anchors = sorted(self.stab), self.ids.find, self.anchors
         vertices = tuple(GraphVertex(r, self.stab[r]) for r in roots if r not in self.cbase)
         edges = tuple(
-            GraphEdge(eid, (self.ids.find(a), self.ids.find(b)), stab)
-            for eid, a, b, stab in sorted(self.edges)
+            GraphEdge(eid, (find(a), find(b)), stab) for eid, a, b, stab in sorted(self.edges)
         )
         cusps = tuple(
-            GraphCusp(r, self.ids.find(self.cbase[r]), self.stab[r])
+            GraphCusp(r, find(self.cbase[r]), self.stab[r])
             for r in roots
             if r in self.cbase and r not in self.consumed
         )
         loops = tuple(
-            GraphLoop(ge.id, tuple(self.ids.find(self.anchor(end)) for end in ge.ends))
+            GraphLoop(ge.id, (find(anchors[ge.ends[0]]), find(anchors[ge.ends[1]])))
             for ge in sorted(self.checked.genus_edges, key=lambda g: g.id)
         )
         seen: set[str] = set()
@@ -583,5 +577,4 @@ def realize(checked: CheckedInput) -> KatoGraph:
 
 def genus(g: KatoGraph) -> int:
     """First Betti number of the underlying graph, genus loops included."""
-    ends = [e.ends for e in g.finite_edges] + [l.ends for l in g.genus_loops]
-    return betti((v.id for v in g.vertices), ends)
+    return betti([e.ends for e in g.finite_edges] + [l.ends for l in g.genus_loops])

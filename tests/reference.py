@@ -17,6 +17,9 @@ catalog, with ``_generation_violation``, ``_whitelist_patterns`` and
 ``_matches_pattern`` copied verbatim. It recomputes every verdict;
 ``Catalog.generation_violation`` keeps them, and the two must give the same
 message for every vertex.
+
+``components`` is the connected components of a multigraph by breadth-first
+search, the oracle of ``graphs._UnionFind`` and ``graphs.betti``.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
     out_edges = tuple(
         GraphEdge(eid, (edges[eid][0], edges[eid][1]), edges[eid][2]) for eid in sorted(edges)
     )
-    b1 = betti(stab, [(a, b) for a, b, _ in edges.values()])
+    b1 = betti([(a, b) for a, b, _ in edges.values()])
     return QuotientSkeleton(ctx, vertices, out_edges, b1, tuple(warnings))
 
 
@@ -137,6 +140,19 @@ def separation_plan(g: KatoGraph) -> SeparationPlan:
             if d is not None:
                 dists.append((i, j, d))
     return SeparationPlan(clusters, tuple(dists))
+
+
+def components(vertices, edge_pairs) -> list[set[str]]:
+    """The vertex sets of the connected components, self-loops and parallel edges allowed."""
+    adj: dict[str, list[str]] = {v: [] for v in vertices}
+    for a, b in edge_pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    out: list[set[str]] = []
+    for v in adj:
+        if not any(v in seen for seen in out):
+            out.append(set(_bfs(v, adj)))
+    return out
 
 
 def _bfs(start: str, adj) -> dict[str, int]:

@@ -753,7 +753,7 @@ def _entry(doc, message, id):
         _entry(d10_entry(context={"char_K": 0}), "missing key 'p'", id="no-p"),
         _entry(_d10_without("vertices"), "missing key 'vertices'", id="no-vertices-key"),
         _entry(
-            d10_entry(context=[5]), "list indices must be integers or slices, not str",
+            d10_entry(context=[5]), "context must be an object, got list",
             id="context-a-list",
         ),
         _entry(
@@ -882,11 +882,11 @@ def _entry(doc, message, id):
         ),
         _entry(
             _d10_trace(mark_map={"c0": ["vertex"]}),
-            "not enough values to unpack (expected 2, got 1)",
+            "mark_map c0 must be a pair, got list of 1",
             id="mark-map-not-a-pair",
         ),
         _entry(
-            _d10_trace(mark_map={"c0": "mark"}), "too many values to unpack (expected 2)",
+            _d10_trace(mark_map={"c0": "mark"}), "mark_map c0 must be a pair, got str",
             id="mark-map-value-a-string",
         ),
         _entry(

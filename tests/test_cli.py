@@ -9,7 +9,7 @@ from textwrap import dedent
 import pytest
 
 from katograph.analysis import SeparationPlan, StructuralReport, contract, cusp_count_general
-from katograph.catalog import Catalog
+from katograph.catalog import Catalog, _Kept
 from katograph.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -34,7 +34,7 @@ from katograph.graphs import (
     realize,
     validate_input,
 )
-from katograph.groups import FieldContext, cyclic, dihedral
+from katograph.groups import FieldContext, borel, canonicalize, cyclic, dihedral
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -251,6 +251,96 @@ def test_parse_a_kind_that_is_not_a_string_is_one_parse_error(kind, tmp_path):
     assert run(path) == (message, EXIT_INVALID)
 
 
+# -- the kept table of group symbols ---------------------------------------------
+
+
+def _vertex_group(group):
+    return {"field": _FIELD, "vertices": [{"id": "a", "group": group}]}
+
+
+def _group_error(group) -> str:
+    with pytest.raises(ParseError) as info:
+        parse_spec_dict(_vertex_group(group))
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "kept, refused, message",
+    [
+        (
+            {"kind": "cyclic", "n": 1}, {"kind": "cyclic", "n": True},
+            "n must be an integer, got bool",
+        ),
+        (
+            {"kind": "cyclic", "n": 3}, {"kind": "cyclic", "n": 3.0},
+            "n must be an integer, got float",
+        ),
+        (
+            {"kind": "borel", "t": 1, "n": 2}, {"kind": "borel", "t": True, "n": 2},
+            "t must be an integer, got bool",
+        ),
+    ],
+    ids=["n-bool", "n-float", "t-bool"],
+)
+def test_parse_refuses_a_group_equal_to_a_kept_one_but_not_an_integer(kept, refused, message):
+    # True == 1 and 3.0 == 3, with equal hashes, so a table of symbols must not answer for them.
+    parse_spec_dict(_vertex_group(kept))
+    assert _group_error(refused) == (
+        f"<input>: vertices[0]: group parameters must be integers: {message}"
+    )
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ({"kind": "cyclic", "n": 0}, "cyclic order must be positive, got 0"),
+        (
+            {"kind": "proj_linear", "variant": "PGX", "t": 1},
+            "projective linear variant must be PGL or PSL, got 'PGX'",
+        ),
+        ({"kind": "sporadic", "n": 3}, "unknown group kind 'sporadic'"),
+    ],
+    ids=["cyclic-0", "variant-unknown", "kind-unknown"],
+)
+def test_parse_a_refused_group_gives_the_same_message_again(group, message):
+    for _ in range(2):
+        assert _group_error(group) == f"<input>: vertices[0]: {message}"
+
+
+def test_parse_ignores_extra_group_keys_as_before():
+    for _ in range(2):
+        doc = _vertex_group({"kind": "borel", "t": 0, "n": 6, "color": "red"})
+        assert parse_spec_dict(doc).vertices[0].group == cyclic(6)
+
+
+def test_parse_builds_each_vertex_edge_and_genus_edge_group_once(monkeypatch):
+    import katograph.cli as cli
+
+    built = []
+
+    def counted(raw):
+        built.append(raw)
+        return canonicalize(raw)
+
+    monkeypatch.setattr(cli, "canonicalize", counted)
+    monkeypatch.setattr(cli, "_SYMBOLS", _Kept(cli._SYMBOLS.build))  # nothing kept yet
+    groups = [
+        {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}, {"kind": "borel", "t": 1, "n": 2}
+    ]
+    doc = {
+        "field": _FIELD,
+        "vertices": [{"id": "a", "group": groups[0]}, {"id": "b", "group": groups[0]}],
+        "edges": [{"id": "e", "from": "a", "to": "b", "group": groups[1]}],
+        "genus_edges": [{"id": "g", "from": "a", "to": "a", "group": groups[2]}],
+    }
+    first, second = parse_spec_dict(doc), parse_spec_dict(doc)
+    assert first == second
+    assert (first.vertices[0].group, first.edges[0].group, first.genus_edges[0].group) == (
+        cyclic(2), cyclic(3), borel(1, 2)
+    )
+    assert len(built) == 3  # once per description, over both parses
+
+
 def _d15_extension(**changes):
     entry = json.loads((FIXTURES / "extension_d15_k5.json").read_text(encoding="utf-8"))["entries"][0]
     entry.update(changes)
@@ -343,6 +433,38 @@ def test_run_extension_id_that_is_not_a_string_is_one_parse_error(value, tmp_pat
 
 def _g(kind, **params):
     return dict(kind=kind, **params)
+
+
+def test_run_rejects_a_realized_id_that_an_earlier_gluing_merged_away(tmp_path):
+    # The D15 tree of input vertex e has its vertex named w, realized as e:w. Edge d
+    # folds at e's cusp c1 and ends in an iso at the C2 vertex b, so e:w merges into
+    # the smaller b:v0. Edge e then folds at the marked cusp c0 and makes its own
+    # vertex e:w: the name is taken although no vertex keeps it any more.
+    ext = _d15_extension(vertices=[{"id": "w", "group": _g("dihedral", n=15)}])
+    cusps = ext["entries"][0]["cusps"]
+    for c in cusps:
+        c["base"] = "w"
+    c2 = _g("cyclic", n=2)
+    cusps[0] |= {"marked_point": {"group": c2}, "fold_on_attach": True}
+    (tmp_path / "ext.json").write_text(json.dumps(ext), encoding="utf-8")
+    spec = {
+        "field": {"char_K": 0, "p": 5},
+        "catalog_extension": "ext.json",
+        "vertices": [
+            {"id": "e", "group": _g("dihedral", n=15)},
+            {"id": "b", "group": c2},
+            {"id": "f", "group": _g("dihedral", n=6)},
+        ],
+        "edges": [
+            {"id": eid, "from": "e", "to": to, "group": c2, "site_hints": {"from": c}}
+            for eid, to, c in (("d", "b", "c1"), ("e", "f", "c0"))
+        ],
+    }
+    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert run(tmp_path / "in.json") == (
+        "realization rejected: realized id e:w names two vertices or cusps; rename an id\n",
+        EXIT_INVALID,
+    )
 
 
 def _run_triangle(tmp_path, *entries):

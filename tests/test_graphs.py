@@ -2,6 +2,9 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference
 
 from katograph.analysis import cusp_count_general
 from katograph.catalog import DEFAULT_CATALOG, Catalog
@@ -12,6 +15,8 @@ from katograph.graphs import (
     InputGraphOfGroups,
     InputVertex,
     RealizeError,
+    _UnionFind,
+    betti,
     check_input,
     genus,
     realize,
@@ -47,6 +52,30 @@ def borel_input(p, t, s, m):
         (InputVertex("a", proj_linear("PGL", t)), InputVertex("b", borel(s, p ** t - 1))),
         (InputEdge("e0", ("a", "b"), None, True),),
     )
+
+
+# -- union-find ---------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_union_find_and_betti_match_a_search(data):
+    # Random multigraphs: a drawn pair may be a self-loop or repeat an edge, and a
+    # vertex in no pair is isolated. A find after each union exercises path halving.
+    ids = st.text(alphabet="ab:", min_size=1, max_size=3)
+    vertices = data.draw(st.lists(ids, min_size=1, max_size=8, unique=True))
+    end = st.sampled_from(vertices)
+    pairs = data.draw(st.lists(st.tuples(end, end), max_size=12))
+    uf = _UnionFind()
+    for a, b in pairs:
+        uf.union(a, b)
+        uf.find(data.draw(end))
+    classes = reference.components(vertices, pairs)
+    for members in classes:
+        assert {uf.find(v) for v in members} == {min(members)}
+    # Only the ids merged into another are stored; every other id is its own root.
+    assert set(uf.parent) == set(vertices) - {min(members) for members in classes}
+    assert betti(pairs) == len(pairs) - len(vertices) + len(classes)
 
 
 # -- validation -------------------------------------------------------------------
