@@ -453,16 +453,7 @@ def parse_extension(data: Mapping, *, source: str = "<extension>") -> tuple[Prin
     """
     if not isinstance(data, Mapping) or not isinstance(data.get("entries"), list):
         raise CatalogError(f"{source}: extension document needs a top-level 'entries' list")
-    entries = []
-    for i, raw in enumerate(data["entries"]):
-        try:
-            entries.append(_read_entry(raw))
-        # Any shape error of the raw data (a missing key, a number where an
-        # object or a pair belongs) ends here; CatalogError is a ValueError.
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise CatalogError(f"{source}: entries[{i}]: {reason}") from exc
-    return tuple(entries)
+    return _read_list(data, "entries", _read_entry, CatalogError, source)
 
 
 def _read_entry(raw) -> PrintedEntry:
@@ -470,9 +461,7 @@ def _read_entry(raw) -> PrintedEntry:
     from .graphs import betti, pair_error  # graphs imports this module
 
     group = canonicalize(raw["group"])
-    e_ctx = raw.get("context", {})
-    if not isinstance(e_ctx, dict):
-        raise CatalogError(f"context must be an object, got {type(e_ctx).__name__}")
+    e_ctx = json_scalar(raw.get("context", {}), dict, "context")
     p = json_scalar(e_ctx["p"], int, "p")
     if json_scalar(e_ctx.get("char_K", 0), int, "char_K") != 0:
         raise CatalogError("extension entries are char-0 instances")
@@ -485,7 +474,7 @@ def _read_entry(raw) -> PrintedEntry:
             f"entry for {group} at p={p} is never read (needs p <= 5 dividing its order)"
         )
     vertices = {}
-    for vr in raw["vertices"]:
+    for vr in _objects(raw["vertices"], "vertices"):
         v = TreeVertex(_id(vr["id"]), canonicalize(vr["group"]))
         if not is_admissible(v.stabilizer, ctx):
             raise CatalogError(f"vertex stabilizer {v.stabilizer} inadmissible")
@@ -493,7 +482,7 @@ def _read_entry(raw) -> PrintedEntry:
     if len(vertices) != len(raw["vertices"]) or not vertices:
         raise CatalogError("vertex ids must be unique and non-empty")
     edges = {}
-    for er in raw.get("internal_edges", []):
+    for er in _objects(raw.get("internal_edges", []), "internal_edges"):
         eid, ends = _id(er["id"]), er["ends"]
         if msg := pair_error(ends, f"edge {eid}: ends"):  # a list of three must not lose a name
             raise CatalogError(msg)
@@ -513,7 +502,7 @@ def _read_entry(raw) -> PrintedEntry:
     if betti([ed.ends for ed in edges.values()]) != 0:
         raise CatalogError("underlying graph is not connected")
     cusps = {}
-    for cr in raw["cusps"]:
+    for cr in _objects(raw["cusps"], "cusps"):
         mark = cr.get("marked_point")
         c = CuspSite(_id(cr["id"]), _id(cr["base"]), canonicalize(cr["group"]))
         if c.id in cusps:
@@ -526,24 +515,28 @@ def _read_entry(raw) -> PrintedEntry:
             raise CatalogError(f"cusp stabilizer {c.stabilizer} inadmissible")
         if group_order % order(c.stabilizer, ctx) != 0:
             raise CatalogError(f"cusp stabilizer {c.stabilizer} order does not divide |{group}|")
-        marked_point = canonicalize(mark["group"]) if mark else None
-        if marked_point is not None and not symbol_contains(marked_point, c.stabilizer, ctx):
+        if mark is not None:
+            mark = canonicalize(json_scalar(mark, dict, "marked_point")["group"])
+        if mark is not None and not symbol_contains(mark, c.stabilizer, ctx):
             raise CatalogError(f"marked point stabilizer must contain the cusp stabilizer on {c.id}")
         fold = json_scalar(cr.get("fold_on_attach", False), bool, "fold_on_attach")
-        cusps[c.id] = c._replace(marked_point=marked_point, fold_on_attach=fold)
+        cusps[c.id] = c._replace(marked_point=mark, fold_on_attach=fold)
     if len(cusps) != (expect := DEFAULT_CATALOG.boundary_count(group, ctx)):
         raise CatalogError(f"char-0 entry for {group} must have {expect} cusps, got {len(cusps)}")
     traces = []
-    for tr in raw.get("embed_traces", []):
+    for tr in _objects(raw.get("embed_traces", []), "embed_traces"):
         if tr.get("kind") not in (KIND_FOLD, KIND_ISO):
             raise CatalogError("embed trace kind must be fold or iso")
-        for a, mark in tr.get("mark_map", {}).items():
+        vertex_map, cusp_map, mark_map = (
+            json_scalar(tr.get(k, {}), dict, k) for k in ("vertex_map", "cusp_map", "mark_map")
+        )
+        for a, mark in mark_map.items():
             if msg := pair_error(mark, f"mark_map {_id(a)}"):
                 raise CatalogError(msg)
         maps = EmbedMaps(
-            tuple((_id(a), _id(b)) for a, b in tr.get("vertex_map", {}).items()),
-            tuple((_id(a), _id(b)) for a, b in tr.get("cusp_map", {}).items()),
-            tuple((_id(a), (_id(k), _id(loc))) for a, (k, loc) in tr.get("mark_map", {}).items()),
+            tuple((_id(a), _id(b)) for a, b in vertex_map.items()),
+            tuple((_id(a), _id(b)) for a, b in cusp_map.items()),
+            tuple((_id(a), (_id(k), _id(loc))) for a, (k, loc) in mark_map.items()),
         )
         traces.append((canonicalize(tr["edge_group"]), _embed_trace(tr["kind"], maps)))
     parts = (tuple(part.values()) for part in (vertices, edges, cusps))
@@ -552,11 +545,37 @@ def _read_entry(raw) -> PrintedEntry:
 
 def _id(xid) -> str:
     """``xid`` as it is, if a printable string: realized ids, so report lines, contain it."""
-    if not isinstance(xid, str):
-        raise CatalogError(f"id {xid!r} must be a string, got {type(xid).__name__}")
-    if not xid.isprintable():
+    if not json_scalar(xid, str, f"id {xid!r}").isprintable():
         raise CatalogError(f"id {xid!r} must be printable")
     return xid
+
+
+def _read_list(data: Mapping, key: str, build, error: type[Exception], source: str) -> tuple:
+    """``build`` of each object in the list ``data[key]``, none when it is absent. A shape
+    error (a missing key, a JSON value of the wrong kind) or a ValueError is raised as one
+    ``error``, prefixed with ``source`` and the place: ``<input>: edges[0]: missing key 'to'``."""
+    items, out = None, []
+    try:
+        items = _objects(data.get(key, []), key)
+        for raw in items:
+            out.append(build(raw))
+    except (KeyError, TypeError, ValueError) as exc:
+        place = source if items is None else f"{source}: {key}[{len(out)}]"
+        raise error(f"{place}: {_reason(exc)}") from exc
+    return tuple(out)
+
+
+def _reason(exc: Exception) -> str:
+    """A shape error as a reason: a missing key reads ``missing key 'k'``."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _objects(items, key: str) -> list:
+    """``items`` if it is a list of objects; else TypeError naming the first that is not."""
+    for i, item in enumerate(json_scalar(items, list, key)):
+        if type(item) is not dict:
+            json_scalar(item, dict, f"{key}[{i}]")
+    return items
 
 
 def load_extension_file(path) -> tuple[PrintedEntry, ...]:

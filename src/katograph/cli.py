@@ -29,7 +29,8 @@ from .analysis import (
     structural_check,
 )
 from .catalog import (
-    Catalog, CatalogError, DEFAULT_CATALOG, _Kept, _read_json, _shown, load_extension_file
+    Catalog, CatalogError, DEFAULT_CATALOG, _Kept, _read_json, _read_list, _reason, _shown,
+    load_extension_file,
 )
 from .fuzz import random_input
 from .graphs import (
@@ -47,7 +48,6 @@ from .graphs import (
 from .groups import (
     FieldContext,
     GroupSymbol,
-    SymbolError,
     TRIVIAL,
     canonicalize,
     format_symbol,
@@ -96,42 +96,26 @@ def parse_spec(path) -> tuple[InputGraphOfGroups, Catalog]:
 def parse_spec_dict(data, *, source: str = "<input>") -> InputGraphOfGroups:
     if not isinstance(data, dict):
         raise ParseError(f"{source}: top level must be an object")
+    f = None
     try:
-        f = data["field"]
+        f = json_scalar(data["field"], dict, "field")
         char_K, p = (json_scalar(f[k], int, k) for k in ("char_K", "p"))
         ctx = FieldContext(char_K, p, json_scalar(f.get("m", 1), int, "m"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{source}: field: {exc}") from exc
-    vertices = _read_list(
-        data, "vertices", source, lambda raw: InputVertex(raw["id"], _symbol(raw["group"]))
-    )
-    edges = _read_list(data, "edges", source, _input_edge)
-    genus_edges = _read_list(data, "genus_edges", source, _genus_edge)
+    except (KeyError, TypeError, ValueError) as exc:  # f is None: the field itself is wrong
+        raise ParseError(f"{source}: {'' if f is None else 'field: '}{_reason(exc)}") from exc
+    read = lambda key, build: _read_list(data, key, build, ParseError, source)
+    vertices = read("vertices", lambda raw: InputVertex(raw["id"], _symbol(raw["group"])))
+    edges, genus_edges = read("edges", _input_edge), read("genus_edges", _genus_edge)
     return InputGraphOfGroups(ctx, vertices, edges, genus_edges)
 
 
-def _read_list(data: dict, key: str, source: str, build) -> tuple:
-    """``build`` of each item of the list ``data[key]``, an error prefixed with its place."""
-    items = data.get(key, [])
-    if not isinstance(items, list):
-        raise ParseError(f"{source}: {key} must be a list, got {type(items).__name__}")
-    out = []
-    for i, raw in enumerate(items):
-        try:
-            out.append(build(raw))
-        except (KeyError, TypeError, SymbolError) as exc:
-            raise ParseError(f"{source}: {key}[{i}]: {exc}") from exc
-    return tuple(out)
-
-
 def _input_edge(raw) -> InputEdge:
-    _require_object(raw, "an edge")
     derive = json_scalar(raw.get("derive", False), bool, "derive")
     if derive == ("group" in raw):
         both = "'group' and 'derive': true exclude each other"
         raise TypeError(both if derive else "needs 'group' or 'derive': true")
     group = None if derive else _symbol(raw["group"])
-    hints = _require_object(raw.get("site_hints", {}), "site_hints")
+    hints = json_scalar(raw.get("site_hints", {}), dict, "site_hints")
     if extra := hints.keys() - {"from", "to"}:
         raise TypeError(f"site_hints takes only 'from' and 'to', got {sorted(extra)}")
     return InputEdge(
@@ -142,12 +126,6 @@ def _input_edge(raw) -> InputEdge:
 def _genus_edge(raw) -> GenusEdge:
     group = _symbol(raw["group"]) if "group" in raw else TRIVIAL
     return GenusEdge(raw["id"], (raw["from"], raw["to"]), group)
-
-
-def _require_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"{what} must be an object, got {type(value).__name__}")
-    return value
 
 
 # A group description's symbol depends only on its four fields. It is kept for the life of the

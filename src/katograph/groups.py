@@ -150,14 +150,16 @@ _KINDS = {
 RawSymbol = Union[GroupSymbol, Mapping]
 
 
-def json_scalar(value, kind: type, what: str):
-    """``value`` if it is a JSON integer or boolean, as ``kind`` says; else TypeError.
+_JSON_KINDS = {
+    int: "an integer", bool: "true or false", str: "a string", dict: "an object", list: "a list"
+}
 
-    Nothing is coerced: a float, a string or (for an integer) a boolean is refused.
-    """
+
+def json_scalar(value, kind: type, what: str):
+    """``value`` if its type is ``kind`` (int, bool, str, dict or list), with nothing coerced: a
+    boolean is not an integer, nor a float. Else TypeError, saying what ``what`` must be."""
     if type(value) is not kind:
-        name = "an integer" if kind is int else "true or false"
-        raise TypeError(f"{what} must be {name}, got {type(value).__name__}")
+        raise TypeError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
 
 

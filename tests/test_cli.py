@@ -219,22 +219,48 @@ def test_run_malformed_shapes_are_parse_errors(data, tmp_path):
             "edges", _EDGE | {"site_hints": {"from": "c0", "form": "c9"}},
             "edges[0]: site_hints takes only 'from' and 'to', got ['form']",
         ),
-        ("genus_edges", {"id": "g", "from": "a"}, "genus_edges[0]: 'to'"),
+        ("genus_edges", {"id": "g", "from": "a"}, "genus_edges[0]: missing key 'to'"),
         (
             "genus_edges",
             {"id": "g", "from": "a", "to": "a", "group": {"kind": "sporadic"}},
             "genus_edges[0]: unknown group kind 'sporadic'",
         ),
+        ("vertices", "a", "vertices[0] must be an object, got str"),
+        ("genus_edges", 5, "genus_edges[0] must be an object, got int"),
+        ("edges", {"from": "a", "to": "b", "group": {"kind": "trivial"}}, "edges[0]: missing key 'id'"),
     ],
     ids=[
         "edge-without-group", "derive-and-group", "site-hint-typo", "genus-edge-without-end",
-        "genus-edge-unknown-kind",
+        "genus-edge-unknown-kind", "vertex-a-string", "genus-edge-a-number", "edge-without-id",
     ],
 )
 def test_parse_pins_each_edge_item_error(key, item, message):
     with pytest.raises(ParseError) as info:
         parse_spec_dict({"field": _FIELD, "vertices": _VERTICES, key: [item]})
     assert str(info.value) == f"<input>: {message}"
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        (5, "field must be an object, got int"),
+        (None, "field must be an object, got NoneType"),
+        ({"char_K": 0}, "field: missing key 'p'"),
+        ({"char_K": 0, "p": 7, "m": "1"}, "field: m must be an integer, got str"),
+        ({"char_K": 0, "p": 4}, "field: residue characteristic 4 is not prime"),
+    ],
+    ids=["a-number", "null", "without-p", "m-a-string", "p-not-prime"],
+)
+def test_parse_pins_each_field_error(field, message):
+    with pytest.raises(ParseError) as info:
+        parse_spec_dict({"field": field, "vertices": _VERTICES})
+    assert str(info.value) == f"<input>: {message}"
+
+
+def test_parse_names_a_missing_field_as_a_missing_key():
+    with pytest.raises(ParseError) as info:
+        parse_spec_dict({"vertices": _VERTICES})
+    assert str(info.value) == "<input>: missing key 'field'"
 
 
 @pytest.mark.parametrize(
@@ -480,12 +506,6 @@ def _run_triangle(tmp_path, *entries):
     return run(tmp_path / "in.json")
 
 
-def _load_error(tmp_path, reason):
-    """The one line of an extension that fails at load, as ``_run_triangle`` writes it;
-    it names the extension file, as ``parse_extension``'s errors do."""
-    return f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: {reason}\n"
-
-
 @pytest.mark.parametrize(
     "ends, got",
     [(["v0", "v1", "v9"], "list of 3"), (["v0"], "list of 1"), ("v0v1", "str")],
@@ -561,51 +581,6 @@ def test_main_rejects_a_catalog_extension_that_is_not_a_file_name(value, got, tm
     assert main([str(path)]) == EXIT_INVALID
     assert capsys.readouterr() == (
         f"parse error: {path}: catalog_extension must be a file name, got {got}\n", ""
-    )
-
-
-_D10_RENAMED = {
-    "group": _g("dihedral", n=10),
-    "context": {"char_K": 0, "p": 5},
-    "vertices": [{"id": "x0", "group": _g("dihedral", n=10)}],
-    "cusps": [
-        {
-            "id": "k0",
-            "base": "x0",
-            "group": _g("cyclic", n=2),
-            "marked_point": {"group": _g("cyclic", n=2)},
-            "fold_on_attach": True,
-        },
-        {"id": "k1", "base": "x0", "group": _g("cyclic", n=2)},
-        {"id": "k2", "base": "x0", "group": _g("cyclic", n=10)},
-    ],
-}
-_A5_RENAMED = {
-    "group": _g("icosahedral"),
-    "context": {"char_K": 0, "p": 5},
-    "vertices": [{"id": "x0", "group": _g("icosahedral")}, {"id": "x1", "group": _g("dihedral", n=5)}],
-    "internal_edges": [{"id": "e0", "ends": ["x0", "x1"], "group": _g("dihedral", n=5)}],
-    "cusps": [
-        {"id": "c0", "base": "x0", "group": _g("cyclic", n=3)},
-        {"id": "c1", "base": "x1", "group": _g("cyclic", n=2)},
-        {"id": "c2", "base": "x1", "group": _g("cyclic", n=5)},
-    ],
-}
-
-
-@pytest.mark.parametrize(
-    "entry, target",
-    [(_D10_RENAMED, "D10) at vertex d"), (_A5_RENAMED, "A5) at vertex a")],
-    ids=["d10", "a5"],
-)
-def test_run_extension_tree_without_traces_admits_no_gluing(entry, target, tmp_path):
-    # The built-in traces name the built-in tree's ids, so they never glue
-    # into an extension tree; these entries name no D5 trace of their own.
-    text, code = _run_triangle(tmp_path, entry)
-    assert code == EXIT_INVALID
-    assert text == (
-        "validation failed:\n"
-        f"- edge e0: no attachment trace of T*(D5) into T*({target}; gluing inadmissible\n"
     )
 
 

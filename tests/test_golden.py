@@ -26,7 +26,7 @@ FIXTURE_DIGESTS = {
     "borel_p2_t2_s4.json": (0, "67926c9b593f09dace530e7cef58a479dfadddb361efb35ee5936a93290d48c1"),
     "corrupted_e_edge.json": (1, "7b1bf23b4ea2ff135d1de7e8b908bfc781a0ff8de79df0e2908bde5cb50653e3"),
     "d15_chain_k5.json": (0, "6fa24f5bb5b7cb7a682cc4a4f8f0fb454b7b16eaa09f21a859345cc77ce23af0"),
-    "extension_d15_k5.json": (2, "f7808386d3de8a6f46abfa64006da18b6bdff6c780f6240aa1476df7a260a33c"),
+    "extension_d15_k5.json": (2, "cd308d7835d1969be01978d85128500e2d010a1f282c92dbbea8b32cf4611121"),
     "malformed.json": (2, "372ddd35b33cabf33758fd7f6307346de24ecefde95d7551f23a91f50c82e9e9"),
     "schottky_genus2.json": (0, "0c40d5024f30a224938c535a365ffbb37f9bcb9bee2b6350a0d41fd56f695fd4"),
     "triangle_k5.json": (0, "ffed045570c655b599f35a11c0ee8acc143cb285462a9a694523c94d6f352236"),

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from katograph.catalog import Catalog, CatalogError, load_extension_file
 from katograph.cli import ParseError, build_report, parse_spec
 from katograph.fuzz import random_input
@@ -54,20 +55,6 @@ from katograph.groups import (
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
-def components(raw: InputGraphOfGroups) -> int:
-    """Connected components of the input graph, genus edges included."""
-    parent = {v.id: v.id for v in raw.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for e in raw.edges + raw.genus_edges:
-        parent[find(e.ends[0])] = find(e.ends[1])
-    return sum(1 for x in parent if find(x) == x)
-
-
 def identity_sides(raw: InputGraphOfGroups, catalog: Catalog) -> tuple[Fraction, Fraction]:
     """(χ(Γ), the right side) for an input that realizes with ``catalog``."""
     checked = check_input(raw, catalog)  # resolves derived edge groups
@@ -76,7 +63,8 @@ def identity_sides(raw: InputGraphOfGroups, catalog: Catalog) -> tuple[Fraction,
     chi = sum((Fraction(1, order(v.group, ctx)) for v in checked.vertices), Fraction(0))
     chi -= sum((Fraction(1, order(e.group, ctx)) for e in checked.edges), Fraction(0))
     chi -= len(raw.genus_edges)  # genus edges carry the trivial group
-    right = Fraction(components(raw) - genus(graph))
+    pairs = [e.ends for e in raw.edges + raw.genus_edges]  # components count genus edges too
+    right = Fraction(len(reference.components([v.id for v in raw.vertices], pairs)) - genus(graph))
     right -= sum((branch_term(cusp.stabilizer, ctx) for cusp in graph.cusps), Fraction(0))
     return chi, right
 

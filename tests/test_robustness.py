@@ -3,16 +3,22 @@
 Each example of the first test takes one fixture input (or the extension
 catalog it names), puts an arbitrary JSON value at one key path, and runs the
 CLI on it. The second builds library inputs whose ids, ends and site hints hold
-escapes, control characters, line breaks and lone surrogates.
+escapes, control characters, line breaks and lone surrogates. The third scans
+every node of the fixture inputs and of two extension documents for the
+wording of each shape error.
 """
 
+import copy
+import functools
 import json
+import operator
+import re
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from katograph.catalog import DEFAULT_CATALOG
-from katograph.cli import build_report, emit_dot, run
+from katograph.catalog import DEFAULT_CATALOG, Catalog, CatalogError, parse_extension
+from katograph.cli import ParseError, build_report, emit_dot, parse_spec_dict, run
 from katograph.graphs import GenusEdge, InputEdge, InputGraphOfGroups, InputVertex, validate_input
 from katograph.groups import TETRAHEDRAL, TRIVIAL, FieldContext, cyclic, dihedral
 from test_echo import TEXT
@@ -141,3 +147,94 @@ def test_no_id_adds_a_line_to_the_output(raw):
         assert x.id.isprintable(), x
     for text in (report.render(), emit_dot(g), emit_dot(report.skeleton)):
         text.encode("utf-8")
+
+
+# -- the shape scan --------------------------------------------------------------------
+
+_A5_FOLD = {
+    "entries": [
+        {
+            "group": {"kind": "icosahedral"},
+            "context": {"char_K": 0, "p": 5},
+            "vertices": [
+                {"id": "v0", "group": {"kind": "icosahedral"}},
+                {"id": "v1", "group": {"kind": "dihedral", "n": 5}},
+            ],
+            "internal_edges": [
+                {"id": "e0", "ends": ["v0", "v1"], "group": {"kind": "dihedral", "n": 5}}
+            ],
+            "cusps": [
+                {"id": "c0", "base": "v0", "group": {"kind": "cyclic", "n": 3}},
+                {"id": "c1", "base": "v1", "group": {"kind": "cyclic", "n": 2}},
+                {"id": "c2", "base": "v1", "group": {"kind": "cyclic", "n": 5}},
+            ],
+            "embed_traces": [
+                {
+                    "edge_group": {"kind": "dihedral", "n": 5},
+                    "kind": "fold",
+                    "vertex_map": {"v0": "v1"},
+                    "cusp_map": {"c1": "c1", "c2": "c2"},
+                    "mark_map": {"c0": ["vertex", "v0"]},
+                }
+            ],
+        }
+    ]
+}
+_REPLACEMENTS = (5, "x", None, [], {})
+# What Python says of a value of the wrong kind, or of a missing key (its bare quoted name).
+_PYTHON_WORDS = re.compile(
+    r"object is not|has no attribute|indices must be|not iterable|unpack|(^|: )'[^']*'$"
+)
+
+
+def _nodes(doc, prefix=()):
+    """The key path of each node below the root of ``doc``."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield prefix + (key,)
+            yield from _nodes(value, prefix + (key,))
+
+
+def _variants(doc):
+    """``doc`` with each node replaced by each of ``_REPLACEMENTS``, and with each key deleted."""
+    for path in list(_nodes(doc)):
+        for value in _REPLACEMENTS:
+            yield _put(copy.deepcopy(doc), path, value)
+        if isinstance(path[-1], str):
+            variant = copy.deepcopy(doc)
+            del functools.reduce(operator.getitem, path[:-1], variant)[path[-1]]
+            yield variant
+
+
+def _outcome(parse, doc, error: type[Exception]):
+    """The message of the ``error`` that ``parse(doc)`` raises, or None if it parses."""
+    try:
+        parse(doc)
+    except error as exc:
+        return str(exc)
+    return None
+
+
+def _load_extension(doc):
+    Catalog(parse_extension(doc))
+
+
+_SCANNED = [(_load(name), parse_spec_dict, ParseError) for name in INPUTS] + [
+    (doc, _load_extension, CatalogError) for doc in (_load(EXTENSION), _A5_FOLD)
+]
+
+
+def test_every_shape_error_of_a_record_is_worded_by_the_reader():
+    # Each node of every fixture input and of two extension documents is replaced by a
+    # number, a string, null, a list or an object, or its key is deleted. Each variant
+    # parses or raises one error of its parser, whose reason is not in Python's words.
+    assert all(_outcome(parse, doc, error) is None for doc, parse, error in _SCANNED)
+    messages = [
+        message
+        for doc, parse, error in _SCANNED
+        for message in (_outcome(parse, variant, error) for variant in _variants(doc))
+        if message is not None
+    ]
+    assert len(messages) > 1000
+    assert [m for m in messages if "\n" in m] == []
+    assert sorted({m for m in messages if _PYTHON_WORDS.search(m)}) == []
