@@ -451,7 +451,7 @@ def parse_extension(data: Mapping, *, source: str = "<extension>") -> tuple[Prin
 
     Raises CatalogError, naming the entry, for any malformed or invalid entry.
     """
-    if not isinstance(data, Mapping) or not isinstance(data.get("entries"), list):
+    if not isinstance(data, Mapping) or "entries" not in data:
         raise CatalogError(f"{source}: extension document needs a top-level 'entries' list")
     return _read_list(data, "entries", _read_entry, CatalogError, source)
 

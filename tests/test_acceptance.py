@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
-import random
 import time
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from katograph.analysis import (
 )
 from katograph.catalog import DEFAULT_CATALOG
 from katograph.cli import run
-from katograph.fuzz import random_input
 from katograph.graphs import (
     GraphEdge,
     GraphVertex,
@@ -54,6 +52,7 @@ from concrete import (
     psl2,
     symmetric_gens,
 )
+from inputs import golden_corpus
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 CAT = DEFAULT_CATALOG
@@ -67,11 +66,9 @@ def verdict(n: int, ok: bool, desc: str):
 @pytest.fixture(scope="module")
 def corpus():
     """>= 1000 random admissible inputs, generated, validated and realized."""
-    rng = random.Random(20260808)
     t0 = time.perf_counter()
     items = []
-    for _ in range(1000):
-        raw = random_input(rng)
+    for raw in golden_corpus():
         checked = check_input(raw)
         graph = realize(checked)
         items.append((raw, checked, graph))

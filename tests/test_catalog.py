@@ -33,6 +33,16 @@ from katograph.groups import (
     pl_invariants,
     proj_linear,
 )
+from inputs import (
+    a5_entry,
+    c5_entry,
+    d3_entry,
+    d7_entry,
+    d10_entry,
+    d10_marked_entry,
+    d15_entry,
+    document,
+)
 
 CAT = DEFAULT_CATALOG
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -240,7 +250,7 @@ def test_tree_lookups_name_what_is_missing():
 @pytest.mark.parametrize("extended_first", [False, True], ids=["plain-first", "extended-first"])
 def test_tree_tables_are_per_catalog(extended_first):
     ctx = FieldContext(0, 5, 1)
-    plain, extended = Catalog(), Catalog(parse_extension(d15_entry()))
+    plain, extended = Catalog(), Catalog(parse_extension(document(d15_entry())))
     for cat in (extended, plain) if extended_first else (plain, extended):
         if cat is plain:
             with pytest.raises(CatalogError, match="catalog entry required"):
@@ -274,7 +284,7 @@ def test_trace_table_keeps_no_errors():
 def test_trace_tables_are_per_catalog(extended_first):
     # C2 glues into D15 at p = 5 only where an entry gives the D15 tree.
     ctx = FieldContext(0, 5, 1)
-    plain, extended = Catalog(), Catalog(parse_extension(d15_entry()))
+    plain, extended = Catalog(), Catalog(parse_extension(document(d15_entry())))
     for cat in (extended, plain) if extended_first else (plain, extended):
         if cat is plain:
             with pytest.raises(CatalogError, match="catalog entry required"):
@@ -410,26 +420,8 @@ def test_trace_existence_symmetry():
 # -- extension files -------------------------------------------------------------------
 
 
-def d15_entry():
-    return {
-        "entries": [
-            {
-                "group": {"kind": "dihedral", "n": 15},
-                "context": {"char_K": 0, "p": 5},
-                "vertices": [{"id": "v0", "group": {"kind": "dihedral", "n": 15}}],
-                "internal_edges": [],
-                "cusps": [
-                    {"id": "c0", "base": "v0", "group": {"kind": "cyclic", "n": 2}},
-                    {"id": "c1", "base": "v0", "group": {"kind": "cyclic", "n": 2}},
-                    {"id": "c2", "base": "v0", "group": {"kind": "cyclic", "n": 15}},
-                ],
-            }
-        ]
-    }
-
-
 def test_extension_entry_loads_and_serves():
-    entries = parse_extension(d15_entry())
+    entries = parse_extension(document(d15_entry()))
     cat = Catalog(entries)
     ctx = FieldContext(0, 5, 1)
     tree = cat.elementary_tree(dihedral(15), ctx)
@@ -441,21 +433,12 @@ def test_extension_entry_loads_and_serves():
 
 
 # D7 at p = 7 has p > 5; D3 at p = 5 has p prime to |D3| = 6. Both loaded once.
-@pytest.mark.parametrize("n, p", [(7, 7), (3, 5)], ids=["D7-at-7", "D3-at-5"])
-def test_extension_rejects_an_entry_the_catalog_never_reads(n, p):
-    dn = {"kind": "dihedral", "n": n}
-    doc = d15_entry()
-    doc["entries"][0].update(
-        group=dn,
-        context={"char_K": 0, "p": p},
-        vertices=[{"id": "v0", "group": dn}],
-        cusps=[
-            {"id": f"x{i}", "base": "v0", "group": {"kind": "cyclic", "n": k}}
-            for i, k in enumerate((2, 2, n))
-        ],
-    )
+@pytest.mark.parametrize(
+    "entry, n, p", [(d7_entry(), 7, 7), (d3_entry(), 3, 5)], ids=["D7-at-7", "D3-at-5"]
+)
+def test_extension_rejects_an_entry_the_catalog_never_reads(entry, n, p):
     with pytest.raises(CatalogError) as info:
-        parse_extension(doc)
+        parse_extension(document(entry))
     assert str(info.value) == (
         f"<extension>: entries[0]: entry for D{n} at p={p} is never read "
         "(needs p <= 5 dividing its order)"
@@ -470,20 +453,20 @@ def test_extension_fixture_loads():
 def d15_marked_entry_with_embed():
     """A D15 instance shaped like the printed D_{10m} trees, with gluing data
     for the D5 edge tree."""
-    doc = d15_entry()
-    entry = doc["entries"][0]
-    entry["cusps"][0]["marked_point"] = {"group": {"kind": "cyclic", "n": 2}}
-    entry["cusps"][0]["fold_on_attach"] = True
-    entry["embed_traces"] = [
-        {
-            "edge_group": {"kind": "dihedral", "n": 5},
-            "kind": "iso",
-            "vertex_map": {"v0": "v0"},
-            "cusp_map": {"c1": "c1", "c2": "c2"},
-            "mark_map": {"c0": ["mark", "c0"]},
-        }
-    ]
-    return doc
+    entry = d15_entry(
+        embed_traces=[
+            {
+                "edge_group": {"kind": "dihedral", "n": 5},
+                "kind": "iso",
+                "vertex_map": {"v0": "v0"},
+                "cusp_map": {"c1": "c1", "c2": "c2"},
+                "mark_map": {"c0": ["mark", "c0"]},
+            }
+        ]
+    )
+    c2 = {"kind": "cyclic", "n": 2}
+    entry["cusps"][0] |= {"marked_point": {"group": c2}, "fold_on_attach": True}
+    return document(entry)
 
 
 def test_extension_embed_trace_glues_against_builtin():
@@ -504,25 +487,9 @@ def test_extension_embed_trace_glues_against_builtin():
     assert len(g.finite_edges) == 1 and g.finite_edges[0].stabilizer == dihedral(5)
 
 
-def d10_entry(**changes):
-    """An extension D10 at residue characteristic 5: a plain star, no marked cusp."""
-    entry = {
-        "group": {"kind": "dihedral", "n": 10},
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "v0", "group": {"kind": "dihedral", "n": 10}}],
-        "cusps": [
-            {"id": "c0", "base": "v0", "group": {"kind": "cyclic", "n": 2}},
-            {"id": "c1", "base": "v0", "group": {"kind": "cyclic", "n": 2}},
-            {"id": "c2", "base": "v0", "group": {"kind": "cyclic", "n": 10}},
-        ],
-    }
-    entry.update(changes)
-    return {"entries": [entry]}
-
-
 def test_extension_replaces_a_builtin_tree():
     ctx = FieldContext(0, 5, 1)
-    tree = Catalog(parse_extension(d10_entry())).elementary_tree(dihedral(10), ctx)
+    tree = Catalog(parse_extension(document(d10_entry()))).elementary_tree(dihedral(10), ctx)
     assert tree.printed
     assert [c.marked_point for c in tree.cusps] == [None, None, None]
     assert CAT.elementary_tree(dihedral(10), ctx).cusps[0].marked_point == cyclic(2)
@@ -532,7 +499,7 @@ def test_extension_without_traces_admits_no_gluing():
     # The built-in D5 trace into D10 names the built-in tree's marked cusp;
     # the entry that replaces the tree gives every gluing into it.
     ctx = FieldContext(0, 5, 1)
-    cat = Catalog(parse_extension(d10_entry()))
+    cat = Catalog(parse_extension(document(d10_entry())))
     assert cat.attachment_traces(dihedral(5), dihedral(10), ctx) == ()
     assert [t.kind for t in CAT.attachment_traces(dihedral(5), dihedral(10), ctx)] == [KIND_ISO]
 
@@ -544,12 +511,12 @@ def test_extension_without_traces_admits_no_gluing():
 )
 def test_extension_edge_ends_must_be_a_pair(ends, got):
     # A third name is not dropped, nor is a string read as its first two letters.
-    doc = d10_entry(
+    entry = d10_entry(
         vertices=[{"id": v, "group": {"kind": "dihedral", "n": 10}} for v in ("v0", "v1")],
         internal_edges=[{"id": "e0", "ends": ends, "group": {"kind": "cyclic", "n": 2}}],
     )
     with pytest.raises(CatalogError) as info:
-        parse_extension(doc)
+        parse_extension(document(entry))
     assert str(info.value) == f"<extension>: entries[0]: edge e0: ends must be a pair, got {got}"
 
 
@@ -565,7 +532,7 @@ _FOLD_D5 = {
 
 def test_extension_traces_replace_the_builtin_traces():
     ctx = FieldContext(0, 5, 1)
-    cat = Catalog(parse_extension(_d10_fold_onto_v1()))
+    cat = Catalog(parse_extension(document(_d10_fold_onto_v1())))
     traces = cat.attachment_traces(dihedral(5), dihedral(10), ctx)
     assert [(t.kind, t.site) for t in traces] == [(KIND_FOLD, "c1")]
     assert traces[0].embed.mark_map == (("c0", ("vertex", "v0")),)
@@ -574,18 +541,9 @@ def test_extension_traces_replace_the_builtin_traces():
 def test_extension_trace_of_a_cyclic_edge_group_fails_at_load():
     # C5 has a printed tree here, but a cyclic edge group glues by its star
     # tree, so the catalog never reads its embed traces.
-    c5 = {"kind": "cyclic", "n": 5}
-    doc = d10_entry(embed_traces=[dict(_FOLD_D5, edge_group=c5)])
-    doc["entries"].append(
-        {
-            "group": c5,
-            "context": {"char_K": 0, "p": 5},
-            "vertices": [{"id": "v0", "group": c5}],
-            "cusps": [{"id": f"c{i}", "base": "v0", "group": c5} for i in (0, 1)],
-        }
-    )
+    d10 = d10_entry(embed_traces=[dict(_FOLD_D5, edge_group={"kind": "cyclic", "n": 5})])
     with pytest.raises(CatalogError) as info:
-        Catalog(parse_extension(doc))
+        Catalog(parse_extension(document(d10, c5_entry())))
     assert str(info.value) == (
         "entry for D10 at p=5: fold trace of C5 into D10: a cyclic edge group glues by its star tree"
     )
@@ -612,9 +570,9 @@ _D10 = {"kind": "dihedral", "n": 10}
 
 
 def _d10_cusp(i, **changes):
-    doc = d10_entry()
-    doc["entries"][0]["cusps"][i].update(changes)
-    return doc
+    entry = d10_entry()
+    entry["cusps"][i].update(changes)
+    return entry
 
 
 def _d10_edges(*changes, vertices=("v1",)):
@@ -633,29 +591,18 @@ def _d10_trace(**changes):
 def _d10_fold_onto_v1(**changes):
     """A two-vertex D10, shaped like the A5 tree, with a fold of the D5 edge tree onto v1
     whose mark covers the edge v1 -- v0. It loads as it is."""
-    doc = _d10_edges({})
-    doc["entries"][0]["embed_traces"] = [dict(_FOLD_D5, vertex_map={"v0": "v1"}) | changes]
-    return doc
+    return _d10_edges({}) | {"embed_traces": [dict(_FOLD_D5, vertex_map={"v0": "v1"}) | changes]}
 
 
 def _d10_without(key):
-    doc = d10_entry()
-    del doc["entries"][0][key]
-    return doc
+    entry = d10_entry()
+    del entry[key]
+    return entry
 
 
-def _d3_at_5():
-    d3 = {"kind": "dihedral", "n": 3}
-    cusps = [
-        {"id": f"c{i}", "base": "v0", "group": {"kind": "cyclic", "n": k}}
-        for i, k in enumerate((2, 2, 3))
-    ]
-    return d10_entry(group=d3, vertices=[{"id": "v0", "group": d3}], cusps=cusps)
-
-
-def _entry(doc, message, id):
-    """A row of the entry table: the first entry of ``doc`` breaks the rule of ``message``."""
-    return pytest.param(doc, f"entries[0]: {message}", id=id)
+def _entry(entry, message, id):
+    """A row of the entry table: ``entry`` breaks the rule of ``message``."""
+    return pytest.param(document(entry), f"entries[0]: {message}", id=id)
 
 
 # Each entry breaks one rule, so its message is the same in any order of checks.
@@ -663,9 +610,9 @@ def _entry(doc, message, id):
     "doc, message",
     [
         pytest.param(
-            {"entries": 5}, "extension document needs a top-level 'entries' list",
-            id="entries-not-a-list",
+            {}, "extension document needs a top-level 'entries' list", id="entries-missing"
         ),
+        pytest.param({"entries": 5}, "entries must be a list, got int", id="entries-not-a-list"),
         _entry(
             d10_entry(context={"char_K": 5, "p": 5}), "extension entries are char-0 instances",
             id="char-p",
@@ -717,7 +664,7 @@ def _entry(doc, message, id):
             id="vertex-a-list",
         ),
         _entry(
-            d10_entry(cusps=[5] + d10_entry()["entries"][0]["cusps"][1:]),
+            d10_entry(cusps=[5] + d10_entry()["cusps"][1:]),
             "cusps[0] must be an object, got int",
             id="cusp-a-number",
         ),
@@ -751,7 +698,7 @@ def _entry(doc, message, id):
             id="p-float",
         ),
         _entry(
-            _d3_at_5(), "entry for D3 at p=5 is never read (needs p <= 5 dividing its order)",
+            d3_entry(), "entry for D3 at p=5 is never read (needs p <= 5 dividing its order)",
             id="never-read",
         ),
         _entry(
@@ -820,7 +767,7 @@ def _entry(doc, message, id):
             id="disconnected",
         ),
         _entry(
-            d10_entry(cusps=d10_entry()["entries"][0]["cusps"][:2]),
+            d10_entry(cusps=d10_entry()["cusps"][:2]),
             "char-0 entry for D10 must have 3 cusps, got 2",
             id="two-cusps",
         ),
@@ -889,60 +836,62 @@ def _marks_on_one_site():
     trace of D5 sends both marks onto it: only one mark can use a site up."""
     c2 = {"kind": "cyclic", "n": 2}
     mark = {"marked_point": {"group": c2}, "fold_on_attach": True}
-    doc = _d10_trace(
-        kind="iso", cusp_map={"c2": "c2"}, mark_map={"c0": ["mark", "c0"], "c1": ["mark", "c0"]}
+    trace = dict(
+        _FOLD_D5, kind="iso", cusp_map={"c2": "c2"},
+        mark_map={"c0": ["mark", "c0"], "c1": ["mark", "c0"]},
     )
-    doc["entries"][0]["cusps"][0].update(mark)
     d5_cusps = [{"id": f"c{i}", "base": "v0", "group": c2, **mark} for i in (0, 1)]
     d5_cusps.append({"id": "c2", "base": "v0", "group": {"kind": "cyclic", "n": 5}})
     d5 = d10_entry(group=_D5, vertices=[{"id": "v0", "group": _D5}], cusps=d5_cusps)
-    doc["entries"] += d5["entries"]
-    return doc
+    return document(d10_marked_entry(embed_traces=[trace]), d5)
 
 
 # Each trace breaks one printed-trace rule; the catalog checks it when it is built.
 @pytest.mark.parametrize(
     "doc, message",
     [
-        (_d10_trace(), "fold trace of D5 into D10: the marks must land on neighbours of v0"),
         (
-            _d10_fold_onto_v1(mark_map={"c0": ["vertex", "v1"]}),
+            document(_d10_trace()),
+            "fold trace of D5 into D10: the marks must land on neighbours of v0",
+        ),
+        (
+            document(_d10_fold_onto_v1(mark_map={"c0": ["vertex", "v1"]})),
             "fold trace of D5 into D10: the marks must land on neighbours of v1",
         ),
         (
-            _d10_fold_onto_v1(vertex_map={"v0": "v1", "v1": "v0"}),
+            document(_d10_fold_onto_v1(vertex_map={"v0": "v1", "v1": "v0"})),
             "fold trace of D5 into D10: the vertex map must send exactly v0 to a vertex",
         ),
         (
-            _d10_fold_onto_v1(cusp_map={"c0": "c0", "c1": "c1", "c2": "c2"}),
+            document(_d10_fold_onto_v1(cusp_map={"c0": "c0", "c1": "c1", "c2": "c2"})),
             "fold trace of D5 into D10: the cusp map must send exactly ['c1', 'c2'] onto cusps",
         ),
         (
-            _d10_fold_onto_v1(cusp_map={"c1": "c1", "c2": "c2", "zz": "c1"}),
+            document(_d10_fold_onto_v1(cusp_map={"c1": "c1", "c2": "c2", "zz": "c1"})),
             "fold trace of D5 into D10: the cusp map must send exactly ['c1', 'c2'] onto cusps",
         ),
         (
-            _d10_fold_onto_v1(edge_group={"kind": "dihedral", "n": 15}),
+            document(_d10_fold_onto_v1(edge_group={"kind": "dihedral", "n": 15})),
             "edge group not Borel/cyclic/printed (D15 has no gluing data in this context)",
         ),
         (
-            _d10_fold_onto_v1(edge_group=_B12),
+            document(_d10_fold_onto_v1(edge_group=_B12)),
             "edge group not Borel/cyclic/printed (B(1,2) has no gluing data in this context)",
         ),
         (
-            _d10_fold_onto_v1(cusp_map={"c1": "c2", "c2": "c1"}),
+            document(_d10_fold_onto_v1(cusp_map={"c1": "c2", "c2": "c1"})),
             "fold trace of D5 into D10: the image c1 of cusp c2 must contain its stabilizer C5",
         ),
         (
-            _d10_fold_onto_v1(cusp_map={"c1": "c2", "c2": "c2"}),
+            document(_d10_fold_onto_v1(cusp_map={"c1": "c2", "c2": "c2"})),
             "fold trace of D5 into D10: the cusp map must be one to one",
         ),
         (
-            _d10_fold_onto_v1(mark_map={"c0": ["vertex", "v0"], "zz": ["vertex", "v0"]}),
+            document(_d10_fold_onto_v1(mark_map={"c0": ["vertex", "v0"], "zz": ["vertex", "v0"]})),
             "fold trace of D5 into D10: the mark map must send exactly ['c0']",
         ),
         (
-            _d10_fold_onto_v1(edge_group={"kind": "icosahedral"}),
+            document(_d10_fold_onto_v1(edge_group={"kind": "icosahedral"})),
             "fold trace of A5 into D10: T*(A5) must have one vertex, not 2",
         ),
         (
@@ -966,12 +915,10 @@ def test_extension_trace_breaking_a_rule_fails_at_load(doc, message):
 
 def _d15_with_internal_edge(group):
     """A two-vertex D15 at p = 5 whose internal edge joins its D15 and D5 vertices."""
-    doc = d15_entry()
-    doc["entries"][0].update(
+    return d15_entry(
         vertices=[{"id": "v0", "group": {"kind": "dihedral", "n": 15}}, {"id": "v1", "group": _D5}],
         internal_edges=[{"id": "e0", "ends": ["v0", "v1"], "group": group}],
     )
-    return doc
 
 
 @pytest.mark.parametrize(
@@ -987,31 +934,19 @@ def test_extension_rejects_an_internal_edge_its_ends_cannot_hold(group, message)
     # The A5 edge loaded, and the realized graph failed the structural check
     # (exit 1) as if the mathematics disagreed.
     with pytest.raises(CatalogError) as info:
-        parse_extension(_d15_with_internal_edge(group))
+        parse_extension(document(_d15_with_internal_edge(group)))
     assert str(info.value) == f"<extension>: entries[0]: {message}"
 
 
 def test_extension_shaped_like_the_builtin_a5_tree_loads():
     # Its D5 edge lies in both ends' groups, A5 and D5, so the edge check passes it.
-    a5 = {"kind": "icosahedral"}
-    entry = {
-        "group": a5,
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "v0", "group": a5}, {"id": "v1", "group": _D5}],
-        "internal_edges": [{"id": "e0", "ends": ["v0", "v1"], "group": _D5}],
-        "cusps": [
-            {"id": "c0", "base": "v0", "group": {"kind": "cyclic", "n": 3}},
-            {"id": "c1", "base": "v1", "group": {"kind": "cyclic", "n": 2}},
-            {"id": "c2", "base": "v1", "group": {"kind": "cyclic", "n": 5}},
-        ],
-    }
-    (loaded,) = parse_extension({"entries": [entry]})
+    (loaded,) = parse_extension(document(a5_entry()))
     builtin = CAT.elementary_tree(ICOSAHEDRAL, FieldContext(0, 5, 1))
     assert loaded.tree.vertices == builtin.vertices and loaded.tree.cusps == builtin.cusps
     assert [e.stabilizer for e in loaded.tree.internal_edges] == [dihedral(5)]
 
 
 def test_extension_rejects_two_entries_for_one_group():
-    entries = parse_extension(d10_entry())
+    entries = parse_extension(document(d10_entry()))
     with pytest.raises(CatalogError, match="duplicate extension entry for D10 at p=5"):
         Catalog(entries + entries)

@@ -35,6 +35,20 @@ from katograph.graphs import (
     validate_input,
 )
 from katograph.groups import FieldContext, borel, canonicalize, cyclic, dihedral
+from inputs import (
+    a5_renamed_entry,
+    d5_renamed_entry,
+    d7_entry,
+    d10_entry,
+    d10_renamed_entry,
+    d15_chain_spec,
+    d15_entry,
+    document,
+    g,
+    golden_corpus,
+    triangle_spec,
+    write_input,
+)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -86,14 +100,11 @@ def test_parse_genus_edge_group_key(tmp_path):
             {"id": "g0", "from": "a", "to": "a", "group": {"kind": "cyclic", "n": 2}}
         ],
     }
-    path = tmp_path / "bad_genus.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    text, code = run(path)
+    text, code = run(write_input(tmp_path, doc))
     assert code == EXIT_INVALID
     assert "trivial stabilizer" in text
     doc["genus_edges"][0]["group"] = {"kind": "trivial"}
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    _text, code = run(path)
+    _text, code = run(write_input(tmp_path, doc))
     assert code == EXIT_OK
 
 
@@ -200,8 +211,11 @@ _EDGE = {"id": "e", "from": "a", "to": "b", "group": {"kind": "trivial"}}
     ],
 )
 def test_run_malformed_shapes_are_parse_errors(data, tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+    if isinstance(data, bytes):  # a file that json.dumps would not write
+        path = tmp_path / "in.json"
+        path.write_bytes(data)
+    else:
+        path = write_input(tmp_path, data)
     text, code = run(path)
     assert code == EXIT_INVALID
     assert text.startswith("parse error: ") and text.count("\n") == 1
@@ -271,8 +285,7 @@ def test_parse_a_kind_that_is_not_a_string_is_one_parse_error(kind, tmp_path):
     with pytest.raises(ParseError) as info:
         parse_spec_dict(doc)
     assert str(info.value) == f"<input>: vertices[0]: unknown group kind {kind!r}"
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path = write_input(tmp_path, doc)
     message = f"parse error: {path}: vertices[0]: unknown group kind {kind!r}\n"
     assert run(path) == (message, EXIT_INVALID)
 
@@ -367,13 +380,7 @@ def test_parse_builds_each_vertex_edge_and_genus_edge_group_once(monkeypatch):
     assert len(built) == 3  # once per description, over both parses
 
 
-def _d15_extension(**changes):
-    entry = json.loads((FIXTURES / "extension_d15_k5.json").read_text(encoding="utf-8"))["entries"][0]
-    entry.update(changes)
-    return {"entries": [entry]}
-
-
-_FOLD_FLAG_STRING = _d15_extension()
+_FOLD_FLAG_STRING = document(d15_entry())
 _FOLD_FLAG_STRING["entries"][0]["cusps"][0]["fold_on_attach"] = "false"
 
 
@@ -382,17 +389,19 @@ _FOLD_FLAG_STRING["entries"][0]["cusps"][0]["fold_on_attach"] = "false"
     [
         (5, None),
         ("ext.json", {"entries": 5}),
-        ("ext.json", _d15_extension(context={"char_K": 0, "p": 4})),
+        ("ext.json", document(d15_entry(context={"char_K": 0, "p": 4}))),
         (
             "ext.json",
-            _d15_extension(
-                embed_traces=[
-                    {
-                        "edge_group": {"kind": "dihedral", "n": 5},
-                        "kind": "iso",
-                        "cusp_map": {"c1": "c9"},
-                    }
-                ]
+            document(
+                d15_entry(
+                    embed_traces=[
+                        {
+                            "edge_group": {"kind": "dihedral", "n": 5},
+                            "kind": "iso",
+                            "cusp_map": {"c1": "c9"},
+                        }
+                    ]
+                )
             ),
         ),
         ("ext.json", _FOLD_FLAG_STRING),
@@ -403,38 +412,15 @@ _FOLD_FLAG_STRING["entries"][0]["cusps"][0]["fold_on_attach"] = "false"
     ],
 )
 def test_run_malformed_extension_is_parse_error(name, extension, tmp_path):
-    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
-    spec["catalog_extension"] = name
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
-    if extension is not None:
-        (tmp_path / "ext.json").write_text(json.dumps(extension), encoding="utf-8")
-    text, code = run(path)
+    text, code = run(write_input(tmp_path, d15_chain_spec(catalog_extension=name), extension))
     assert code == EXIT_INVALID
     assert text.startswith("parse error: ") and text.count("\n") == 1
 
 
 def test_run_rejects_an_extension_entry_the_catalog_never_reads(tmp_path):
     # At p = 7 every D7 tree is the built-in star; an entry for it used to load and be ignored.
-    d7, c2 = {"kind": "dihedral", "n": 7}, {"kind": "cyclic", "n": 2}
-    entry = {
-        "group": d7,
-        "context": {"char_K": 0, "p": 7},
-        "vertices": [{"id": "v0", "group": d7}],
-        "cusps": [
-            {"id": "x0", "base": "v0", "group": c2},
-            {"id": "x1", "base": "v0", "group": c2},
-            {"id": "x2", "base": "v0", "group": {"kind": "cyclic", "n": 7}},
-        ],
-    }
-    (tmp_path / "ext.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
-    spec = {
-        "field": {"char_K": 0, "p": 7},
-        "catalog_extension": "ext.json",
-        "vertices": [{"id": "a", "group": d7}],
-    }
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
+    spec = {"field": {"char_K": 0, "p": 7}, "vertices": [{"id": "a", "group": g("dihedral", n=7)}]}
+    path = write_input(tmp_path, spec, document(d7_entry()))
     assert run(path) == (
         f"parse error: {path}: catalog_extension: {tmp_path / 'ext.json'}: entries[0]: "
         "entry for D7 at p=7 is never read (needs p <= 5 dividing its order)\n",
@@ -442,68 +428,32 @@ def test_run_rejects_an_extension_entry_the_catalog_never_reads(tmp_path):
     )
 
 
-@pytest.mark.parametrize("value", [0, None, ["c"]], ids=["number", "null", "list"])
-def test_run_extension_id_that_is_not_a_string_is_one_parse_error(value, tmp_path):
-    ext = _d15_extension()
-    ext["entries"][0]["cusps"][0]["id"] = value
-    (tmp_path / "ext.json").write_text(json.dumps(ext), encoding="utf-8")
-    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
-    spec["catalog_extension"] = "ext.json"
-    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
-    assert run(tmp_path / "in.json") == (
-        f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: "
-        f"entries[0]: id {value!r} must be a string, got {type(value).__name__}\n",
-        EXIT_INVALID,
-    )
-
-
-def _g(kind, **params):
-    return dict(kind=kind, **params)
-
-
 def test_run_rejects_a_realized_id_that_an_earlier_gluing_merged_away(tmp_path):
     # The D15 tree of input vertex e has its vertex named w, realized as e:w. Edge d
     # folds at e's cusp c1 and ends in an iso at the C2 vertex b, so e:w merges into
     # the smaller b:v0. Edge e then folds at the marked cusp c0 and makes its own
     # vertex e:w: the name is taken although no vertex keeps it any more.
-    ext = _d15_extension(vertices=[{"id": "w", "group": _g("dihedral", n=15)}])
-    cusps = ext["entries"][0]["cusps"]
-    for c in cusps:
+    entry = d15_entry(vertices=[{"id": "w", "group": g("dihedral", n=15)}])
+    for c in entry["cusps"]:
         c["base"] = "w"
-    c2 = _g("cyclic", n=2)
-    cusps[0] |= {"marked_point": {"group": c2}, "fold_on_attach": True}
-    (tmp_path / "ext.json").write_text(json.dumps(ext), encoding="utf-8")
+    c2 = g("cyclic", n=2)
+    entry["cusps"][0] |= {"marked_point": {"group": c2}, "fold_on_attach": True}
     spec = {
         "field": {"char_K": 0, "p": 5},
-        "catalog_extension": "ext.json",
         "vertices": [
-            {"id": "e", "group": _g("dihedral", n=15)},
+            {"id": "e", "group": g("dihedral", n=15)},
             {"id": "b", "group": c2},
-            {"id": "f", "group": _g("dihedral", n=6)},
+            {"id": "f", "group": g("dihedral", n=6)},
         ],
         "edges": [
             {"id": eid, "from": "e", "to": to, "group": c2, "site_hints": {"from": c}}
             for eid, to, c in (("d", "b", "c1"), ("e", "f", "c0"))
         ],
     }
-    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
-    assert run(tmp_path / "in.json") == (
+    assert run(write_input(tmp_path, spec, document(entry))) == (
         "realization rejected: realized id e:w names two vertices or cusps; rename an id\n",
         EXIT_INVALID,
     )
-
-
-def _run_triangle(tmp_path, *entries):
-    """Run A5 -[D5]- D10 at p = 5 with the given extension entries."""
-    spec = {
-        "field": {"char_K": 0, "p": 5},
-        "catalog_extension": "ext.json",
-        "vertices": [{"id": "a", "group": _g("icosahedral")}, {"id": "d", "group": _g("dihedral", n=10)}],
-        "edges": [{"id": "e0", "from": "a", "to": "d", "group": _g("dihedral", n=5)}],
-    }
-    (tmp_path / "ext.json").write_text(json.dumps({"entries": list(entries)}), encoding="utf-8")
-    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
-    return run(tmp_path / "in.json")
 
 
 @pytest.mark.parametrize(
@@ -512,40 +462,23 @@ def _run_triangle(tmp_path, *entries):
     ids=["three-names", "one-name", "string"],
 )
 def test_main_rejects_extension_edge_ends_that_are_not_a_pair(ends, got, tmp_path, capsys):
-    d10 = {
-        "group": _g("dihedral", n=10),
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": v, "group": _g("dihedral", n=10)} for v in ("v0", "v1")],
-        "internal_edges": [{"id": "e0", "ends": ends, "group": _g("cyclic", n=2)}],
-        "cusps": [
-            {"id": "c0", "base": "v0", "group": _g("cyclic", n=2)},
-            {"id": "c1", "base": "v1", "group": _g("cyclic", n=2)},
-            {"id": "c2", "base": "v1", "group": _g("cyclic", n=10)},
-        ],
-    }
-    _run_triangle(tmp_path, d10)
-    capsys.readouterr()
-    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    d10 = d10_entry(
+        vertices=[{"id": v, "group": g("dihedral", n=10)} for v in ("v0", "v1")],
+        internal_edges=[{"id": "e0", "ends": ends, "group": g("cyclic", n=2)}],
+    )
+    path = write_input(tmp_path, triangle_spec(), document(d10))
+    assert main([str(path)]) == EXIT_INVALID
     assert capsys.readouterr() == (
-        f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: "
+        f"parse error: {path}: catalog_extension: {tmp_path / 'ext.json'}: "
         f"entries[0]: edge e0: ends must be a pair, got {got}\n",
         "",
     )
 
 
 def _load_error(tmp_path, reason):
-    """The one line of an extension that fails at load, as ``_run_triangle`` writes it;
+    """The one line of an extension that fails at load, as ``write_input`` writes it;
     it names the extension file, as ``parse_extension``'s errors do."""
     return f"parse error: {tmp_path / 'in.json'}: catalog_extension: {tmp_path / 'ext.json'}: {reason}\n"
-
-
-def _d15_chain_naming(tmp_path, extension):
-    """The path of in.json in ``tmp_path``: the D15 chain fixture, with ``extension`` as its
-    ``catalog_extension``."""
-    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
-    spec["catalog_extension"] = extension
-    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
-    return tmp_path / "in.json"
 
 
 @pytest.mark.parametrize(
@@ -564,7 +497,7 @@ def _d15_chain_naming(tmp_path, extension):
 def test_main_names_an_extension_file_it_cannot_read(name, data, reason, tmp_path, capsys):
     # The first two used to leave the file out, and name only the input file. A name
     # that is not printable is shown as a literal, so the reason stays one line.
-    path = _d15_chain_naming(tmp_path, name)
+    path = write_input(tmp_path, d15_chain_spec(catalog_extension=name))
     if data is not None:
         (tmp_path / name).write_bytes(data)
     assert main([str(path)]) == EXIT_INVALID
@@ -577,78 +510,22 @@ def test_main_names_an_extension_file_it_cannot_read(name, data, reason, tmp_pat
 )
 def test_main_rejects_a_catalog_extension_that_is_not_a_file_name(value, got, tmp_path, capsys):
     # An empty name used to load no extension, so the D15 vertices failed validation.
-    path = _d15_chain_naming(tmp_path, value)
+    path = write_input(tmp_path, d15_chain_spec(catalog_extension=value))
     assert main([str(path)]) == EXIT_INVALID
     assert capsys.readouterr() == (
         f"parse error: {path}: catalog_extension must be a file name, got {got}\n", ""
     )
 
 
-def _run_a5_extension(tmp_path, cusp_map, mark_map, *entries):
-    """Run the triangle with an extension A5 tree (replacing the built-in
-    one) whose fold trace into D10 has the given maps; ``entries`` are
-    further extension entries."""
-    a5 = {
-        "group": _g("icosahedral"),
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "v0", "group": _g("icosahedral")}, {"id": "v1", "group": _g("dihedral", n=5)}],
-        "internal_edges": [{"id": "e0", "ends": ["v0", "v1"], "group": _g("dihedral", n=5)}],
-        "cusps": [
-            {"id": "c0", "base": "v0", "group": _g("cyclic", n=3)},
-            {"id": "c1", "base": "v1", "group": _g("cyclic", n=2)},
-            {"id": "c2", "base": "v1", "group": _g("cyclic", n=5)},
-        ],
-        "embed_traces": [
-            {
-                "edge_group": _g("dihedral", n=5),
-                "kind": "fold",
-                "vertex_map": {"v0": "v1"},
-                "cusp_map": cusp_map,
-                "mark_map": mark_map,
-            }
-        ],
-    }
-    return _run_triangle(tmp_path, a5, *entries)
-
-
-_D10_RENAMED = {
-    "group": _g("dihedral", n=10),
-    "context": {"char_K": 0, "p": 5},
-    "vertices": [{"id": "x0", "group": _g("dihedral", n=10)}],
-    "cusps": [
-        {
-            "id": "k0",
-            "base": "x0",
-            "group": _g("cyclic", n=2),
-            "marked_point": {"group": _g("cyclic", n=2)},
-            "fold_on_attach": True,
-        },
-        {"id": "k1", "base": "x0", "group": _g("cyclic", n=2)},
-        {"id": "k2", "base": "x0", "group": _g("cyclic", n=10)},
-    ],
-}
-_A5_RENAMED = {
-    "group": _g("icosahedral"),
-    "context": {"char_K": 0, "p": 5},
-    "vertices": [{"id": "x0", "group": _g("icosahedral")}, {"id": "x1", "group": _g("dihedral", n=5)}],
-    "internal_edges": [{"id": "e0", "ends": ["x0", "x1"], "group": _g("dihedral", n=5)}],
-    "cusps": [
-        {"id": "c0", "base": "x0", "group": _g("cyclic", n=3)},
-        {"id": "c1", "base": "x1", "group": _g("cyclic", n=2)},
-        {"id": "c2", "base": "x1", "group": _g("cyclic", n=5)},
-    ],
-}
-
-
 @pytest.mark.parametrize(
     "entry, target",
-    [(_D10_RENAMED, "D10) at vertex d"), (_A5_RENAMED, "A5) at vertex a")],
+    [(d10_renamed_entry(), "D10) at vertex d"), (a5_renamed_entry(), "A5) at vertex a")],
     ids=["d10", "a5"],
 )
 def test_run_extension_tree_without_traces_admits_no_gluing(entry, target, tmp_path):
     # The built-in traces name the built-in tree's ids, so they never glue
     # into an extension tree; these entries name no D5 trace of their own.
-    text, code = _run_triangle(tmp_path, entry)
+    text, code = run(write_input(tmp_path, triangle_spec(), document(entry)))
     assert code == EXIT_INVALID
     assert text == (
         "validation failed:\n"
@@ -656,100 +533,35 @@ def test_run_extension_tree_without_traces_admits_no_gluing(entry, target, tmp_p
     )
 
 
-@pytest.mark.parametrize(
-    "cusp_map, mark_map, reason",
-    [
-        (
-            {"c1": "c1", "c2": "c2"},
-            {"c0": ["vertex", "v0"], "zz": ["vertex", "v1"]},
-            "the mark map must send exactly ['c0']",
-        ),
-    ],
-    ids=["mark-key-not-an-edge-tree-cusp"],
-)
-def test_run_printed_traces_with_stray_keys_are_rejected(cusp_map, mark_map, reason, tmp_path):
-    # The fold trace names a cusp the D5 edge tree does not have, so it fails
-    # when the extension loads, before any D10 trace could disagree with it.
-    text, code = _run_a5_extension(tmp_path, cusp_map, mark_map)
-    assert code == EXIT_INVALID
-    assert text == _load_error(tmp_path, f"entry for A5 at p=5: fold trace of D5 into A5: {reason}")
-
-
-def _d10_with_d5_trace(**trace):
-    """An extension D10 tree shaped like the built-in one, with one D5 trace."""
-    c2 = _g("cyclic", n=2)
-    marked = {"marked_point": {"group": c2}, "fold_on_attach": True}
+def _printed(vertices, edges):
+    """A char-0, p = 5 input of D5 edges between built-in printed trees."""
     return {
-        "group": _g("dihedral", n=10),
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "v0", "group": _g("dihedral", n=10)}],
-        "cusps": [
-            {"id": "c0", "base": "v0", "group": c2, **marked},
-            {"id": "c1", "base": "v0", "group": c2},
-            {"id": "c2", "base": "v0", "group": _g("cyclic", n=10)},
-        ],
-        "embed_traces": [dict(edge_group=_g("dihedral", n=5), **trace)],
-    }
-
-
-@pytest.mark.parametrize(
-    "cusp_map, reason",
-    [
-        ({"c1": "c2", "c2": "c1"}, "the image c1 of cusp c2 must contain its stabilizer C5"),
-        ({"c1": "c2", "c2": "c2"}, "the cusp map must be one to one"),
-    ],
-    ids=["swapped-images", "one-image-twice"],
-)
-def test_main_rejects_an_iso_trace_whose_cusp_map_gluing_would_break(
-    cusp_map, reason, tmp_path, capsys
-):
-    # Both loaded. Swapped images failed only in the gluing, on merging C5 with
-    # C2; one image used twice realized A5 -[D5]- D10 and exited 0, merging A5's
-    # C2 and C5 cusps into one C10 cusp.
-    d10 = _d10_with_d5_trace(
-        kind="iso", vertex_map={"v0": "v0"}, cusp_map=cusp_map, mark_map={"c0": ["mark", "c0"]}
-    )
-    capsys.readouterr()
-    _run_triangle(tmp_path, d10)  # writes in.json and ext.json
-    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
-    assert capsys.readouterr() == (
-        _load_error(tmp_path, f"entry for D10 at p=5: iso trace of D5 into D10: {reason}"), ""
-    )
-
-
-def _run_printed(tmp_path, vertices, edges):
-    """Run a char-0, p = 5 input of D5 edges between built-in printed trees."""
-    spec = {
         "field": {"char_K": 0, "p": 5},
         "vertices": [{"id": v, "group": group} for v, group in vertices],
         "edges": [
-            {"id": e, "from": a, "to": b, "group": _g("dihedral", n=5)} for e, a, b in edges
+            {"id": e, "from": a, "to": b, "group": g("dihedral", n=5)} for e, a, b in edges
         ],
     }
-    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
-    return run(tmp_path / "in.json")
 
 
 def test_run_pins_each_printed_gluing_rejection(tmp_path):
     # Gluing rejects what depends on the input: two ends that both fold or are both
     # tree isomorphisms, and a vertex in a second printed gluing.
-    d10, d20, a5 = _g("dihedral", n=10), _g("dihedral", n=20), _g("icosahedral")
+    d10, d20, a5 = g("dihedral", n=10), g("dihedral", n=20), g("icosahedral")
     runs = [
         (
-            _run_printed(tmp_path, [("a", a5), ("b", a5)], [("e0", "a", "b")]),
+            run(write_input(tmp_path, _printed([("a", a5), ("b", a5)], [("e0", "a", "b")]))),
             "unsupported printed gluing (both morphisms fold)",
         ),
         (
-            _run_printed(tmp_path, [("d", d10), ("f", d20)], [("e0", "d", "f")]),
+            run(write_input(tmp_path, _printed([("d", d10), ("f", d20)], [("e0", "d", "f")]))),
             "unsupported printed gluing (both morphisms are tree isomorphisms)",
         ),
     ]
     for (text, code), reason in runs:
         assert (text, code) == (f"realization rejected: edge e0: {reason}\n", EXIT_INVALID)
-    text, code = _run_printed(
-        tmp_path, [("a", a5), ("d", d10), ("f", d20)], [("e0", "a", "d"), ("e1", "a", "f")]
-    )
-    assert (text, code) == (
+    spec = _printed([("a", a5), ("d", d10), ("f", d20)], [("e0", "a", "d"), ("e1", "a", "f")])
+    assert run(write_input(tmp_path, spec)) == (
         "realization rejected: edge e1: vertex a already used by a printed-tree gluing\n",
         EXIT_INVALID,
     )
@@ -757,9 +569,8 @@ def test_run_pins_each_printed_gluing_rejection(tmp_path):
 
 def test_main_names_the_extension_file_of_a_duplicate_entry(tmp_path, capsys):
     # The duplicate is found when the catalog is built from the parsed entries.
-    capsys.readouterr()
-    _run_triangle(tmp_path, _D10_RENAMED, _D10_RENAMED)
-    assert main([str(tmp_path / "in.json")]) == EXIT_INVALID
+    extension = document(d10_renamed_entry(), d10_renamed_entry())
+    assert main([str(write_input(tmp_path, triangle_spec(), extension))]) == EXIT_INVALID
     assert capsys.readouterr() == (
         _load_error(tmp_path, "duplicate extension entry for D10 at p=5"), ""
     )
@@ -782,19 +593,7 @@ def test_run_builtin_traces_into_a_replaced_edge_tree_fail_before_gluing(tmp_pat
     # An extension T*(D5) with its own ids: the built-in A5 and D10 traces name
     # the built-in tree's v0 and c0-c2, so the trace table rejects them before
     # any edge glues. It used to fail in the gluing, on the vertex map.
-    c2, d5 = _g("cyclic", n=2), _g("dihedral", n=5)
-    entry = {
-        "group": d5,
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "x0", "group": d5}],
-        "cusps": [
-            {"id": "k0", "base": "x0", "group": c2, "marked_point": {"group": c2},
-             "fold_on_attach": True},
-            {"id": "k1", "base": "x0", "group": c2},
-            {"id": "k2", "base": "x0", "group": _g("cyclic", n=5)},
-        ],
-    }
-    assert _run_triangle(tmp_path, entry) == (
+    assert run(write_input(tmp_path, triangle_spec(), document(d5_renamed_entry()))) == (
         "validation failed:\n"
         "- edge e0: fold trace of D5 into A5: the vertex map must send exactly x0 to a vertex\n",
         EXIT_INVALID,
@@ -805,22 +604,13 @@ def test_main_rejects_an_extension_internal_edge_its_ends_cannot_hold(tmp_path, 
     # A D15 tree whose edge between its D15 and D5 vertices carries A5 used to
     # load; the realized graph then failed the structural check (exit 1) with
     # "incident stabilizer A5 is not contained in D15".
-    d15 = _g("dihedral", n=15)
-    entry = {
-        "group": d15,
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "v0", "group": d15}, {"id": "v1", "group": _g("dihedral", n=5)}],
-        "internal_edges": [{"id": "e0", "ends": ["v0", "v1"], "group": _g("icosahedral")}],
-        "cusps": [
-            {"id": "c0", "base": "v0", "group": _g("cyclic", n=2)},
-            {"id": "c1", "base": "v1", "group": _g("cyclic", n=2)},
-            {"id": "c2", "base": "v0", "group": _g("cyclic", n=15)},
+    entry = d15_entry(
+        vertices=[
+            {"id": "v0", "group": g("dihedral", n=15)}, {"id": "v1", "group": g("dihedral", n=5)}
         ],
-    }
-    path = _d15_chain_naming(tmp_path, "ext.json")
-    (tmp_path / "ext.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
-    capsys.readouterr()
-    assert main([str(path)]) == EXIT_INVALID
+        internal_edges=[{"id": "e0", "ends": ["v0", "v1"], "group": g("icosahedral")}],
+    )
+    assert main([str(write_input(tmp_path, d15_chain_spec(), document(entry)))]) == EXIT_INVALID
     assert capsys.readouterr() == (
         _load_error(tmp_path, "entries[0]: edge e0: stabilizer A5 not contained in D15"),
         "",
@@ -829,14 +619,13 @@ def test_main_rejects_an_extension_internal_edge_its_ends_cannot_hold(tmp_path, 
 
 def test_run_edge_group_without_a_tree_glues_nowhere(tmp_path):
     # At p = 5 no built-in tree serves D15, so a D15 edge has no gluing data.
-    d30 = _g("dihedral", n=30)
+    d30 = g("dihedral", n=30)
     spec = {
         "field": {"char_K": 0, "p": 5},
         "vertices": [{"id": "a", "group": d30}, {"id": "b", "group": d30}],
-        "edges": [{"id": "e", "from": "a", "to": "b", "group": _g("dihedral", n=15)}],
+        "edges": [{"id": "e", "from": "a", "to": "b", "group": g("dihedral", n=15)}],
     }
-    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
-    assert run(tmp_path / "in.json") == (
+    assert run(write_input(tmp_path, spec)) == (
         "validation failed:\n"
         "- edge e: edge group not Borel/cyclic/printed (D15 has no gluing data in this context)\n",
         EXIT_INVALID,
@@ -844,12 +633,8 @@ def test_run_edge_group_without_a_tree_glues_nowhere(tmp_path):
 
 
 def test_run_genus_loop_named_like_a_tree_edge_is_rejected(tmp_path):
-    spec = json.loads(fixture("triangle_k5.json").read_text(encoding="utf-8"))
-    spec["genus_edges"] = [{"id": "a:e0", "from": "a", "to": "d"}]
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
-    text, code = run(path)
-    assert (text, code) == (
+    spec = triangle_spec(genus_edges=[{"id": "a:e0", "from": "a", "to": "d"}])
+    assert run(write_input(tmp_path, spec)) == (
         "realization rejected: realized id a:e0 names two edges; rename an id\n",
         EXIT_INVALID,
     )
@@ -907,9 +692,7 @@ _HUGE_T = 10**9
 )
 def test_run_huge_field_parameters_are_rejected(data, expected, tmp_path):
     # Unbounded, these would run trial division to 10^9 or compute p ** t for t = 10^9.
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    text, code = run(path)
+    text, code = run(write_input(tmp_path, data))
     assert code == EXIT_INVALID
     assert text.startswith(expected)
 
@@ -917,26 +700,17 @@ def test_run_huge_field_parameters_are_rejected(data, expected, tmp_path):
 def test_run_rejects_a_site_hint_that_is_not_a_string(tmp_path):
     # A trivial edge's hints are never matched against sites, so only the
     # contract check stops them before the report echoes them.
-    path = tmp_path / "hints.json"
-    path.write_text(
-        json.dumps(
+    spec = {
+        "field": {"char_K": 0, "p": 5},
+        "vertices": [{"id": v, "group": {"kind": "trivial"}} for v in ("a", "b")],
+        "edges": [
             {
-                "field": {"char_K": 0, "p": 5},
-                "vertices": [
-                    {"id": "a", "group": {"kind": "trivial"}},
-                    {"id": "b", "group": {"kind": "trivial"}},
-                ],
-                "edges": [
-                    {
-                        "id": "e", "from": "a", "to": "b", "group": {"kind": "trivial"},
-                        "site_hints": {"from": [1, {"z": 2}], "to": 5},
-                    }
-                ],
+                "id": "e", "from": "a", "to": "b", "group": {"kind": "trivial"},
+                "site_hints": {"from": [1, {"z": 2}], "to": 5},
             }
-        ),
-        encoding="utf-8",
-    )
-    assert run(path) == (
+        ],
+    }
+    assert run(write_input(tmp_path, spec)) == (
         "validation failed:\n"
         "- edge e: site hint must be a string, got list\n"
         "- edge e: site hint must be a string, got int\n",
@@ -945,17 +719,11 @@ def test_run_rejects_a_site_hint_that_is_not_a_string(tmp_path):
 
 
 def test_run_validation_error_exit_code(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(
-        json.dumps(
-            {
-                "field": {"char_K": 3, "p": 3, "m": 1},
-                "vertices": [{"id": "a", "group": {"kind": "tetrahedral"}}],
-            }
-        ),
-        encoding="utf-8",
-    )
-    text, code = run(bad)
+    spec = {
+        "field": {"char_K": 3, "p": 3, "m": 1},
+        "vertices": [{"id": "a", "group": {"kind": "tetrahedral"}}],
+    }
+    text, code = run(write_input(tmp_path, spec))
     assert code == EXIT_INVALID
     assert "validation failed" in text
     # A file's ids and ends are checked as they are, not turned into strings.
@@ -967,8 +735,7 @@ def test_run_validation_error_exit_code(tmp_path):
         ],
         "edges": [{"id": ["e"], "from": None, "to": 7, "group": {"kind": "trivial"}}],
     }
-    bad.write_text(json.dumps(doc), encoding="utf-8")
-    assert run(bad) == (
+    assert run(write_input(tmp_path, doc)) == (
         "validation failed:\n"
         "- vertex None: id must be a string, got NoneType\n"
         "- vertex 7: id must be a string, got int\n"
@@ -981,10 +748,8 @@ def test_run_names_a_file_with_a_line_break_on_one_line(tmp_path):
     missing, malformed, ext = (tmp_path / f"{n}\nname.json" for n in ("no", "bad", "ext"))
     malformed.write_text("{", encoding="utf-8")
     ext.write_text(json.dumps({"entries": 5}), encoding="utf-8")
-    spec = json.loads(fixture("d15_chain_k5.json").read_text(encoding="utf-8"))
-    spec["catalog_extension"] = ext.name
-    (tmp_path / "in.json").write_text(json.dumps(spec), encoding="utf-8")
-    assert [run(path) for path in (missing, malformed, tmp_path / "in.json")] == [
+    named = write_input(tmp_path, d15_chain_spec(catalog_extension=ext.name))
+    assert [run(path) for path in (missing, malformed, named)] == [
         (
             f"parse error: {str(missing)!r}: [Errno 2] No such file or directory: "
             f"{str(missing)!r}\n",
@@ -996,29 +761,22 @@ def test_run_names_a_file_with_a_line_break_on_one_line(tmp_path):
             EXIT_INVALID,
         ),
         (
-            f"parse error: {tmp_path / 'in.json'}: catalog_extension: {str(ext)!r}: "
-            "extension document needs a top-level 'entries' list\n",
+            f"parse error: {named}: catalog_extension: {str(ext)!r}: "
+            "entries must be a list, got int\n",
             EXIT_INVALID,
         ),
     ]
 
 
 def test_run_strict_turns_warnings_into_failure(tmp_path):
-    tripod = tmp_path / "tripod.json"
-    tripod.write_text(
-        json.dumps(
-            {
-                "field": {"char_K": 3, "p": 3, "m": 2},
-                "vertices": [
-                    {"id": "a", "group": {"kind": "borel", "t": 2, "n": 1}},
-                    {"id": "b", "group": {"kind": "borel", "t": 2, "n": 1}},
-                ],
-                "edges": [
-                    {"id": "e0", "from": "a", "to": "b", "group": {"kind": "borel", "t": 2, "n": 1}}
-                ],
-            }
-        ),
-        encoding="utf-8",
+    b21 = {"kind": "borel", "t": 2, "n": 1}
+    tripod = write_input(
+        tmp_path,
+        {
+            "field": {"char_K": 3, "p": 3, "m": 2},
+            "vertices": [{"id": "a", "group": b21}, {"id": "b", "group": b21}],
+            "edges": [{"id": "e0", "from": "a", "to": "b", "group": b21}],
+        },
     )
     _text, code = run(tripod)
     assert code == EXIT_OK
@@ -1163,10 +921,9 @@ def test_byte_identical_across_runs(name, tmp_path):
 
 def test_realize_and_contract_list_each_tuple_by_id():
     # emit_dot and render print each tuple in the order given, so both rely on this.
-    rng = random.Random(20260808)
     catalog = Catalog()
-    for _ in range(1000):
-        graph = realize(check_input(random_input(rng), catalog))
+    for raw in golden_corpus():
+        graph = realize(check_input(raw, catalog))
         skeleton = contract(graph)
         parts = (graph.vertices, graph.finite_edges, graph.cusps, graph.genus_loops)
         for part in parts + (skeleton.vertices, skeleton.edges):
@@ -1242,10 +999,8 @@ def test_main_exit_codes(capsys):
 def test_main_rejects_an_id_with_a_lone_surrogate(tmp_path):
     # Only a real process shows this: its stdout encodes to UTF-8, which a lone
     # surrogate cannot, while pytest's captured stdout never encodes.
-    path = tmp_path / "surrogate.json"
     vertex = {"id": "a\ud800", "group": {"kind": "dihedral", "n": 3}}
-    doc = {"field": {"char_K": 0, "p": 7}, "vertices": [vertex]}
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path = write_input(tmp_path, {"field": {"char_K": 0, "p": 7}, "vertices": [vertex]})
     result = subprocess.run(
         [sys.executable, "-m", "katograph.cli", str(path)],
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src")),

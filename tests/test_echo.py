@@ -10,14 +10,14 @@ strings need escaping.
 from __future__ import annotations
 
 import json
-import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inputs import golden_corpus
+
 from katograph.cli import ParseError, echo_text, input_echo, parse_spec
-from katograph.fuzz import random_input
 from katograph.graphs import GenusEdge, InputEdge, InputGraphOfGroups, InputVertex
 from katograph.groups import (
     ICOSAHEDRAL,
@@ -48,9 +48,8 @@ def assert_json_text(raw: InputGraphOfGroups):
 
 
 def test_echo_matches_json_on_the_acceptance_corpus():
-    rng = random.Random(20260808)
-    for _ in range(1000):
-        assert_json_text(random_input(rng))
+    for raw in golden_corpus():
+        assert_json_text(raw)
 
 
 def test_echo_matches_json_on_every_fixture():

@@ -162,6 +162,15 @@ def test_large_skeletons_unchanged():
     assert union_digests() == UNION_DIGESTS
 
 
+def test_the_shared_corpus_is_the_stream_pinned_here():
+    # tests/inputs.py draws this stream once for the other tests; this module draws its own.
+    from inputs import golden_corpus
+    from katograph.fuzz import random_input
+
+    rng = random.Random(20260808)
+    assert golden_corpus(3000) == tuple(random_input(rng) for _ in range(3000))
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     sys.stdout.write("FIXTURE_DIGESTS = {\n")

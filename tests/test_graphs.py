@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from inputs import d15_entry, document
 
 from katograph.analysis import cusp_count_general
 from katograph.catalog import DEFAULT_CATALOG, Catalog
@@ -591,26 +592,17 @@ def test_realize_rejects_a_catalog_vertex_named_like_a_gluing_vertex():
     # D15 vertex took the C2 stabilizer and the edge became a loop.
     from katograph.catalog import Catalog, parse_extension
 
-    def g(kind, **params):
-        return dict(kind=kind, **params)
-
-    mark = {"marked_point": {"group": g("cyclic", n=2)}, "fold_on_attach": True}
-    entry = {
-        "group": g("dihedral", n=15),
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "w", "group": g("dihedral", n=15)}],
-        "cusps": [
-            {"id": "c0", "base": "w", "group": g("cyclic", n=2), **mark},
-            {"id": "c1", "base": "w", "group": g("cyclic", n=2)},
-            {"id": "c2", "base": "w", "group": g("cyclic", n=15)},
-        ],
-    }
+    entry = d15_entry(vertices=[{"id": "w", "group": {"kind": "dihedral", "n": 15}}])
+    for c in entry["cusps"]:
+        c["base"] = "w"
+    c2 = {"kind": "cyclic", "n": 2}
+    entry["cusps"][0] |= {"marked_point": {"group": c2}, "fold_on_attach": True}
     raw = InputGraphOfGroups(
         CTX5,
         (InputVertex("e", dihedral(15)), InputVertex("b", dihedral(6))),
         (InputEdge("e", ("e", "b"), cyclic(2), site_hints=("c0", None)),),
     )
-    checked = check_input(raw, Catalog(parse_extension({"entries": [entry]})))
+    checked = check_input(raw, Catalog(parse_extension(document(entry))))
     with pytest.raises(RealizeError, match="realized id e:w names two vertices or cusps"):
         realize(checked)
 
@@ -652,18 +644,9 @@ def test_realize_takes_the_smallest_of_equivalent_sites():
     # So the choice shows in the realized cusps, and select_trace keeps its min.
     from katograph.catalog import parse_extension
 
-    c2 = {"kind": "cyclic", "n": 2}
-    entry = {
-        "group": {"kind": "dihedral", "n": 15},
-        "context": {"char_K": 0, "p": 5},
-        "vertices": [{"id": "v0", "group": {"kind": "dihedral", "n": 15}}],
-        "cusps": [
-            {"id": "c1", "base": "v0", "group": c2},
-            {"id": "c0", "base": "v0", "group": c2},
-            {"id": "c2", "base": "v0", "group": {"kind": "cyclic", "n": 15}},
-        ],
-    }
-    cat = Catalog(parse_extension({"entries": [entry]}))
+    c0, c1, c15 = d15_entry()["cusps"]
+    entry = d15_entry(cusps=[c1, c0, c15])
+    cat = Catalog(parse_extension(document(entry)))
     raw = InputGraphOfGroups(
         CTX5,
         (InputVertex("a", dihedral(15)), InputVertex("b", dihedral(3))),

@@ -314,10 +314,6 @@ def test_borel_extends_examples():
     assert not borel_extends(dihedral(3), dihedral(6))
 
 
-def borel_like(t, n):
-    return borel(t, n)
-
-
 def test_borel_extends_partial_order():
     symbols = [borel(t, n) for t in range(0, 7) for n in range(1, 31)]
     # reflexive

@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+from inputs import golden_corpus
+
 from katograph.analysis import census, structural_check
-from katograph.fuzz import random_input
 from katograph.graphs import (
     InputGraphOfGroups,
     RealizeError,
@@ -62,9 +63,7 @@ def _signature(raw: InputGraphOfGroups):
 
 
 def test_realization_does_not_depend_on_ids():
-    rng = random.Random(20260808)
-    for i in range(3000):
-        raw = random_input(rng)
+    for i, raw in enumerate(golden_corpus(3000)):
         expected = _signature(raw)
         assert expected is not None, i
         shuffles = [random.Random(f"{i}/{k}") for k in range(2)]

@@ -16,7 +16,6 @@ v by an edge, both carrying the stabilizer of a cusp of T*(G_v).
 
 from __future__ import annotations
 
-import random
 from collections import Counter, deque
 from itertools import combinations
 
@@ -24,7 +23,6 @@ import pytest
 
 from katograph.analysis import census, contract, structural_check
 from katograph.catalog import DEFAULT_CATALOG
-from katograph.fuzz import random_input
 from katograph.graphs import (
     InputGraphOfGroups,
     KatoGraph,
@@ -36,6 +34,7 @@ from katograph.graphs import (
 )
 from katograph.groups import is_cyclic
 from moves import leaf_expand, subdivide
+from inputs import golden_corpus
 
 # Known limits: no tree for C5, C10, ... at residue characteristic 5, and a
 # Borel site whose stabilizer an earlier gluing enlarged.
@@ -58,10 +57,8 @@ def _signature(raw: InputGraphOfGroups):
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["given-order", "reversed-order"])
 def test_subdividing_a_cyclic_edge_keeps_the_kato_graph(reverse):
-    rng = random.Random(20260808)
     outcomes = Counter()
-    for i in range(1000):
-        raw = random_input(rng)
+    for i, raw in enumerate(golden_corpus()):
         expected = None
         for j, e in enumerate(raw.edges):
             if e.group is None or not is_cyclic(e.group):
@@ -125,10 +122,8 @@ def _moves(raw: InputGraphOfGroups):
 
 
 def test_char0_moves_keep_the_branch_point_distances():
-    rng = random.Random(20260808)
     realized, changed = 0, Counter()
-    for _ in range(1000):
-        raw = random_input(rng)
+    for raw in golden_corpus():
         if raw.ctx.positive_char:
             continue
         expected = _cusp_distances(realize(check_input(raw)))

@@ -21,6 +21,7 @@ from katograph.catalog import DEFAULT_CATALOG, Catalog, CatalogError, parse_exte
 from katograph.cli import ParseError, build_report, emit_dot, parse_spec_dict, run
 from katograph.graphs import GenusEdge, InputEdge, InputGraphOfGroups, InputVertex, validate_input
 from katograph.groups import TETRAHEDRAL, TRIVIAL, FieldContext, cyclic, dihedral
+from inputs import a5_entry, document
 from test_echo import TEXT
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -151,35 +152,19 @@ def test_no_id_adds_a_line_to_the_output(raw):
 
 # -- the shape scan --------------------------------------------------------------------
 
-_A5_FOLD = {
-    "entries": [
-        {
-            "group": {"kind": "icosahedral"},
-            "context": {"char_K": 0, "p": 5},
-            "vertices": [
-                {"id": "v0", "group": {"kind": "icosahedral"}},
-                {"id": "v1", "group": {"kind": "dihedral", "n": 5}},
-            ],
-            "internal_edges": [
-                {"id": "e0", "ends": ["v0", "v1"], "group": {"kind": "dihedral", "n": 5}}
-            ],
-            "cusps": [
-                {"id": "c0", "base": "v0", "group": {"kind": "cyclic", "n": 3}},
-                {"id": "c1", "base": "v1", "group": {"kind": "cyclic", "n": 2}},
-                {"id": "c2", "base": "v1", "group": {"kind": "cyclic", "n": 5}},
-            ],
-            "embed_traces": [
-                {
-                    "edge_group": {"kind": "dihedral", "n": 5},
-                    "kind": "fold",
-                    "vertex_map": {"v0": "v1"},
-                    "cusp_map": {"c1": "c1", "c2": "c2"},
-                    "mark_map": {"c0": ["vertex", "v0"]},
-                }
-            ],
-        }
-    ]
-}
+_A5_FOLD = document(
+    a5_entry(
+        embed_traces=[
+            {
+                "edge_group": {"kind": "dihedral", "n": 5},
+                "kind": "fold",
+                "vertex_map": {"v0": "v1"},
+                "cusp_map": {"c1": "c1", "c2": "c2"},
+                "mark_map": {"c0": ["vertex", "v0"]},
+            }
+        ]
+    )
+)
 _REPLACEMENTS = (5, "x", None, [], {})
 # What Python says of a value of the wrong kind, or of a missing key (its bare quoted name).
 _PYTHON_WORDS = re.compile(

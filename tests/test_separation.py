@@ -11,6 +11,7 @@ import random
 
 import pytest
 import reference
+from inputs import golden_corpus
 from test_golden import large_unions
 
 from katograph.analysis import Cluster, separation_plan
@@ -64,9 +65,8 @@ def _chained(rng, ctx, components) -> InputGraphOfGroups:
 
 
 def test_plan_equals_reference_on_the_corpus():
-    rng = random.Random(20260808)
-    for i in range(1000):
-        g = realize(check_input(random_input(rng)))
+    for i, raw in enumerate(golden_corpus()):
+        g = realize(check_input(raw))
         assert separation_plan(g) == reference.separation_plan(g), i
 
 
