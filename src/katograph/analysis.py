@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from itertools import chain
 from bisect import bisect_left, bisect_right, insort
-from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .graphs import CheckedInput, GraphCusp, GraphEdge, GraphVertex, KatoGraph, betti
@@ -120,10 +119,13 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
     collapse, and the skeleton can depend on how the input's edges are named.
 
     Nothing is rescanned: a decision reads only its edge's ends (names,
-    groups, valencies), so decisions are cached, collapsible ids wait in a
-    heap and warned ids in a sorted list, and a collapse re-decides only the
-    edges at its survivor. Cost: O((V + E) log E), plus those re-decisions,
-    plus the warning lines emitted.
+    groups, valencies), so decisions are cached, and a collapse re-decides
+    only the edges at its survivor. One sorted list holds the ids whose
+    decision warns or collapses; a pass walks it from the start up to the
+    first that collapses, so the walk is bounded by the warnings it emits. A
+    re-decision that moves an id into or out of the list costs a bisect plus
+    a list insert or delete. Cost: O(E log E) to start, plus those
+    re-decisions, plus the warning lines emitted.
     """
     ctx = g.ctx
     stab = {v.id: v.stabilizer for v in g.vertices}
@@ -158,7 +160,7 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
             removed, survivor = (a, b) if eq_a else (b, a)
             na = order(stab[survivor], ctx)
             nb = order(stab[removed], ctx)
-            if na == nb and stab[survivor] != stab[removed]:
+            if na == nb:
                 return (
                     f"edge {eid}: 'larger group' is ambiguous "
                     f"({stab[removed]} vs {stab[survivor]}, equal orders); "
@@ -174,27 +176,19 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
         )
         return warning, ((survivor, removed) if literal else None)
 
-    decision: dict[str, tuple[str | None, tuple[str, str] | None]] = {}
-    heap: list[str] = []  # collapsible ids; entries gone stale are skipped when met
-    warned: list[str] = []  # sorted ids of the edges whose decision warns
-    for eid in sorted(edges):  # in id order, so both lists start sorted
-        warning, pair = decision[eid] = _decide(eid)
-        if pair:
-            heap.append(eid)
-        if warning is not None:
-            warned.append(eid)
-
+    decision = {eid: _decide(eid) for eid in sorted(edges)}
+    pending = [eid for eid, d in decision.items() if any(d)]  # sorted ids that warn or collapse
     while True:
-        while heap and (heap[0] not in decision or decision[heap[0]][1] is None):
-            heappop(heap)
-        read = bisect_right(warned, heap[0]) if heap else len(warned)  # ids this pass reads
-        warnings += [decision[w][0] for w in warned[:read]]
-        if not heap:
+        for i, eid in enumerate(pending):
+            warning, pair = decision[eid]
+            if warning is not None:
+                warnings.append(warning)
+            if pair:
+                break
+        else:
             break
-        eid = heappop(heap)
-        warning, (survivor, removed) = decision.pop(eid)
-        if warning is not None:
-            del warned[bisect_left(warned, eid)]
+        del pending[i], decision[eid]
+        survivor, removed = pair
         del edges[eid], stab[removed]
         incident[survivor].remove(eid)
         moved = incident.pop(removed)
@@ -204,14 +198,13 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
             edges[f] = (survivor if a == removed else a, survivor if b == removed else b, s)
         incident[survivor] += moved
         for f in incident[survivor]:
-            old = decision[f][0]
-            warning, pair = decision[f] = _decide(f)
-            if pair:
-                heappush(heap, f)
-            if old is None and warning is not None:
-                insort(warned, f)
-            elif old is not None and warning is None:
-                del warned[bisect_left(warned, f)]
+            was = any(decision[f])
+            decision[f] = _decide(f)
+            if any(decision[f]) != was:
+                if was:
+                    del pending[bisect_left(pending, f)]
+                else:
+                    insort(pending, f)
     vertices = tuple(GraphVertex(v, stab[v]) for v in sorted(stab))
     out_edges = tuple(
         GraphEdge(eid, (edges[eid][0], edges[eid][1]), edges[eid][2]) for eid in sorted(edges)

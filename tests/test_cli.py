@@ -38,7 +38,6 @@ from katograph.groups import FieldContext, borel, canonicalize, cyclic, dihedral
 from inputs import (
     a5_renamed_entry,
     d5_renamed_entry,
-    d7_entry,
     d10_entry,
     d10_renamed_entry,
     d15_chain_spec,
@@ -380,10 +379,6 @@ def test_parse_builds_each_vertex_edge_and_genus_edge_group_once(monkeypatch):
     assert len(built) == 3  # once per description, over both parses
 
 
-_FOLD_FLAG_STRING = document(d15_entry())
-_FOLD_FLAG_STRING["entries"][0]["cusps"][0]["fold_on_attach"] = "false"
-
-
 @pytest.mark.parametrize(
     "name, extension",
     [
@@ -404,28 +399,13 @@ _FOLD_FLAG_STRING["entries"][0]["cusps"][0]["fold_on_attach"] = "false"
                 )
             ),
         ),
-        ("ext.json", _FOLD_FLAG_STRING),
     ],
-    ids=[
-        "name-not-a-string", "entries-not-a-list", "p-not-prime", "embed-trace-to-unknown-cusp",
-        "fold-on-attach-string",
-    ],
+    ids=["name-not-a-string", "entries-not-a-list", "p-not-prime", "embed-trace-to-unknown-cusp"],
 )
 def test_run_malformed_extension_is_parse_error(name, extension, tmp_path):
     text, code = run(write_input(tmp_path, d15_chain_spec(catalog_extension=name), extension))
     assert code == EXIT_INVALID
     assert text.startswith("parse error: ") and text.count("\n") == 1
-
-
-def test_run_rejects_an_extension_entry_the_catalog_never_reads(tmp_path):
-    # At p = 7 every D7 tree is the built-in star; an entry for it used to load and be ignored.
-    spec = {"field": {"char_K": 0, "p": 7}, "vertices": [{"id": "a", "group": g("dihedral", n=7)}]}
-    path = write_input(tmp_path, spec, document(d7_entry()))
-    assert run(path) == (
-        f"parse error: {path}: catalog_extension: {tmp_path / 'ext.json'}: entries[0]: "
-        "entry for D7 at p=7 is never read (needs p <= 5 dividing its order)\n",
-        EXIT_INVALID,
-    )
 
 
 def test_run_rejects_a_realized_id_that_an_earlier_gluing_merged_away(tmp_path):

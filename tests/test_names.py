@@ -1,6 +1,7 @@
 """No module binds one top-level name twice: the later binding would hide the earlier one,
-and a test hidden that way is never collected. And each helper that a test module or the
-shared inputs bind is read somewhere in ``tests/``."""
+and a test hidden that way is never collected. Each helper that a test module or the
+shared inputs bind is read somewhere in ``tests/``, and each name that a package module
+imports is read in that module."""
 
 import ast
 import functools
@@ -16,6 +17,11 @@ MODULES = sorted(
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 # The modules whose helpers must each be read somewhere in tests/.
 HELPER_MODULES = [path for path in TESTS if path.name.startswith(("test_", "inputs."))]
+# The package's modules but ``__init__``, whose imports are its public names.
+SOURCES = sorted(p for p in (ROOT / "src/katograph").glob("*.py") if p.name != "__init__.py")
+# Imports a module keeps unread: the benchmark's tracer wraps analysis.symbol_contains by
+# that module's name (ROADMAP item 16).
+KEPT_IMPORTS = {"analysis": ["symbol_contains"]}
 
 
 def top_level_names(tree: ast.Module):
@@ -87,3 +93,33 @@ def test_an_unread_helper_is_found():
     )
     tree = ast.parse(source)
     assert unread_helpers(tree, set(read_names(tree))) == ["X", "dead"]
+
+
+def unread_imports(tree: ast.Module) -> list:
+    """The names that ``tree`` imports, but from ``__future__``, and never loads."""
+    loaded = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted(
+        bound
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (bound := (alias.asname or alias.name).partition(".")[0]) not in loaded
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_reads_each_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unread_imports(tree) == KEPT_IMPORTS.get(path.stem, [])
+
+
+def test_an_unread_import_is_found():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport json as j\n"
+        "from heapq import heappop, heappush\n"
+        "def f(h: list) -> None: heappush(h, j.loads(os.sep))\n"
+    )
+    assert unread_imports(ast.parse(source)) == ["heappop"]
