@@ -75,12 +75,14 @@ class InputGraphOfGroups(NamedTuple):
 
 
 class CheckedInput(NamedTuple):
-    """An input meeting the contract of ``check_input``, edge groups resolved."""
+    """An input meeting the contract of ``check_input``, edge groups resolved. ``traces``
+    pairs the id of each non-trivial edge with its two ends' candidate traces."""
 
     ctx: FieldContext
     vertices: tuple[InputVertex, ...]
     edges: tuple[InputEdge, ...]
     genus_edges: tuple[GenusEdge, ...]
+    traces: tuple[tuple[str, tuple[tuple[AttachmentTrace, ...], ...]], ...]
     catalog: Catalog = DEFAULT_CATALOG
 
 
@@ -175,19 +177,20 @@ def betti(edge_pairs: list[tuple[str, str]]) -> int:
 
 
 def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> CheckedInput:
-    """Check the input contract and resolve derived edge groups.
+    """Check the input contract, resolve derived edge groups and look up each edge's traces.
 
-    The contract is all that needs no gluing: printable string ids, string site hints and
-    endpoints (the last two in pairs), a forest of edges, admissible groups with trees, genus
-    edges closing loops. Raises ValidationError listing every violation; ``realize``
-    reports the edge groups that glue nowhere and the missing attachment traces.
-    """
+    The contract is all that reads only the input and the catalog: printable string ids,
+    string site hints and endpoints (the last two in pairs), a forest of edges, admissible
+    group symbols with trees, genus edges closing loops, a trace at each end of a non-trivial
+    edge that its site hint names, and printed edges that glue a fold to an iso and share no
+    vertex. Raises ValidationError listing every violation, or a bad field context alone."""
+    if not isinstance(ctx := raw.ctx, FieldContext):
+        raise ValidationError([f"input: ctx must be a field context, got {type(ctx).__name__}"])
     bad: list[str] = []
-    ctx = raw.ctx
 
-    def not_str(value, kind: str, xid, what: str = "id") -> bool:
-        if not isinstance(value, str):
-            bad.append(f"{kind} {xid}: {what} must be a string, got {type(value).__name__}")
+    def bad_value(value, kind: str, xid, what: str = "id", want=(str, "a string")) -> bool:
+        if not isinstance(value, want[0]):
+            bad.append(f"{kind} {xid}: {what} must be {want[1]}, got {type(value).__name__}")
         elif what == "id" and not value.isprintable():  # an id may not add a line to a report
             bad.append(f"{kind} {value!r}: id must be printable")
         else:
@@ -195,26 +198,31 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
         return True
 
     def not_pair(value, kind: str, xid, what: str) -> bool:
-        msg = pair_error(value, f"{kind} {xid}: {what}")
-        if msg:
+        if msg := pair_error(value, f"{kind} {xid}: {what}"):
             bad.append(msg)
         return msg is not None
 
-    seen_v: dict[str, GroupSymbol] = {}
+    symbol = (GroupSymbol, "a group symbol")
+    seen_v: set[str] = set()
+    hosts: dict[str, GroupSymbol] = {}  # the vertices whose groups have trees
     uf = _UnionFind()
     for v in raw.vertices:
-        if not_str(v.id, "vertex", v.id):
+        if bad_value(v.id, "vertex", v.id):
             continue
         if v.id in seen_v:
             bad.append(f"vertex {v.id}: duplicate id")
             continue
-        seen_v[v.id] = v.group
+        seen_v.add(v.id)
+        if bad_value(v.group, "vertex", v.id, "group", symbol):
+            continue
         try:
             catalog.elementary_tree(v.group, ctx)  # only an admissible group gets a tree
         except ContextError:
             bad.extend(f"vertex {v.id}: {msg}" for msg in validate_in_context(v.group, ctx))
         except CatalogError as exc:
             bad.append(f"vertex {v.id}: {exc}")
+        else:
+            hosts[v.id] = v.group
     ids = set()
 
     def bad_ends(x, kind: str) -> bool:
@@ -224,7 +232,7 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             return True
         ids.add(x.id)
         if not_pair(x.ends, kind, x.id, "ends") or any(
-            [not_str(end, kind, x.id, "end") for end in x.ends]
+            [bad_value(end, kind, x.id, "end") for end in x.ends]
         ):
             return True
         if x.ends[0] in seen_v and x.ends[1] in seen_v:
@@ -232,14 +240,15 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
         bad.append(f"{kind} {x.id}: endpoint does not exist")
         return True
 
-    edges = []
+    edges, glue_data, printed = [], [], []
     for e in raw.edges:
-        if not_str(e.id, "edge", e.id):
+        if bad_value(e.id, "edge", e.id):
             continue
+        faults = len(bad)
         if not not_pair(e.site_hints, "edge", e.id, "site hints"):
             for hint in e.site_hints:
                 if hint is not None:
-                    not_str(hint, "edge", e.id, "site hint")
+                    bad_value(hint, "edge", e.id, "site hint")
         if bad_ends(e, "edge"):
             continue
         a, b = e.ends
@@ -250,18 +259,58 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             bad.append(f"edge {e.id}: creates a cycle; cycles must be genus edges")
         uf.union(a, b)
         if e.derive:
+            if a not in hosts or b not in hosts:  # no group is derived from a refused one
+                continue
             try:
-                e = e._replace(group=derive_edge_group(seen_v[a], seen_v[b], ctx), derive=False)
+                e = e._replace(group=derive_edge_group(hosts[a], hosts[b], ctx), derive=False)
             except (DeriveError, ContextError, SymbolError) as exc:
                 bad.append(f"edge {e.id}: {exc}")
                 continue
         edges.append(e)
         if e.group is None:
             bad.append(f"edge {e.id}: no group given and derive not requested")
-        elif e.group != TRIVIAL:  # a trivial edge is a component connector
-            bad.extend(f"edge {e.id}: {msg}" for msg in validate_in_context(e.group, ctx))
+            continue
+        if e.group == TRIVIAL or bad_value(e.group, "edge", e.id, "group", symbol):
+            continue  # a trivial edge is a component connector
+        bad.extend(f"edge {e.id}: {msg}" for msg in validate_in_context(e.group, ctx))
+        # Only a sound edge between two trees gets its traces, so each fault is said once.
+        if len(bad) > faults or a not in hosts or b not in hosts:
+            continue
+        ends = []  # per end, the traces that may glue it: all, or those its site hint names
+        for vid, hint, side in zip(e.ends, e.site_hints, ("from", "to")):
+            try:
+                traces = catalog.attachment_traces(e.group, hosts[vid], ctx)
+            except CatalogError as exc:  # the edge group glues nowhere
+                bad.append(f"edge {e.id}: {exc}")
+                break
+            if not traces:
+                bad.append(
+                    f"edge {e.id}: no attachment trace of T*({e.group}) into T*({hosts[vid]}) "
+                    f"at vertex {vid}; gluing inadmissible"
+                )
+            elif hint is not None:
+                traces = tuple(t for t in traces if hint in (t.site, t.partner_site))
+                if not traces:
+                    bad.append(
+                        f"edge {e.id}: site hint {hint!r} ({side}) matches no attachment site"
+                    )
+            ends.append(traces)
+        if len(bad) > faults:
+            continue
+        glue_data.append((e.id, tuple(ends)))
+        if ends[0][0].embed is not None:  # a printed edge tree glues by its embed maps
+            printed.append((e.id, e.ends))
+            if len(kinds := {t.kind for t in ends[0] + ends[1]}) == 1:
+                both = "fold" if kinds == {KIND_FOLD} else "are tree isomorphisms"
+                bad.append(f"edge {e.id}: unsupported printed gluing (both morphisms {both})")
+    if printed:  # a vertex joins at most one printed gluing; the later edge in id order is named
+        first = {vid: eid for eid, ends in sorted(printed, reverse=True) for vid in ends}
+        bad.extend(
+            f"edge {eid}: vertex {vid} already used by a printed-tree gluing"
+            for eid, ends in printed for vid in ends if first[vid] != eid
+        )
     for ge in raw.genus_edges:
-        if not_str(ge.id, "genus edge", ge.id) or bad_ends(ge, "genus edge"):
+        if bad_value(ge.id, "genus edge", ge.id) or bad_ends(ge, "genus edge"):
             continue
         if ge.group != TRIVIAL:
             bad.append(f"genus edge {ge.id}: genus edges must have trivial stabilizer")
@@ -272,12 +321,13 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             )
     if bad:
         raise ValidationError(bad)
-    return CheckedInput(ctx, tuple(raw.vertices), tuple(edges), tuple(raw.genus_edges), catalog)
+    return CheckedInput(
+        ctx, tuple(raw.vertices), tuple(edges), tuple(raw.genus_edges), tuple(glue_data), catalog
+    )
 
 
 def validate_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> list[str]:
-    """A dry run of ``check_input`` and ``realize``: the violations they raise, empty
-    exactly when the input realizes."""
+    """The violations that ``check_input`` and ``realize`` raise: none exactly if it realizes."""
     try:
         realize(check_input(raw, catalog))
     except ValidationError as exc:
@@ -303,9 +353,7 @@ class _Builder:
         self.edges: list[tuple[str, str, str, GroupSymbol]] = []
         self.trees: dict[str, ElementaryTree] = {}
         self.anchors: dict[str, str] = {}  # each input vertex's first tree vertex, realized
-        self.embedded: set[str] = set()
         self.notes: list[str] = []
-        self.violations: list[str] = []
 
     # -- primitives --
 
@@ -361,32 +409,6 @@ class _Builder:
                 self.add(pre + c.id, c.stabilizer, pre + c.base_vertex)
 
     # -- trace selection --
-
-    def candidates(self, edge: InputEdge) -> list[tuple[AttachmentTrace, ...]]:
-        """Per end of ``edge``, the traces that may glue it: all, or those its site
-        hint names. Where there are none, the reason goes to ``violations``, once
-        for an edge group that glues nowhere."""
-        out = []
-        for vid, hint, side in zip(edge.ends, edge.site_hints, ("from", "to")):
-            gv = self.trees[vid].group
-            try:
-                traces = self.catalog.attachment_traces(edge.group, gv, self.ctx)
-            except CatalogError as exc:
-                self.violations.append(f"edge {edge.id}: {exc}")
-                return out
-            if not traces:
-                self.violations.append(
-                    f"edge {edge.id}: no attachment trace of T*({edge.group}) into T*({gv}) "
-                    f"at vertex {vid}; gluing inadmissible"
-                )
-            elif hint is not None:
-                traces = tuple(t for t in traces if hint in (t.site, t.partner_site))
-                if not traces:
-                    self.violations.append(
-                        f"edge {edge.id}: site hint {hint!r} ({side}) matches no attachment site"
-                    )
-            out.append(traces)
-        return out
 
     def select_trace(self, edge: InputEdge, end_index: int, traces: tuple):
         """The candidate that still applies after the earlier gluings, with the
@@ -492,23 +514,11 @@ class _Builder:
             self.merge(ids, f"edge {edge.id}")
 
     def glue_embed(self, edge, fid, tf, iid, ti):
-        """Glue a printed edge tree by its embed maps: ``fid``'s trace folds and
-        ``iid``'s is a tree isomorphism. Printed gluings go first and each vertex
-        joins at most one, so both trees are as placed and the maps name their own
-        ids; the catalog's printed-trace rules make the two maps name the same
-        edge-tree locations. A mark uses up the iso side's marked site, and its
-        initial segment covers the fold tree's edge to the vertex it lands on."""
-        if tf.kind == ti.kind:
-            both = "fold" if tf.kind == KIND_FOLD else "are tree isomorphisms"
-            raise RealizeError(
-                f"edge {edge.id}: unsupported printed gluing (both morphisms {both})"
-            )
-        for side in (fid, iid):
-            if side in self.embedded:
-                raise RealizeError(
-                    f"edge {edge.id}: vertex {side} already used by a printed-tree gluing"
-                )
-        self.embedded.update((fid, iid))
+        """Glue a printed edge tree by its embed maps: ``fid``'s trace folds and ``iid``'s is
+        a tree isomorphism, as ``check_input`` requires. Printed gluings go first and each
+        vertex joins at most one, so both trees are as placed and the maps name their own
+        ids; the printed-trace rules make the two maps name the same edge-tree locations. A
+        mark uses up the iso side's marked site and covers the fold tree's edge to its image."""
         fmaps, imaps = tf.embed, ti.embed
         self.merge([f"{fid}:{fmaps.vertex_map[0][1]}", f"{iid}:{imaps.vertex_map[0][1]}"])
         icusp, imarks = dict(imaps.cusp_map), dict(imaps.mark_map)
@@ -525,17 +535,10 @@ class _Builder:
 
     def build(self) -> KatoGraph:
         self.place_trees()
-        edges = sorted(self.checked.edges, key=lambda e: e.id)
-        # Every end's traces are looked up before anything is glued, so missing
-        # gluing data is reported whole and never masked by a gluing conflict.
-        traces = {e.id: self.candidates(e) for e in edges if e.group != TRIVIAL}
-        if self.violations:
-            raise ValidationError(self.violations)
-        # Printed gluings, whose traces carry embed maps, go first: a fold glued
-        # earlier could take a cusp that the embed must merge. Within each phase,
-        # edge id sets the order.
+        traces = dict(self.checked.traces)
+        # Printed gluings go first, as a fold could take a cusp an embed must merge; then by id.
         printed = {eid for eid, ends in traces.items() if ends[0][0].embed is not None}
-        for edge in sorted(edges, key=lambda e: e.id not in printed):
+        for edge in sorted(self.checked.edges, key=lambda e: (e.id not in printed, e.id)):
             self.glue(edge, traces.get(edge.id))
         # The roots are exactly the ids that keep a stabilizer.
         roots, find, anchors = sorted(self.stab), self.ids.find, self.anchors
@@ -561,13 +564,10 @@ class _Builder:
 
 
 def realize(checked: CheckedInput) -> KatoGraph:
-    """Glue the elementary trees of a checked input into its Kato graph.
-
-    Raises ValidationError listing every edge whose group glues nowhere in
-    the context and every edge end the input gives no gluing data for (no
-    attachment trace, or a site hint matching none), and
-    RealizeError when a gluing conflicts with an earlier one or two realized
-    edges or loops share a name.
+    """Glue the elementary trees of a checked input into its Kato graph, by the traces
+    ``check_input`` found. Raises RealizeError only where an earlier gluing decides: every
+    matching site already used, live traces that are not equivalent, two ends folding at
+    marked points, a stabilizer merge without containment, or a realized name used twice.
     """
     return _Builder(checked).build()
 

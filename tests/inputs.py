@@ -9,6 +9,8 @@
   ``triangle_spec`` and ``d15_chain_spec`` are the specs of two fixtures.
 - The golden corpus: ``golden_corpus`` draws ``random_input(random.Random(20260808))``
   once. ``tests/test_golden.py`` pins that stream with its own draws.
+- The tree family: ``tree_symbols(ctx)`` lists the symbols whose trees the tests read,
+  in each of the 21 ``TREE_CONTEXTS``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,17 @@ import random
 from pathlib import Path
 
 from katograph.fuzz import random_input
+from katograph.groups import (
+    ICOSAHEDRAL,
+    OCTAHEDRAL,
+    TETRAHEDRAL,
+    FieldContext,
+    borel,
+    cyclic,
+    dihedral,
+    is_admissible,
+    proj_linear,
+)
 
 
 def g(kind: str, **params) -> dict:
@@ -231,3 +244,20 @@ def golden_corpus(size: int = 1000) -> tuple:
     the first 1000 are the golden corpus. They are drawn once, and the records are
     immutable, so every test may share them."""
     return _golden_draws()[:size]
+
+
+TREE_CONTEXTS = [FieldContext(p, p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3, 4)]
+TREE_CONTEXTS += [FieldContext(0, p, 1) for p in (2, 3, 5, 7, 11)]
+
+
+def tree_symbols(ctx: FieldContext) -> list:
+    """The admissible symbols among C_n and D_n for 2 <= n <= 30, A4, S4 and A5, and in
+    char p also B(t, n) for 1 <= t <= m and n <= 60 dividing p^m − 1, and PGL2/PSL2(p^t)
+    for t <= m; each once."""
+    symbols = [cyclic(n) for n in range(2, 31)] + [dihedral(n) for n in range(2, 31)]
+    symbols += [TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL]
+    if ctx.positive_char:
+        q = ctx.p ** ctx.m - 1
+        symbols += [borel(t, n) for t in range(1, ctx.m + 1) for n in range(1, 61) if q % n == 0]
+        symbols += [proj_linear(kind, t) for kind in ("PGL", "PSL") for t in range(1, ctx.m + 1)]
+    return [g for g in dict.fromkeys(symbols) if is_admissible(g, ctx)]

@@ -853,6 +853,10 @@ def _marks_on_one_site():
             "fold trace of D5 into D10: the cusp map must send exactly ['c1', 'c2'] onto cusps",
         ),
         (
+            document(_d10_fold_onto_v1(cusp_map={"c1": "c9", "c2": "c2"})),
+            "fold trace of D5 into D10: the cusp map must send exactly ['c1', 'c2'] onto cusps",
+        ),
+        (
             document(_d10_fold_onto_v1(edge_group={"kind": "dihedral", "n": 15})),
             "edge group not Borel/cyclic/printed (D15 has no gluing data in this context)",
         ),
@@ -882,9 +886,9 @@ def _marks_on_one_site():
         ),
     ],
     ids=["fold-onto-its-own-vertex", "mark-on-the-fold-image", "stray-vertex-key",
-         "marked-cusp-in-cusp-map", "stray-cusp-key", "edge-group-without-tree",
-         "edge-group-inadmissible", "image-without-the-stabilizer", "one-image-twice",
-         "stray-mark-key", "edge-tree-of-two-vertices", "marks-on-one-site"],
+         "marked-cusp-in-cusp-map", "stray-cusp-key", "image-not-a-cusp",
+         "edge-group-without-tree", "edge-group-inadmissible", "image-without-the-stabilizer",
+         "one-image-twice", "stray-mark-key", "edge-tree-of-two-vertices", "marks-on-one-site"],
 )
 def test_extension_trace_breaking_a_rule_fails_at_load(doc, message):
     # A fold's mark covers an edge at the vertex it folds onto: the one-vertex D10 of

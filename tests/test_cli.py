@@ -379,35 +379,6 @@ def test_parse_builds_each_vertex_edge_and_genus_edge_group_once(monkeypatch):
     assert len(built) == 3  # once per description, over both parses
 
 
-@pytest.mark.parametrize(
-    "name, extension",
-    [
-        (5, None),
-        ("ext.json", {"entries": 5}),
-        ("ext.json", document(d15_entry(context={"char_K": 0, "p": 4}))),
-        (
-            "ext.json",
-            document(
-                d15_entry(
-                    embed_traces=[
-                        {
-                            "edge_group": {"kind": "dihedral", "n": 5},
-                            "kind": "iso",
-                            "cusp_map": {"c1": "c9"},
-                        }
-                    ]
-                )
-            ),
-        ),
-    ],
-    ids=["name-not-a-string", "entries-not-a-list", "p-not-prime", "embed-trace-to-unknown-cusp"],
-)
-def test_run_malformed_extension_is_parse_error(name, extension, tmp_path):
-    text, code = run(write_input(tmp_path, d15_chain_spec(catalog_extension=name), extension))
-    assert code == EXIT_INVALID
-    assert text.startswith("parse error: ") and text.count("\n") == 1
-
-
 def test_run_rejects_a_realized_id_that_an_earlier_gluing_merged_away(tmp_path):
     # The D15 tree of input vertex e has its vertex named w, realized as e:w. Edge d
     # folds at e's cusp c1 and ends in an iso at the C2 vertex b, so e:w merges into
@@ -525,8 +496,8 @@ def _printed(vertices, edges):
 
 
 def test_run_pins_each_printed_gluing_rejection(tmp_path):
-    # Gluing rejects what depends on the input: two ends that both fold or are both
-    # tree isomorphisms, and a vertex in a second printed gluing.
+    # Validation rejects two ends that both fold or are both tree isomorphisms, and a
+    # vertex in a second printed gluing: the later edge in id order, not in input order.
     d10, d20, a5 = g("dihedral", n=10), g("dihedral", n=20), g("icosahedral")
     runs = [
         (
@@ -539,10 +510,33 @@ def test_run_pins_each_printed_gluing_rejection(tmp_path):
         ),
     ]
     for (text, code), reason in runs:
-        assert (text, code) == (f"realization rejected: edge e0: {reason}\n", EXIT_INVALID)
-    spec = _printed([("a", a5), ("d", d10), ("f", d20)], [("e0", "a", "d"), ("e1", "a", "f")])
+        assert (text, code) == (f"validation failed:\n- edge e0: {reason}\n", EXIT_INVALID)
+    spec = _printed([("a", a5), ("d", d10), ("f", d20)], [("e1", "a", "f"), ("e0", "a", "d")])
     assert run(write_input(tmp_path, spec)) == (
-        "realization rejected: edge e1: vertex a already used by a printed-tree gluing\n",
+        "validation failed:\n- edge e1: vertex a already used by a printed-tree gluing\n",
+        EXIT_INVALID,
+    )
+
+
+def test_run_reports_a_missing_trace_with_the_other_faults(tmp_path):
+    # Traces are looked up while the input is checked, so an edge without one is named
+    # in the same block as a fault of another edge, not once that fault is mended.
+    d6 = g("dihedral", n=6)
+    spec = {
+        "field": {"char_K": 0, "p": 7},
+        "vertices": [{"id": v, "group": d6} for v in "abcd"],
+        "edges": [
+            {"id": "e0", "from": "a", "to": "b", "group": g("cyclic", n=6)},
+            {"id": "e1", "from": "b", "to": "c", "group": g("cyclic", n=5)},
+        ],
+        "genus_edges": [{"id": "g0", "from": "a", "to": "d"}],
+    }
+    missing = "no attachment trace of T*(C5) into T*(D6) at vertex {}; gluing inadmissible"
+    assert run(write_input(tmp_path, spec)) == (
+        "validation failed:\n"
+        f"- edge e1: {missing.format('b')}\n"
+        f"- edge e1: {missing.format('c')}\n"
+        "- genus edge g0: endpoints lie in different components; a genus edge must close a loop\n",
         EXIT_INVALID,
     )
 

@@ -296,6 +296,36 @@ def test_validate_rejects_ids_and_hints_that_are_not_strings():
         "edge 'e\\t': id must be printable",
         "genus edge 'g\\x85': id must be printable",
     ]
+    # Groups must be group symbols; an edge group is not derived from a refused one.
+    f = InputVertex("f", cyclic(3))
+    raw = InputGraphOfGroups(
+        CTX7,
+        (
+            InputVertex("a", "C3"),
+            InputVertex("b", 3),
+            InputVertex("c", None),
+            InputVertex("d", {"kind": "cyclic", "n": 3}),
+            f,
+        ),
+        (
+            InputEdge("e", ("a", "f"), None, True),
+            InputEdge("h", ("b", "f"), "C3"),
+            InputEdge("i", ("c", "f"), {"kind": "cyclic", "n": 3}),
+            InputEdge("j", ("d", "f"), 3),
+        ),
+    )
+    assert validate_input(raw) == [
+        "vertex a: group must be a group symbol, got str",
+        "vertex b: group must be a group symbol, got int",
+        "vertex c: group must be a group symbol, got NoneType",
+        "vertex d: group must be a group symbol, got dict",
+        "edge h: group must be a group symbol, got str",
+        "edge i: group must be a group symbol, got dict",
+        "edge j: group must be a group symbol, got int",
+    ]
+    assert validate_input(InputGraphOfGroups(None, (f,))) == [
+        "input: ctx must be a field context, got NoneType"
+    ]
 
 
 def test_check_input_pins_every_violation_in_order():
@@ -384,6 +414,19 @@ def test_realize_triangle(m):
     assert set(g.finite_edges[0].ends) == {a5, dd}
     cusps = sorted((str(c.stabilizer), c.base) for c in g.cusps)
     assert cusps == sorted([("C3", a5), ("C2", dd), (f"C{10 * m}", dd)])
+
+
+def test_realize_glues_by_the_traces_check_input_found(monkeypatch):
+    checked = check_input(triangle_input())
+    lookup = DEFAULT_CATALOG.attachment_traces
+    d5 = dihedral(5)
+    assert checked.traces == (
+        ("e0", (lookup(d5, ICOSAHEDRAL, CTX5), lookup(d5, dihedral(10), CTX5))),
+    )
+    assert hash(checked) == hash(check_input(triangle_input()))  # the record stays hashable
+    graph = realize(checked)
+    monkeypatch.setattr(Catalog, "attachment_traces", lambda *args: pytest.fail("looked up"))
+    assert realize(checked) == graph
 
 
 @pytest.mark.parametrize("p,t,s,m", [(2, 2, 4, 4), (3, 1, 2, 2), (2, 3, 6, 6)])

@@ -107,10 +107,10 @@ RECORDS = [
         "edges=(), genus_edges=())",
     ),
     (
-        lambda: CheckedInput(CTX, (InputVertex("a", C2),), (), ()),
+        lambda: CheckedInput(CTX, (InputVertex("a", C2),), (), (), ()),
         "catalog",
         f"CheckedInput(ctx={R_CTX}, vertices=(InputVertex(id='a', group={R_C2}),), edges=(), "
-        f"genus_edges=(), catalog={DEFAULT_CATALOG!r})",
+        f"genus_edges=(), traces=(), catalog={DEFAULT_CATALOG!r})",
     ),
     (lambda: GraphVertex("a:v0", C2), "stabilizer", f"GraphVertex(id='a:v0', stabilizer={R_C2})"),
     (

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import reference
-from inputs import golden_corpus
+from inputs import TREE_CONTEXTS, golden_corpus, tree_symbols
 from katograph.catalog import Catalog, CatalogError, load_extension_file
 from katograph.cli import ParseError, build_report, parse_spec
 from katograph.fuzz import random_input
@@ -40,17 +40,13 @@ from katograph.graphs import (
     realize,
 )
 from katograph.groups import (
-    ICOSAHEDRAL,
     OCTAHEDRAL,
     TETRAHEDRAL,
     FieldContext,
     borel,
     borel_params,
     cyclic,
-    dihedral,
-    is_admissible,
     order,
-    proj_linear,
 )
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -142,23 +138,6 @@ def test_identity_catches_a_wrong_s4_tree():
         realized.append(raw)
     assert (len(realized), rejected) == (370, 196)
     assert [raw for raw in realized if holds(raw, wrong)] == []
-
-
-TREE_CONTEXTS = [FieldContext(p, p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3, 4)]
-TREE_CONTEXTS += [FieldContext(0, p, 1) for p in (2, 3, 5, 7, 11)]
-
-
-def tree_symbols(ctx: FieldContext) -> list:
-    """The admissible symbols among C_n and D_n for 2 <= n <= 30, A4, S4 and A5, and in
-    char p also B(t, n) for 1 <= t <= m and n <= 60 dividing p^m − 1, and PGL2/PSL2(p^t)
-    for t <= m; each once."""
-    symbols = [cyclic(n) for n in range(2, 31)] + [dihedral(n) for n in range(2, 31)]
-    symbols += [TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL]
-    if ctx.positive_char:
-        q = ctx.p ** ctx.m - 1
-        symbols += [borel(t, n) for t in range(1, ctx.m + 1) for n in range(1, 61) if q % n == 0]
-        symbols += [proj_linear(kind, t) for kind in ("PGL", "PSL") for t in range(1, ctx.m + 1)]
-    return [g for g in dict.fromkeys(symbols) if is_admissible(g, ctx)]
 
 
 def test_identity_holds_tree_by_tree():
