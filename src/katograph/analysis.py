@@ -8,7 +8,6 @@ properties, and the branch-point separation plan.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from bisect import bisect_left, bisect_right, insort
 from typing import NamedTuple
 
@@ -271,10 +270,20 @@ class Cluster(NamedTuple):
 
 class SeparationPlan(NamedTuple):
     """Branch points clustered by anchor vertex; anchors stand in for the
-    generic points of the separating discs."""
+    generic points of the separating discs.
+
+    ``rows[i]`` is ``(later, edges)``: the later clusters of cluster i's
+    component in increasing index order, and the distance to each."""
 
     clusters: tuple[Cluster, ...]
-    distances: tuple[tuple[int, int, int], ...]  # (cluster index, cluster index, edges)
+    rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    @property
+    def distances(self) -> tuple[tuple[int, int, int], ...]:
+        """Every (cluster index, later cluster index, edges), row by row."""
+        return tuple(
+            (i, j, d) for i, (later, edges) in enumerate(self.rows) for j, d in zip(later, edges)
+        )
 
 
 def separation_plan(g: KatoGraph) -> SeparationPlan:
@@ -287,8 +296,9 @@ def separation_plan(g: KatoGraph) -> SeparationPlan:
     one row down the preorder, the distances to the component's anchors less
     the current depth. The anchors under a vertex are a run in preorder; a
     step down takes two off it, climbing back undoes that, and at each anchor
-    the row gives its distances to the later clusters. Cost: O(sum of V_c *
-    m_c) over components of V_c vertices and m_c anchors, plus the output.
+    the row gives its distances to the later clusters. The plan keeps those
+    as one row of ints per cluster, and no tuple is built per pair. Cost:
+    O(sum of V_c * m_c) over components of V_c vertices and m_c anchors.
     """
     by_anchor: dict[str, list[str]] = {}
     for c in g.cusps:
@@ -297,16 +307,16 @@ def separation_plan(g: KatoGraph) -> SeparationPlan:
         Cluster(anchor, tuple(sorted(by_anchor[anchor]))) for anchor in sorted(by_anchor)
     )
     if len(clusters) < 2:
-        return SeparationPlan(clusters, ())
+        return SeparationPlan(clusters, (((), ()),) * len(clusters))
     adj: dict[str, list[tuple[str, str]]] = {}
     for e in g.finite_edges:
         a, b = e.ends
         adj.setdefault(a, []).append((b, e.id))
         adj.setdefault(b, []).append((a, e.id))
     index = {cl.anchor: i for i, cl in enumerate(clusters)}
-    found: list = [None] * len(clusters)  # per cluster, its distances to later ones
+    rows: list = [None] * len(clusters)  # per cluster, its later clusters and distances
     for root, first in index.items():
-        if found[first] is not None:
+        if rows[first] is not None:
             continue
         parent = {root: (None, None, 0)}  # vertex -> (parent, edge to it, depth)
         lo = {}  # vertex -> the anchors before it; its run is [lo[x], lo[after])
@@ -329,6 +339,7 @@ def separation_plan(g: KatoGraph) -> SeparationPlan:
                     stack.append(y)
         m = lo[None] = len(row)
         later.sort()
+        js, ks = zip(*later)  # the component's clusters in index order, their row positions
         path = [(root, 0, m)]
         for x, after, p, dx, i in order:
             lo_x, hi_x = lo[x], lo[after]
@@ -341,5 +352,6 @@ def separation_plan(g: KatoGraph) -> SeparationPlan:
                 row[lo_x:hi_x] = [d - 2 for d in row[lo_x:hi_x]]
                 path.append((x, lo_x, hi_x))
             if i is not None:
-                found[i] = [(i, j, row[k] + dx) for j, k in later[bisect_right(later, (i, m)):]]
-    return SeparationPlan(clusters, tuple(chain.from_iterable(found)))
+                n = bisect_right(js, i)
+                rows[i] = (js[n:], tuple([row[k] + dx for k in ks[n:]]))
+    return SeparationPlan(clusters, tuple(rows))

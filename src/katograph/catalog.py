@@ -41,7 +41,7 @@ from .groups import (
     order,
     pl_invariants,
     symbol_contains,
-    validate_in_context,
+    symbol_violations,
     KIND_BOREL,
     KIND_CYCLIC,
     KIND_DIHEDRAL,
@@ -171,6 +171,7 @@ class Catalog:
             if key in self._entries:
                 raise CatalogError(f"duplicate extension entry for {key[0]} at p={entry.p}")
             self._entries[key] = entry
+        self._violations = _Kept(lambda key: symbol_violations(*key))
         self._trees = _Kept(lambda key: self._build_tree(*key))
         self._traces = _Kept(lambda key: self._traces_of(*key))
         self._verdicts = _Kept(lambda key: self._generation_violation(*key))
@@ -184,12 +185,17 @@ class Catalog:
 
     # -- trees ---------------------------------------------------------------
 
+    def group_violations(self, g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
+        """``symbol_violations(g, ctx)``, kept per (g, ctx): a hand-built symbol's
+        canonical form is checked once. Every tree and trace request checks it."""
+        return self._violations[g, ctx]
+
     def elementary_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
         """T*(g), built on the first request and kept; errors are not kept."""
         return self._trees[g, ctx]
 
     def _build_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
-        violations = validate_in_context(g, ctx)
+        violations = self.group_violations(g, ctx)
         if violations:
             raise ContextError("; ".join(violations))
         if ctx.positive_char or ctx.p > 5 or order(g, ctx) % ctx.p != 0:
@@ -212,7 +218,7 @@ class Catalog:
         """
         if ctx.positive_char or g.kind == KIND_TRIVIAL:
             return len(self.elementary_tree(g, ctx).cusps)
-        violations = validate_in_context(g, ctx)
+        violations = self.group_violations(g, ctx)
         if violations:
             raise ContextError("; ".join(violations))
         return 2 if g.kind == KIND_CYCLIC else 3
@@ -264,7 +270,7 @@ class Catalog:
 
     def _traces_of(self, edge_group: GroupSymbol, vertex_group: GroupSymbol, ctx: FieldContext):
         for g in (edge_group, vertex_group):
-            if not is_admissible(g, ctx):
+            if self.group_violations(g, ctx):
                 raise ContextError(f"{g} is not admissible in this context")
         if edge_group.kind == KIND_TRIVIAL:
             raise SymbolError("trivial edges do not attach through the catalog")

@@ -282,7 +282,6 @@ class RunReport(NamedTuple):
         link = lambda e: f"  {e.id}: {e.ends[0]} -- {e.ends[1]}"
         edge = lambda e: f"{link(e)} [{names[e.stabilizer]}]"
         cusp = lambda c: f"  {c.id}: at {c.base} [{names[c.stabilizer]}]"
-        distance_from = [f"  distance cluster {i} - cluster " for i in range(len(plan.clusters))]
         out = [
             "== input ==", echo_text(self.raw),
             "", "== realized kato graph ==",
@@ -311,12 +310,35 @@ class RunReport(NamedTuple):
             "", "== separation plan ==",
             *([f"  cluster {i} @ {cl.anchor}: {', '.join(cl.members)} (size {cl.size})"
                for i, cl in enumerate(plan.clusters)] or ["(no branch points)"]),
-            *[f"{distance_from[i]}{j}: {d}" for i, j, d in plan.distances],
+            *_distance_rows(plan),
             "", "== warnings ==",
             *([f"- {w}" for w in self.warnings] or ["(none)"]),
             "",
         ]
         return "\n".join(out)
+
+
+# The number strings of a plan whose indices and distances are all below 1024, made once.
+_NUMERALS = tuple(map(str, range(1024)))
+
+
+def _distance_rows(plan: SeparationPlan, ints=_NUMERALS) -> list[str]:
+    """The distance lines of each row that has any, one text per row: one join over the
+    row's pairs, whose numbers are the strings ``ints`` holds. A plan with a larger index
+    or distance (an edge count, never negative) is written again with its own strings."""
+    out = []
+    try:
+        for i, (later, edges) in enumerate(plan.rows):
+            if later:
+                head = f"\n  distance cluster {i} - cluster "
+                pairs = [f"{ints[j]}: {ints[d]}" for j, d in zip(later, edges)]
+                out.append(head[1:] + head.join(pairs))
+    except IndexError:
+        if ints is not _NUMERALS:  # not a plan: a negative distance
+            raise
+        top = max([max(*later, *edges) for later, edges in plan.rows if later])
+        return _distance_rows(plan, [str(x) for x in range(top + 1)])
+    return out
 
 
 def _listing(title: str, items, line) -> list[str]:

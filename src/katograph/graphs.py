@@ -31,7 +31,7 @@ from .groups import (
     TRIVIAL,
     derive_edge_group,
     symbol_contains,
-    validate_in_context,
+    symbol_violations,
 )
 
 
@@ -186,11 +186,18 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
     vertex. Raises ValidationError listing every violation, or a bad field context alone."""
     if not isinstance(ctx := raw.ctx, FieldContext):
         raise ValidationError([f"input: ctx must be a field context, got {type(ctx).__name__}"])
+    seq = (tuple, list)
+    if not (isinstance(raw.vertices, seq) and isinstance(raw.edges, seq)
+            and isinstance(raw.genus_edges, seq)):
+        raise ValidationError([
+            f"input: {name} must be a tuple or list, got {type(items).__name__}"
+            for name, items in zip(raw._fields[1:], raw[1:]) if not isinstance(items, seq)
+        ])
     bad: list[str] = []
 
-    def bad_value(value, kind: str, xid, what: str = "id", want=(str, "a string")) -> bool:
-        if not isinstance(value, want[0]):
-            bad.append(f"{kind} {xid}: {what} must be {want[1]}, got {type(value).__name__}")
+    def bad_value(value, kind: str, xid, what: str = "id") -> bool:
+        if not isinstance(value, str):
+            bad.append(f"{kind} {xid}: {what} must be a string, got {type(value).__name__}")
         elif what == "id" and not value.isprintable():  # an id may not add a line to a report
             bad.append(f"{kind} {value!r}: id must be printable")
         else:
@@ -202,7 +209,18 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             bad.append(msg)
         return msg is not None
 
-    symbol = (GroupSymbol, "a group symbol")
+    def bad_group(g, kind: str, xid) -> bool:
+        """Whether ``g`` is not a group symbol whose fields have the canonical types;
+        a field of another type may not hash, or may hash as a canonical symbol's."""
+        if not isinstance(g, GroupSymbol):
+            bad.append(f"{kind} {xid}: group must be a group symbol, got {type(g).__name__}")
+            return True
+        k, n, t, variant = g
+        if type(n) is int is type(t) and type(k) is str is type(variant):
+            return False
+        bad.extend(f"{kind} {xid}: {msg}" for msg in symbol_violations(g, ctx))
+        return True
+
     seen_v: set[str] = set()
     hosts: dict[str, GroupSymbol] = {}  # the vertices whose groups have trees
     uf = _UnionFind()
@@ -213,12 +231,12 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             bad.append(f"vertex {v.id}: duplicate id")
             continue
         seen_v.add(v.id)
-        if bad_value(v.group, "vertex", v.id, "group", symbol):
+        if bad_group(v.group, "vertex", v.id):
             continue
         try:
             catalog.elementary_tree(v.group, ctx)  # only an admissible group gets a tree
         except ContextError:
-            bad.extend(f"vertex {v.id}: {msg}" for msg in validate_in_context(v.group, ctx))
+            bad.extend(f"vertex {v.id}: {msg}" for msg in catalog.group_violations(v.group, ctx))
         except CatalogError as exc:
             bad.append(f"vertex {v.id}: {exc}")
         else:
@@ -231,11 +249,12 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             bad.append(f"{kind} {x.id}: duplicate id")
             return True
         ids.add(x.id)
-        if not_pair(x.ends, kind, x.id, "ends") or any(
-            [bad_value(end, kind, x.id, "end") for end in x.ends]
-        ):
+        if not_pair(x.ends, kind, x.id, "ends"):
             return True
-        if x.ends[0] in seen_v and x.ends[1] in seen_v:
+        a, b = x.ends
+        if bad_value(a, kind, x.id, "end") | bad_value(b, kind, x.id, "end"):  # both are said
+            return True
+        if a in seen_v and b in seen_v:
             return False
         bad.append(f"{kind} {x.id}: endpoint does not exist")
         return True
@@ -270,9 +289,9 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
         if e.group is None:
             bad.append(f"edge {e.id}: no group given and derive not requested")
             continue
-        if e.group == TRIVIAL or bad_value(e.group, "edge", e.id, "group", symbol):
+        if e.group == TRIVIAL or bad_group(e.group, "edge", e.id):
             continue  # a trivial edge is a component connector
-        bad.extend(f"edge {e.id}: {msg}" for msg in validate_in_context(e.group, ctx))
+        bad.extend(f"edge {e.id}: {msg}" for msg in catalog.group_violations(e.group, ctx))
         # Only a sound edge between two trees gets its traces, so each fault is said once.
         if len(bad) > faults or a not in hosts or b not in hosts:
             continue

@@ -306,6 +306,20 @@ def validate_in_context(g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
     return tuple(bad)
 
 
+def symbol_violations(g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
+    """``validate_in_context`` of a symbol that may be hand-built. One that the constructor
+    helpers would not build, with a field of another type than theirs (a string, two
+    integers, a string) or that ``canonicalize`` would change, has only that violation."""
+    try:
+        if tuple(map(type, g)) == (str, int, int, str) and (
+            g.kind not in _KINDS or canonicalize(g) == g  # an unknown kind has its own message
+        ):
+            return validate_in_context(g, ctx)
+    except SymbolError:  # a parameter out of range
+        pass
+    return (f"group must be a canonical group symbol, got {g!r}",)
+
+
 def is_admissible(g: GroupSymbol, ctx: FieldContext) -> bool:
     return not validate_in_context(g, ctx)
 

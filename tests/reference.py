@@ -1,9 +1,10 @@
 """Slow reference implementations used as oracles.
 
 ``separation_plan`` is the separation plan as first written: one
-breadth-first search over the whole graph from each anchor. The engine's
-``analysis.separation_plan`` searches each component once instead; the two
-must give the same plan on every forest.
+breadth-first search over the whole graph from each anchor, with one
+(i, j, d) triple per pair of anchors. The engine's ``analysis.separation_plan``
+searches each component once instead and keeps one row per cluster; the two
+must give the same clusters and distances on every forest.
 
 ``contract`` is the quotient-skeleton contraction as first written: after
 every collapse it recounts valencies over all edges, renames the removed
@@ -28,7 +29,7 @@ import math
 from collections import deque
 from itertools import permutations
 
-from katograph.analysis import Cluster, QuotientSkeleton, SeparationPlan
+from katograph.analysis import Cluster, QuotientSkeleton
 from katograph.catalog import CatalogError
 from katograph.graphs import GraphEdge, GraphVertex, KatoGraph, betti
 from katograph.groups import TRIVIAL, ContextError, GroupSymbol, order, symbol_contains
@@ -115,12 +116,13 @@ def contract(g: KatoGraph) -> QuotientSkeleton:
     return QuotientSkeleton(ctx, vertices, out_edges, b1, tuple(warnings))
 
 
-def separation_plan(g: KatoGraph) -> SeparationPlan:
+def separation_plan(g: KatoGraph) -> tuple[tuple[Cluster, ...], tuple[tuple[int, int, int], ...]]:
     """Cluster branch points by their anchor and measure anchor distances.
 
     Distances are edge counts along the forest of finite edges (genus loops
     are never needed while a tree path exists); pairs in distinct components
-    are omitted.
+    are omitted. Returns the clusters and every (cluster index, later cluster
+    index, edges), the plan's ``clusters`` and ``distances``.
     """
     by_anchor: dict[str, list[str]] = {}
     for c in g.cusps:
@@ -139,7 +141,7 @@ def separation_plan(g: KatoGraph) -> SeparationPlan:
             d = reached.get(clusters[j].anchor)
             if d is not None:
                 dists.append((i, j, d))
-    return SeparationPlan(clusters, tuple(dists))
+    return clusters, tuple(dists)
 
 
 def components(vertices, edge_pairs) -> list[set[str]]:

@@ -407,25 +407,6 @@ def test_run_rejects_a_realized_id_that_an_earlier_gluing_merged_away(tmp_path):
     )
 
 
-@pytest.mark.parametrize(
-    "ends, got",
-    [(["v0", "v1", "v9"], "list of 3"), (["v0"], "list of 1"), ("v0v1", "str")],
-    ids=["three-names", "one-name", "string"],
-)
-def test_main_rejects_extension_edge_ends_that_are_not_a_pair(ends, got, tmp_path, capsys):
-    d10 = d10_entry(
-        vertices=[{"id": v, "group": g("dihedral", n=10)} for v in ("v0", "v1")],
-        internal_edges=[{"id": "e0", "ends": ends, "group": g("cyclic", n=2)}],
-    )
-    path = write_input(tmp_path, triangle_spec(), document(d10))
-    assert main([str(path)]) == EXIT_INVALID
-    assert capsys.readouterr() == (
-        f"parse error: {path}: catalog_extension: {tmp_path / 'ext.json'}: "
-        f"entries[0]: edge e0: ends must be a pair, got {got}\n",
-        "",
-    )
-
-
 def _load_error(tmp_path, reason):
     """The one line of an extension that fails at load, as ``write_input`` writes it;
     it names the extension file, as ``parse_extension``'s errors do."""

@@ -25,6 +25,7 @@ from katograph.graphs import (
 )
 from katograph.groups import (
     FieldContext,
+    GroupSymbol,
     ICOSAHEDRAL,
     TETRAHEDRAL,
     TRIVIAL,
@@ -326,6 +327,37 @@ def test_validate_rejects_ids_and_hints_that_are_not_strings():
     assert validate_input(InputGraphOfGroups(None, (f,))) == [
         "input: ctx must be a field context, got NoneType"
     ]
+    # Each container that is not a tuple or list is one violation, said alone.
+    assert validate_input(InputGraphOfGroups(CTX7, None, {}, None)) == [
+        "input: vertices must be a tuple or list, got NoneType",
+        "input: edges must be a tuple or list, got dict",
+        "input: genus_edges must be a tuple or list, got NoneType",
+    ]
+    assert validate_input(InputGraphOfGroups(CTX7, [f], None)) == [
+        "input: edges must be a tuple or list, got NoneType"
+    ]
+    # A hand-built symbol must be one the constructor helpers build: fields of their
+    # types, in canonical form. Else it is one violation, at a vertex or an edge.
+    for bad in (
+        GroupSymbol("cyclic", -3),
+        GroupSymbol("cyclic", "3"),
+        GroupSymbol("dihedral", 0),
+        GroupSymbol("cyclic", [3]),
+        GroupSymbol("cyclic", 3.0),
+        GroupSymbol("cyclic", True),
+        GroupSymbol("cyclic", 1),
+        GroupSymbol("borel", 3, 0),
+        GroupSymbol("cyclic", 3, 2),
+    ):
+        message = f"group must be a canonical group symbol, got {bad!r}"
+        for ctx in (CTX7, FieldContext(3, 3, 1)):
+            hosts = (InputVertex("a", dihedral(2)), InputVertex("b", dihedral(2)))
+            assert validate_input(InputGraphOfGroups(ctx, (InputVertex("v", bad),))) == [
+                f"vertex v: {message}"
+            ]
+            assert validate_input(
+                InputGraphOfGroups(ctx, hosts, (InputEdge("e", ("a", "b"), bad),))
+            ) == [f"edge e: {message}"]
 
 
 def test_check_input_pins_every_violation_in_order():

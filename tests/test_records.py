@@ -166,9 +166,9 @@ RECORDS = [
     ),
     (lambda: Cluster("v", ("c0", "c1")), "members", "Cluster(anchor='v', members=('c0', 'c1'))"),
     (
-        lambda: SeparationPlan((Cluster("v", ("c0",)),), ((0, 1, 2),)),
-        "distances",
-        "SeparationPlan(clusters=(Cluster(anchor='v', members=('c0',)),), distances=((0, 1, 2),))",
+        lambda: SeparationPlan((Cluster("v", ("c0",)),), (((1,), (2,)),)),
+        "rows",
+        "SeparationPlan(clusters=(Cluster(anchor='v', members=('c0',)),), rows=(((1,), (2,)),))",
     ),
     (tiny_report, "direct", report_repr(tiny_report())),
     (lambda: PLInvariants(2, 4), "n_plus", "PLInvariants(n_minus=2, n_plus=4)"),

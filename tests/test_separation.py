@@ -1,8 +1,10 @@
 """The separation plan against its breadth-first reference, and its edge cases.
 
-``analysis.separation_plan`` walks each component once; ``reference.separation_plan``
-searches the whole graph from every anchor. On every forest the two must give the
-same clusters and the same distances, in the same order.
+``analysis.separation_plan`` walks each component once and keeps one row of
+distances per cluster; ``reference.separation_plan`` searches the whole graph from
+every anchor and lists one (i, j, d) triple per pair. On every forest the two must
+give the same clusters and the same distances, in the same order. Given the
+clusters, the rows and the triples each determine the other.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import reference
 from inputs import golden_corpus
 from test_golden import large_unions
 
-from katograph.analysis import Cluster, separation_plan
+from katograph.analysis import Cluster, SeparationPlan, separation_plan
+from katograph.catalog import DEFAULT_CATALOG
+from katograph.cli import build_report
 from katograph.fuzz import random_input
 from katograph.graphs import (
     GenusEdge,
@@ -67,13 +71,15 @@ def _chained(rng, ctx, components) -> InputGraphOfGroups:
 def test_plan_equals_reference_on_the_corpus():
     for i, raw in enumerate(golden_corpus()):
         g = realize(check_input(raw))
-        assert separation_plan(g) == reference.separation_plan(g), i
+        plan = separation_plan(g)
+        assert (plan.clusters, plan.distances) == reference.separation_plan(g), i
 
 
 def test_plan_equals_reference_on_large_unions():
     for i, raw in enumerate(large_unions()):
         g = realize(check_input(raw))
-        assert separation_plan(g) == reference.separation_plan(g), i
+        plan = separation_plan(g)
+        assert (plan.clusters, plan.distances) == reference.separation_plan(g), i
 
 
 def test_plan_equals_reference_on_chained_unions():
@@ -82,7 +88,55 @@ def test_plan_equals_reference_on_chained_unions():
         g = realize(check_input(_chained(rng, ctx, components)))
         plan = separation_plan(g)
         assert len(plan.distances) == len(plan.clusters) * (len(plan.clusters) - 1) // 2
-        assert plan == reference.separation_plan(g), (ctx, components)
+        assert (plan.clusters, plan.distances) == reference.separation_plan(g), (ctx, components)
+
+
+def _chained_graphs():
+    """``_chained`` unions of 1 to 120 components, in two contexts."""
+    rng = random.Random(20261020)
+    for ctx, components in [(FieldContext(0, 5, 1), 1), (FieldContext(0, 7, 1), 2),
+                            (FieldContext(0, 5, 1), 17), (FieldContext(0, 5, 1), 85),
+                            (FieldContext(0, 7, 1), 120)]:
+        yield _chained(rng, ctx, components)
+
+
+def test_each_row_lists_the_later_clusters_of_its_component():
+    for raw in [*golden_corpus(), *_chained_graphs()]:
+        g = realize(check_input(raw))
+        plan = separation_plan(g)
+        parts = reference.components([v.id for v in g.vertices], [e.ends for e in g.finite_edges])
+        part = {v: k for k, vs in enumerate(parts) for v in vs}
+        home = [part[cl.anchor] for cl in plan.clusters]
+        assert len(plan.rows) == len(plan.clusters)
+        for i, (later, edges) in enumerate(plan.rows):
+            assert later == tuple(j for j in range(i + 1, len(home)) if home[j] == home[i])
+            assert len(edges) == len(later)
+
+
+def test_render_writes_one_line_per_distance():
+    # The distance lines are written a row at a time from shared number
+    # strings; they must read as if each were formatted on its own.
+    for raw in [*golden_corpus(), *_chained_graphs()]:
+        report = build_report(raw, DEFAULT_CATALOG)
+        plan = report.plan
+        section = report.render().split("\n== separation plan ==\n")[1].split("\n\n")[0]
+        lines = section.split("\n")[max(1, len(plan.clusters)):]
+        assert lines == [f"  distance cluster {i} - cluster {j}: {d}" for i, j, d in plan.distances]
+
+
+def test_render_writes_distances_beyond_the_graph_size():
+    # A hand-built plan may hold any distance, not only those of its graph, and
+    # these lie beyond the number strings that render keeps for most plans.
+    report = build_report(golden_corpus()[0], DEFAULT_CATALOG)
+    clusters = (Cluster("a", ("c0",)), Cluster("b", ("c1",)), Cluster("c", ("c2",)))
+    plan = SeparationPlan(clusters, (((1, 2), (10_000, 19_999)), ((2,), (9999,)), ((), ())))
+    assert plan.distances == ((0, 1, 10_000), (0, 2, 19_999), (1, 2, 9999))
+    text = report._replace(plan=plan).render()
+    assert text.split("\n== separation plan ==\n")[1].split("\n\n")[0].split("\n")[3:] == [
+        "  distance cluster 0 - cluster 1: 10000",
+        "  distance cluster 0 - cluster 2: 19999",
+        "  distance cluster 1 - cluster 2: 9999",
+    ]
 
 
 def test_plan_skips_a_component_without_anchors():
@@ -97,7 +151,7 @@ def test_plan_skips_a_component_without_anchors():
         Cluster("a0", ("c0",)), Cluster("a2", ("c1", "c2")), Cluster("b1", ("c3",))
     )
     assert plan.distances == ((0, 1, 2),)
-    assert plan == reference.separation_plan(g)
+    assert (plan.clusters, plan.distances) == reference.separation_plan(g)
 
 
 def test_plan_of_anchors_that_share_no_component():
@@ -105,7 +159,7 @@ def test_plan_of_anchors_that_share_no_component():
     plan = separation_plan(g)
     assert plan.clusters == (Cluster("u", ("c1",)), Cluster("v", ("c2",)), Cluster("w", ("c0",)))
     assert plan.distances == ()
-    assert plan == reference.separation_plan(g)
+    assert (plan.clusters, plan.distances) == reference.separation_plan(g)
 
 
 def test_plan_of_a_single_anchored_vertex():
@@ -113,7 +167,7 @@ def test_plan_of_a_single_anchored_vertex():
     plan = separation_plan(g)
     assert plan.clusters == (Cluster("v", ("c0", "c1")),)
     assert plan.distances == ()
-    assert plan == reference.separation_plan(g)
+    assert (plan.clusters, plan.distances) == reference.separation_plan(g)
 
 
 def test_plan_on_a_long_path():
