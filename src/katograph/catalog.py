@@ -35,6 +35,7 @@ from .groups import (
     canonicalize,
     cyclic,
     dihedral,
+    has_canonical_types,
     is_admissible,
     is_borel_form,
     json_scalar,
@@ -161,7 +162,8 @@ class Catalog:
     """Built-in elementary trees plus optional extension entries (read-only).
 
     Each instance keeps the trees, attachment traces and generation verdicts it has
-    given, so catalogs with different extensions share none of them."""
+    given, so catalogs with different extensions share none of them. It keeps nothing
+    for a symbol whose fields lack the canonical types (``has_canonical_types``)."""
 
     def __init__(self, extensions: Iterable[PrintedEntry] = ()):
         # The printed entry of (group, p): the extension's, else the built-in one, or None.
@@ -186,18 +188,26 @@ class Catalog:
     # -- trees ---------------------------------------------------------------
 
     def group_violations(self, g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
-        """``symbol_violations(g, ctx)``, kept per (g, ctx): a hand-built symbol's
-        canonical form is checked once. Every tree and trace request checks it."""
-        return self._violations[g, ctx]
+        """``symbol_violations(g, ctx)``, kept per (g, ctx) when ``g`` has the canonical
+        field types, so a hand-built symbol's canonical form is checked once. Every tree
+        and trace request checks it."""
+        if has_canonical_types(g):
+            return self._violations[g, ctx]
+        return symbol_violations(g, ctx)
+
+    def _admit(self, g: GroupSymbol, ctx: FieldContext) -> None:
+        """Raise ContextError with the violations of ``g`` in ctx, if it has any."""
+        if violations := self.group_violations(g, ctx):
+            raise ContextError("; ".join(violations))
 
     def elementary_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
         """T*(g), built on the first request and kept; errors are not kept."""
-        return self._trees[g, ctx]
+        if has_canonical_types(g):
+            return self._trees[g, ctx]
+        return self._build_tree(g, ctx)  # which refuses g
 
     def _build_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
-        violations = self.group_violations(g, ctx)
-        if violations:
-            raise ContextError("; ".join(violations))
+        self._admit(g, ctx)
         if ctx.positive_char or ctx.p > 5 or order(g, ctx) % ctx.p != 0:
             return self._star_tree(g, ctx)
         # Residue characteristic p <= 5 dividing the group order: a printed tree.
@@ -218,9 +228,7 @@ class Catalog:
         """
         if ctx.positive_char or g.kind == KIND_TRIVIAL:
             return len(self.elementary_tree(g, ctx).cusps)
-        violations = self.group_violations(g, ctx)
-        if violations:
-            raise ContextError("; ".join(violations))
+        self._admit(g, ctx)
         return 2 if g.kind == KIND_CYCLIC else 3
 
     def _star_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
@@ -266,7 +274,9 @@ class Catalog:
         and when an embed trace breaks a printed-trace rule (``_trace_error``).
         Kept like trees, per (edge_group, vertex_group, ctx); errors are not kept.
         """
-        return self._traces[edge_group, vertex_group, ctx]
+        if has_canonical_types(edge_group) and has_canonical_types(vertex_group):
+            return self._traces[edge_group, vertex_group, ctx]
+        return self._traces_of(edge_group, vertex_group, ctx)  # which refuses them
 
     def _traces_of(self, edge_group: GroupSymbol, vertex_group: GroupSymbol, ctx: FieldContext):
         for g in (edge_group, vertex_group):
@@ -330,7 +340,9 @@ class Catalog:
     def generation_violation(self, gv: GroupSymbol, inc: tuple, ctx: FieldContext) -> str | None:
         """Why the incident stabilizers ``inc`` of a vertex, in order, fail to generate ``gv``,
         or None. Kept like trees, per (gv, inc, ctx); errors are not kept."""
-        return self._verdicts[gv, inc, ctx]
+        if has_canonical_types(gv) and all(map(has_canonical_types, inc)):
+            return self._verdicts[gv, inc, ctx]
+        return self._generation_violation(gv, inc, ctx)
 
     def _generation_violation(self, gv: GroupSymbol, inc: tuple, ctx: FieldContext):
         """The whitelist rule, read from this catalog's trees. A trivial gv has no incident

@@ -318,26 +318,31 @@ class RunReport(NamedTuple):
         return "\n".join(out)
 
 
-# The number strings of a plan whose indices and distances are all below 1024, made once.
-_NUMERALS = tuple(map(str, range(1024)))
+# The number strings of 0 to 1023, made once: looking a number up costs less than formatting
+# it, and a long plan's distance lines are mostly numbers. A plan of fewer than 1024 vertices
+# has no cluster index or distance beyond them; the benchmark workloads reach 434 (forest).
+_NUMERALS = {x: str(x) for x in range(1024)}
 
 
-def _distance_rows(plan: SeparationPlan, ints=_NUMERALS) -> list[str]:
-    """The distance lines of each row that has any, one text per row: one join over the
-    row's pairs, whose numbers are the strings ``ints`` holds. A plan with a larger index
-    or distance (an edge count, never negative) is written again with its own strings."""
-    out = []
+def _distance_rows(plan: SeparationPlan) -> list[str]:
+    """The distance lines of each row that has any, one text per row. A plan with a number
+    that ``_NUMERALS`` lacks (a larger one, or a hand-built plan's negative one) is written
+    with strings of its own numbers."""
     try:
-        for i, (later, edges) in enumerate(plan.rows):
-            if later:
-                head = f"\n  distance cluster {i} - cluster "
-                pairs = [f"{ints[j]}: {ints[d]}" for j, d in zip(later, edges)]
-                out.append(head[1:] + head.join(pairs))
-    except IndexError:
-        if ints is not _NUMERALS:  # not a plan: a negative distance
-            raise
-        top = max([max(*later, *edges) for later, edges in plan.rows if later])
-        return _distance_rows(plan, [str(x) for x in range(top + 1)])
+        return _joined_rows(plan, _NUMERALS)
+    except KeyError:
+        numbers = {x for later, edges in plan.rows for x in (*later, *edges)}
+        return _joined_rows(plan, {x: str(x) for x in numbers})
+
+
+def _joined_rows(plan: SeparationPlan, ints: dict[int, str]) -> list[str]:
+    """Each row's lines as one join over its pairs, whose numbers are strings ``ints`` holds."""
+    out = []
+    for i, (later, edges) in enumerate(plan.rows):
+        if later:
+            head = f"\n  distance cluster {i} - cluster "
+            pairs = [f"{ints[j]}: {ints[d]}" for j, d in zip(later, edges)]
+            out.append(head[1:] + head.join(pairs))
     return out
 
 

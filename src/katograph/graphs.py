@@ -31,7 +31,6 @@ from .groups import (
     TRIVIAL,
     derive_edge_group,
     symbol_contains,
-    symbol_violations,
 )
 
 
@@ -186,13 +185,11 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
     vertex. Raises ValidationError listing every violation, or a bad field context alone."""
     if not isinstance(ctx := raw.ctx, FieldContext):
         raise ValidationError([f"input: ctx must be a field context, got {type(ctx).__name__}"])
-    seq = (tuple, list)
-    if not (isinstance(raw.vertices, seq) and isinstance(raw.edges, seq)
-            and isinstance(raw.genus_edges, seq)):
-        raise ValidationError([
-            f"input: {name} must be a tuple or list, got {type(items).__name__}"
-            for name, items in zip(raw._fields[1:], raw[1:]) if not isinstance(items, seq)
-        ])
+    if wrong := [
+        f"input: {name} must be a tuple or list, got {type(items).__name__}"
+        for name, items in zip(raw._fields[1:], raw[1:]) if not isinstance(items, (tuple, list))
+    ]:
+        raise ValidationError(wrong)
     bad: list[str] = []
 
     def bad_value(value, kind: str, xid, what: str = "id") -> bool:
@@ -209,16 +206,10 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             bad.append(msg)
         return msg is not None
 
-    def bad_group(g, kind: str, xid) -> bool:
-        """Whether ``g`` is not a group symbol whose fields have the canonical types;
-        a field of another type may not hash, or may hash as a canonical symbol's."""
-        if not isinstance(g, GroupSymbol):
-            bad.append(f"{kind} {xid}: group must be a group symbol, got {type(g).__name__}")
-            return True
-        k, n, t, variant = g
-        if type(n) is int is type(t) and type(k) is str is type(variant):
+    def not_symbol(g, kind: str, xid) -> bool:
+        if isinstance(g, GroupSymbol):
             return False
-        bad.extend(f"{kind} {xid}: {msg}" for msg in symbol_violations(g, ctx))
+        bad.append(f"{kind} {xid}: group must be a group symbol, got {type(g).__name__}")
         return True
 
     seen_v: set[str] = set()
@@ -231,7 +222,7 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             bad.append(f"vertex {v.id}: duplicate id")
             continue
         seen_v.add(v.id)
-        if bad_group(v.group, "vertex", v.id):
+        if not_symbol(v.group, "vertex", v.id):
             continue
         try:
             catalog.elementary_tree(v.group, ctx)  # only an admissible group gets a tree
@@ -289,16 +280,20 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
         if e.group is None:
             bad.append(f"edge {e.id}: no group given and derive not requested")
             continue
-        if e.group == TRIVIAL or bad_group(e.group, "edge", e.id):
-            continue  # a trivial edge is a component connector
-        bad.extend(f"edge {e.id}: {msg}" for msg in catalog.group_violations(e.group, ctx))
-        # Only a sound edge between two trees gets its traces, so each fault is said once.
-        if len(bad) > faults or a not in hosts or b not in hosts:
+        if not_symbol(e.group, "edge", e.id):
             continue
-        ends = []  # per end, the traces that may glue it: all, or those its site hint names
+        bad.extend(f"edge {e.id}: {msg}" for msg in catalog.group_violations(e.group, ctx))
+        # Only a sound edge between two trees gets its traces, so each fault is said once; a
+        # trivial edge is a component connector, with none.
+        if len(bad) > faults or e.group == TRIVIAL or a not in hosts or b not in hosts:
+            continue
+        # Per end, the traces that may glue it: all, or those its site hint names. Neither group
+        # has a violation, so both have the canonical types, and the catalog's table is read
+        # without attachment_traces checking them again at each end.
+        ends = []
         for vid, hint, side in zip(e.ends, e.site_hints, ("from", "to")):
             try:
-                traces = catalog.attachment_traces(e.group, hosts[vid], ctx)
+                traces = catalog._traces[e.group, hosts[vid], ctx]
             except CatalogError as exc:  # the edge group glues nowhere
                 bad.append(f"edge {e.id}: {exc}")
                 break

@@ -306,12 +306,20 @@ def validate_in_context(g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
     return tuple(bad)
 
 
+def has_canonical_types(g: GroupSymbol) -> bool:
+    """Whether the fields of ``g`` have the types the constructor helpers give them: a
+    string, two integers, a string. A field of another type may not hash, or may hash as
+    a canonical symbol's (``3.0`` and ``True`` do), so no table keeps such a symbol."""
+    kind, n, t, variant = g
+    return type(n) is int is type(t) and type(kind) is str is type(variant)
+
+
 def symbol_violations(g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
     """``validate_in_context`` of a symbol that may be hand-built. One that the constructor
-    helpers would not build, with a field of another type than theirs (a string, two
-    integers, a string) or that ``canonicalize`` would change, has only that violation."""
+    helpers would not build, with a field of another type than theirs or that
+    ``canonicalize`` would change, has only that violation."""
     try:
-        if tuple(map(type, g)) == (str, int, int, str) and (
+        if has_canonical_types(g) and (
             g.kind not in _KINDS or canonicalize(g) == g  # an unknown kind has its own message
         ):
             return validate_in_context(g, ctx)

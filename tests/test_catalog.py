@@ -13,6 +13,7 @@ from katograph.catalog import (
     load_extension_file,
     parse_extension,
 )
+from katograph.graphs import InputGraphOfGroups, InputVertex, validate_input
 from katograph.groups import (
     ContextError,
     FieldContext,
@@ -278,6 +279,35 @@ def test_trace_table_keeps_no_errors():
             cat.attachment_traces(TRIVIAL, dihedral(3), FieldContext(0, 7, 1))
         with pytest.raises(CatalogError, match="edge group not Borel/cyclic/printed"):
             cat.attachment_traces(dihedral(3), dihedral(3), FieldContext(2, 2, 1))
+
+
+@pytest.mark.parametrize("alike_first", [True, False], ids=["look-alike-first", "canonical-first"])
+def test_tables_keep_no_symbol_without_canonical_types(alike_first):
+    # GroupSymbol("cyclic", 3.0) equals C3 and hashes as C3 does. In either order, the
+    # look-alike is refused each time and C3 keeps its own answers.
+    cat, ctx = Catalog(), FieldContext(0, 7, 1)
+    c3, c5 = cyclic(3), cyclic(5)
+    alike, alike5 = GroupSymbol("cyclic", 3.0), GroupSymbol("cyclic", 5.0)
+    for first in (True, False) if alike_first else (False, True):
+        if first:
+            assert cat.group_violations(alike, ctx) == (
+                f"group must be a canonical group symbol, got {alike!r}",
+            )
+            with pytest.raises(ContextError, match="must be a canonical group symbol"):
+                cat.elementary_tree(alike, ctx)
+            with pytest.raises(ContextError, match="is not admissible"):
+                cat.attachment_traces(alike, dihedral(3), ctx)
+            assert cat.generation_violation(dihedral(3), (alike5,), ctx) == (
+                "incident stabilizer C5.0 is not contained in D3"
+            )
+        else:
+            assert cat.group_violations(c3, ctx) == ()
+            assert cat.elementary_tree(c3, ctx).group == c3
+            assert [t.site for t in cat.attachment_traces(c3, dihedral(3), ctx)] == ["c2"]
+            assert cat.generation_violation(dihedral(3), (c5,), ctx) == (
+                "incident stabilizer C5 is not contained in D3"
+            )
+    assert validate_input(InputGraphOfGroups(ctx, (InputVertex("v", c3),)), cat) == []
 
 
 @pytest.mark.parametrize("extended_first", [False, True], ids=["plain-first", "extended-first"])

@@ -125,18 +125,22 @@ def test_render_writes_one_line_per_distance():
 
 
 def test_render_writes_distances_beyond_the_graph_size():
-    # A hand-built plan may hold any distance, not only those of its graph, and
-    # these lie beyond the number strings that render keeps for most plans.
+    # A hand-built plan may hold any distance, not only those of its graph: beyond the
+    # number strings that render keeps for most plans, or even negative.
     report = build_report(golden_corpus()[0], DEFAULT_CATALOG)
     clusters = (Cluster("a", ("c0",)), Cluster("b", ("c1",)), Cluster("c", ("c2",)))
-    plan = SeparationPlan(clusters, (((1, 2), (10_000, 19_999)), ((2,), (9999,)), ((), ())))
-    assert plan.distances == ((0, 1, 10_000), (0, 2, 19_999), (1, 2, 9999))
-    text = report._replace(plan=plan).render()
-    assert text.split("\n== separation plan ==\n")[1].split("\n\n")[0].split("\n")[3:] == [
-        "  distance cluster 0 - cluster 1: 10000",
-        "  distance cluster 0 - cluster 2: 19999",
-        "  distance cluster 1 - cluster 2: 9999",
-    ]
+    for rows, lines in (
+        ((((1, 2), (10_000, 19_999)), ((2,), (9999,)), ((), ())),
+         ["0 - cluster 1: 10000", "0 - cluster 2: 19999", "1 - cluster 2: 9999"]),
+        ((((1, 2), (-1, 3)), ((2,), (-1024,)), ((), ())),
+         ["0 - cluster 1: -1", "0 - cluster 2: 3", "1 - cluster 2: -1024"]),
+    ):
+        plan = SeparationPlan(clusters, rows)
+        text = report._replace(plan=plan).render()
+        assert text.split("\n== separation plan ==\n")[1].split("\n\n")[0].split("\n")[3:] == [
+            f"  distance cluster {line}" for line in lines
+        ]
+    assert plan.distances == ((0, 1, -1), (0, 2, 3), (1, 2, -1024))
 
 
 def test_plan_skips_a_component_without_anchors():
