@@ -35,14 +35,13 @@ from .groups import (
     canonicalize,
     cyclic,
     dihedral,
-    has_canonical_types,
     is_admissible,
     is_borel_form,
     json_scalar,
     order,
     pl_invariants,
     symbol_contains,
-    symbol_violations,
+    validate_in_context,
     KIND_BOREL,
     KIND_CYCLIC,
     KIND_DIHEDRAL,
@@ -162,8 +161,7 @@ class Catalog:
     """Built-in elementary trees plus optional extension entries (read-only).
 
     Each instance keeps the trees, attachment traces and generation verdicts it has
-    given, so catalogs with different extensions share none of them. It keeps nothing
-    for a symbol whose fields lack the canonical types (``has_canonical_types``)."""
+    given, so catalogs with different extensions share none of them."""
 
     def __init__(self, extensions: Iterable[PrintedEntry] = ()):
         # The printed entry of (group, p): the extension's, else the built-in one, or None.
@@ -173,7 +171,6 @@ class Catalog:
             if key in self._entries:
                 raise CatalogError(f"duplicate extension entry for {key[0]} at p={entry.p}")
             self._entries[key] = entry
-        self._violations = _Kept(lambda key: symbol_violations(*key))
         self._trees = _Kept(lambda key: self._build_tree(*key))
         self._traces = _Kept(lambda key: self._traces_of(*key))
         self._verdicts = _Kept(lambda key: self._generation_violation(*key))
@@ -187,24 +184,14 @@ class Catalog:
 
     # -- trees ---------------------------------------------------------------
 
-    def group_violations(self, g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
-        """``symbol_violations(g, ctx)``, kept per (g, ctx) when ``g`` has the canonical
-        field types, so a hand-built symbol's canonical form is checked once. Every tree
-        and trace request checks it."""
-        if has_canonical_types(g):
-            return self._violations[g, ctx]
-        return symbol_violations(g, ctx)
-
     def _admit(self, g: GroupSymbol, ctx: FieldContext) -> None:
         """Raise ContextError with the violations of ``g`` in ctx, if it has any."""
-        if violations := self.group_violations(g, ctx):
+        if violations := validate_in_context(g, ctx):
             raise ContextError("; ".join(violations))
 
     def elementary_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
         """T*(g), built on the first request and kept; errors are not kept."""
-        if has_canonical_types(g):
-            return self._trees[g, ctx]
-        return self._build_tree(g, ctx)  # which refuses g
+        return self._trees[g, ctx]
 
     def _build_tree(self, g: GroupSymbol, ctx: FieldContext) -> ElementaryTree:
         self._admit(g, ctx)
@@ -274,13 +261,11 @@ class Catalog:
         and when an embed trace breaks a printed-trace rule (``_trace_error``).
         Kept like trees, per (edge_group, vertex_group, ctx); errors are not kept.
         """
-        if has_canonical_types(edge_group) and has_canonical_types(vertex_group):
-            return self._traces[edge_group, vertex_group, ctx]
-        return self._traces_of(edge_group, vertex_group, ctx)  # which refuses them
+        return self._traces[edge_group, vertex_group, ctx]
 
     def _traces_of(self, edge_group: GroupSymbol, vertex_group: GroupSymbol, ctx: FieldContext):
         for g in (edge_group, vertex_group):
-            if self.group_violations(g, ctx):
+            if validate_in_context(g, ctx):
                 raise ContextError(f"{g} is not admissible in this context")
         if edge_group.kind == KIND_TRIVIAL:
             raise SymbolError("trivial edges do not attach through the catalog")
@@ -340,9 +325,7 @@ class Catalog:
     def generation_violation(self, gv: GroupSymbol, inc: tuple, ctx: FieldContext) -> str | None:
         """Why the incident stabilizers ``inc`` of a vertex, in order, fail to generate ``gv``,
         or None. Kept like trees, per (gv, inc, ctx); errors are not kept."""
-        if has_canonical_types(gv) and all(map(has_canonical_types, inc)):
-            return self._verdicts[gv, inc, ctx]
-        return self._generation_violation(gv, inc, ctx)
+        return self._verdicts[gv, inc, ctx]
 
     def _generation_violation(self, gv: GroupSymbol, inc: tuple, ctx: FieldContext):
         """The whitelist rule, read from this catalog's trees. A trivial gv has no incident

@@ -31,6 +31,7 @@ from .groups import (
     TRIVIAL,
     derive_edge_group,
     symbol_contains,
+    validate_in_context,
 )
 
 
@@ -227,7 +228,7 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
         try:
             catalog.elementary_tree(v.group, ctx)  # only an admissible group gets a tree
         except ContextError:
-            bad.extend(f"vertex {v.id}: {msg}" for msg in catalog.group_violations(v.group, ctx))
+            bad.extend(f"vertex {v.id}: {msg}" for msg in validate_in_context(v.group, ctx))
         except CatalogError as exc:
             bad.append(f"vertex {v.id}: {exc}")
         else:
@@ -282,18 +283,15 @@ def check_input(raw: InputGraphOfGroups, catalog: Catalog = DEFAULT_CATALOG) -> 
             continue
         if not_symbol(e.group, "edge", e.id):
             continue
-        bad.extend(f"edge {e.id}: {msg}" for msg in catalog.group_violations(e.group, ctx))
+        bad.extend(f"edge {e.id}: {msg}" for msg in validate_in_context(e.group, ctx))
         # Only a sound edge between two trees gets its traces, so each fault is said once; a
         # trivial edge is a component connector, with none.
         if len(bad) > faults or e.group == TRIVIAL or a not in hosts or b not in hosts:
             continue
-        # Per end, the traces that may glue it: all, or those its site hint names. Neither group
-        # has a violation, so both have the canonical types, and the catalog's table is read
-        # without attachment_traces checking them again at each end.
-        ends = []
+        ends = []  # per end, the traces that may glue it: all, or those its site hint names
         for vid, hint, side in zip(e.ends, e.site_hints, ("from", "to")):
             try:
-                traces = catalog._traces[e.group, hosts[vid], ctx]
+                traces = catalog.attachment_traces(e.group, hosts[vid], ctx)
             except CatalogError as exc:  # the edge group glues nowhere
                 bad.append(f"edge {e.id}: {exc}")
                 break

@@ -1,10 +1,14 @@
 """Symbolic arithmetic over Dickson's classification of finite subgroups of PGL2.
 
-Group symbols are immutable and always stored in canonical form:
+Group symbols are immutable and canonical:
 
 * ``B(0, n)`` is spelled ``Cyclic(n)``, ``Cyclic(1)`` is spelled ``Trivial``;
 * ``B(t, 1)`` is the elementary abelian group ``E_t`` (kept as a Borel symbol);
 * ``Dihedral(1)`` is rejected outright (it is ``Cyclic(2)``).
+
+Every way to make a symbol or a field context checks it: the constructor, the helpers,
+``canonicalize``, ``_make``, ``_replace``, pickle and copy. A field of the wrong type or a
+symbol not in canonical form raises, so whatever holds one can trust it.
 
 Symbols and field contexts are named tuples, compared and hashed by value, so
 a symbol equals the plain tuple of its fields and symbols can be ordered and
@@ -42,13 +46,26 @@ class ContextError(ValueError):
     """Raised when an operation is applied to a group inadmissible in its context."""
 
 
+class _Checked:
+    """Builds through the class, and so its checks, in ``_make``, ``_replace``, pickle and copy."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
 class _Field(NamedTuple):
     char_K: int
     p: int
     m: int = 1
 
 
-class FieldContext(_Field):
+class FieldContext(_Checked, _Field):
     """Characteristic data of the base field.
 
     ``char_K`` is 0 or the prime ``p``; ``p`` is the residue characteristic;
@@ -59,6 +76,9 @@ class FieldContext(_Field):
     __slots__ = ()
 
     def __new__(cls, char_K: int, p: int, m: int = 1):
+        # 2.0 and True would hash as a valid context's field; ints only.
+        if not type(char_K) is type(p) is type(m) is int:
+            raise ContextError(f"char_K, p and m must be integers, got {(char_K, p, m)!r}")
         # The bounds keep trial division and every power p^t, t <= m, small.
         if p >= 2 ** 31:
             raise ContextError(f"residue characteristic {p} must be below 2^31")
@@ -77,13 +97,25 @@ class FieldContext(_Field):
         return self.char_K != 0
 
 
-class GroupSymbol(NamedTuple):
-    """A canonical Dickson symbol. Build via the constructor helpers below."""
-
+class _Symbol(NamedTuple):
     kind: str
     n: int = 0
     t: int = 0
     variant: str = ""
+
+
+class GroupSymbol(_Checked, _Symbol):
+    """A canonical Dickson symbol: the one its kind's helper below builds from its fields.
+    Any other, however it is made, raises SymbolError."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, n: int = 0, t: int = 0, variant: str = ""):
+        g = _symbol(kind, n, t, variant)
+        params, _, make = _KINDS[kind]
+        if (canonical := make(*(getattr(g, key) for key in params))) != g:
+            raise SymbolError(f"{g!r} is not canonical; build it as {canonical!r}")
+        return canonical
 
     def __str__(self) -> str:
         if self.kind == KIND_BOREL and self.n == 1:
@@ -91,34 +123,37 @@ class GroupSymbol(NamedTuple):
         return _KINDS[self.kind][1].format(n=self.n, t=self.t, variant=self.variant)
 
 
-TRIVIAL = GroupSymbol(KIND_TRIVIAL)
-TETRAHEDRAL = GroupSymbol(KIND_TETRAHEDRAL)
-OCTAHEDRAL = GroupSymbol(KIND_OCTAHEDRAL)
-ICOSAHEDRAL = GroupSymbol(KIND_ICOSAHEDRAL)
+def _symbol(kind: str, n: int = 0, t: int = 0, variant: str = "") -> GroupSymbol:
+    """The symbol of these fields, unchecked but for their types and the kind. A field of
+    another type may not hash, or may hash as a canonical symbol's (``3.0`` and ``True`` do)."""
+    if type(kind) is not str or kind not in _KINDS:  # a list or an object is unhashable
+        raise SymbolError(f"unknown group kind {kind!r}")
+    if not type(n) is type(t) is int or type(variant) is not str:
+        raise SymbolError(f"n and t must be integers and variant a string, got {(n, t, variant)!r}")
+    return tuple.__new__(GroupSymbol, (kind, n, t, variant))
 
 
 def cyclic(n: int) -> GroupSymbol:
+    g = _symbol(KIND_CYCLIC, n=n)
     if n < 1:
         raise SymbolError(f"cyclic order must be positive, got {n}")
-    if n == 1:
-        return TRIVIAL
-    return GroupSymbol(KIND_CYCLIC, n=n)
+    return TRIVIAL if n == 1 else g
 
 
 def dihedral(n: int) -> GroupSymbol:
+    g = _symbol(KIND_DIHEDRAL, n=n)
     if n < 2:
         raise SymbolError(f"dihedral parameter must be >= 2, got {n} (D1 is C2)")
-    return GroupSymbol(KIND_DIHEDRAL, n=n)
+    return g
 
 
 def borel(t: int, n: int) -> GroupSymbol:
+    g = _symbol(KIND_BOREL, n=n, t=t)
     if n < 1:
         raise SymbolError(f"Borel torus order must be positive, got B({t},{n})")
     if t < 0:
         raise SymbolError(f"Borel rank must be non-negative, got B({t},{n})")
-    if t == 0:
-        return cyclic(n)
-    return GroupSymbol(KIND_BOREL, n=n, t=t)
+    return cyclic(n) if t == 0 else g
 
 
 def elementary(t: int) -> GroupSymbol:
@@ -127,11 +162,12 @@ def elementary(t: int) -> GroupSymbol:
 
 
 def proj_linear(variant: str, t: int) -> GroupSymbol:
+    g = _symbol(KIND_PROJ_LINEAR, t=t, variant=variant)
     if variant not in ("PGL", "PSL"):
         raise SymbolError(f"projective linear variant must be PGL or PSL, got {variant!r}")
     if t < 1:
         raise SymbolError(f"projective linear field exponent must be >= 1, got {t}")
-    return GroupSymbol(KIND_PROJ_LINEAR, t=t, variant=variant)
+    return g
 
 
 # Each kind: its parameters, in the order the input format writes them and its
@@ -146,6 +182,11 @@ _KINDS = {
     KIND_OCTAHEDRAL: ((), "S4", lambda: OCTAHEDRAL),
     KIND_ICOSAHEDRAL: ((), "A5", lambda: ICOSAHEDRAL),
 }
+
+TRIVIAL = _symbol(KIND_TRIVIAL)
+TETRAHEDRAL = _symbol(KIND_TETRAHEDRAL)
+OCTAHEDRAL = _symbol(KIND_OCTAHEDRAL)
+ICOSAHEDRAL = _symbol(KIND_ICOSAHEDRAL)
 
 RawSymbol = Union[GroupSymbol, Mapping]
 
@@ -170,21 +211,19 @@ def canonicalize(raw: RawSymbol) -> GroupSymbol:
     ``{"kind": "borel", "t": 0, "n": 7}`` -> ``C7``. Idempotent.
     """
     if isinstance(raw, GroupSymbol):
-        kind, n, t, variant = raw.kind, raw.n, raw.t, raw.variant
-    elif isinstance(raw, Mapping):
-        kind = raw.get("kind")
-        try:
-            n = json_scalar(raw.get("n", 0), int, "n")
-            t = json_scalar(raw.get("t", 0), int, "t")
-        except TypeError as exc:
-            raise SymbolError(f"group parameters must be integers: {exc}") from exc
-        variant = raw.get("variant", "")
-    else:
+        return raw
+    if not isinstance(raw, Mapping):
         raise SymbolError(f"group description must be a symbol or a mapping, got {raw!r}")
+    kind = raw.get("kind")
+    try:
+        n = json_scalar(raw.get("n", 0), int, "n")
+        t = json_scalar(raw.get("t", 0), int, "t")
+    except TypeError as exc:
+        raise SymbolError(f"group parameters must be integers: {exc}") from exc
     if not isinstance(kind, str) or kind not in _KINDS:  # a list or an object is unhashable
         raise SymbolError(f"unknown group kind {kind!r}")
     params, _, make = _KINDS[kind]
-    given = {"n": n, "t": t, "variant": variant}
+    given = {"n": n, "t": t, "variant": raw.get("variant", "")}
     return make(*map(given.get, params))
 
 
@@ -260,8 +299,6 @@ def validate_in_context(g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
     characteristic 0 every Dickson type is admissible except the p-order
     families (Borel and projective linear symbols with t >= 1).
     """
-    if g.kind not in _KINDS:  # only a hand-built symbol; canonicalize rejects the kind
-        return (f"unknown group kind {g.kind!r}",)
     if g.kind == KIND_TRIVIAL:
         return ()
     bad: list[str] = []
@@ -304,28 +341,6 @@ def validate_in_context(g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
         elif (p ** (2 * m) - 1) % 5 != 0:
             bad.append(f"{g}: requires 5 | p^2m - 1 (p^2m={p ** (2 * m)})")
     return tuple(bad)
-
-
-def has_canonical_types(g: GroupSymbol) -> bool:
-    """Whether the fields of ``g`` have the types the constructor helpers give them: a
-    string, two integers, a string. A field of another type may not hash, or may hash as
-    a canonical symbol's (``3.0`` and ``True`` do), so no table keeps such a symbol."""
-    kind, n, t, variant = g
-    return type(n) is int is type(t) and type(kind) is str is type(variant)
-
-
-def symbol_violations(g: GroupSymbol, ctx: FieldContext) -> tuple[str, ...]:
-    """``validate_in_context`` of a symbol that may be hand-built. One that the constructor
-    helpers would not build, with a field of another type than theirs or that
-    ``canonicalize`` would change, has only that violation."""
-    try:
-        if has_canonical_types(g) and (
-            g.kind not in _KINDS or canonicalize(g) == g  # an unknown kind has its own message
-        ):
-            return validate_in_context(g, ctx)
-    except SymbolError:  # a parameter out of range
-        pass
-    return (f"group must be a canonical group symbol, got {g!r}",)
 
 
 def is_admissible(g: GroupSymbol, ctx: FieldContext) -> bool:

@@ -241,10 +241,9 @@ def test_tree_lookups_name_what_is_missing():
     assert tree.cusp("c2").stabilizer == cyclic(5)
     with pytest.raises(KeyError, match="c9"):
         tree.cusp("c9")
-    # Only a hand-built symbol has an unknown kind, and str() of it fails, so the
-    # message names the kind.
-    with pytest.raises(ContextError) as info:
-        CAT.elementary_tree(GroupSymbol("x"), FieldContext(0, 7, 1))
+    # A symbol of an unknown kind cannot be built, so no lookup meets one.
+    with pytest.raises(SymbolError) as info:
+        CAT.attachment_traces(GroupSymbol("x"), cyclic(3), FieldContext(0, 7, 1))
     assert str(info.value) == "unknown group kind 'x'"
 
 
@@ -283,31 +282,35 @@ def test_trace_table_keeps_no_errors():
 
 @pytest.mark.parametrize("alike_first", [True, False], ids=["look-alike-first", "canonical-first"])
 def test_tables_keep_no_symbol_without_canonical_types(alike_first):
-    # GroupSymbol("cyclic", 3.0) equals C3 and hashes as C3 does. In either order, the
-    # look-alike is refused each time and C3 keeps its own answers.
+    # GroupSymbol("cyclic", 3.0) and FieldContext(0, 7.0) would equal and hash as C3 and the
+    # context do, so neither can be built; in either order C3 keeps its own answers.
     cat, ctx = Catalog(), FieldContext(0, 7, 1)
     c3, c5 = cyclic(3), cyclic(5)
-    alike, alike5 = GroupSymbol("cyclic", 3.0), GroupSymbol("cyclic", 5.0)
     for first in (True, False) if alike_first else (False, True):
         if first:
-            assert cat.group_violations(alike, ctx) == (
-                f"group must be a canonical group symbol, got {alike!r}",
-            )
-            with pytest.raises(ContextError, match="must be a canonical group symbol"):
-                cat.elementary_tree(alike, ctx)
-            with pytest.raises(ContextError, match="is not admissible"):
-                cat.attachment_traces(alike, dihedral(3), ctx)
-            assert cat.generation_violation(dihedral(3), (alike5,), ctx) == (
-                "incident stabilizer C5.0 is not contained in D3"
-            )
+            with pytest.raises(SymbolError, match="must be integers and variant a string"):
+                GroupSymbol("cyclic", 3.0)
+            with pytest.raises(ContextError, match="must be integers"):
+                FieldContext(0, 7.0, 1)
         else:
-            assert cat.group_violations(c3, ctx) == ()
             assert cat.elementary_tree(c3, ctx).group == c3
             assert [t.site for t in cat.attachment_traces(c3, dihedral(3), ctx)] == ["c2"]
             assert cat.generation_violation(dihedral(3), (c5,), ctx) == (
                 "incident stabilizer C5 is not contained in D3"
             )
     assert validate_input(InputGraphOfGroups(ctx, (InputVertex("v", c3),)), cat) == []
+
+
+def test_a_float_context_cannot_change_the_int_contexts_tree():
+    # FieldContext(2, 2.0, 2) hashes as FieldContext(2, 2, 2). Were it built, the tree of
+    # PGL2(2) kept for it would carry cusps C3.0 and B(1, 1.0) into the int context.
+    cat, pgl = Catalog(), proj_linear("PGL", 1)
+    with pytest.raises(ContextError) as info:
+        cat.elementary_tree(pgl, FieldContext(2, 2.0, 2))
+    assert str(info.value) == "char_K, p and m must be integers, got (2, 2.0, 2)"
+    cusps = cat.elementary_tree(pgl, FieldContext(2, 2, 2)).cusps
+    assert [c.stabilizer for c in cusps] == [cyclic(3), elementary(1)]
+    assert all(type(x) is int for c in cusps for x in c.stabilizer[1:3])
 
 
 @pytest.mark.parametrize("extended_first", [False, True], ids=["plain-first", "extended-first"])

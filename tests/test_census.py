@@ -10,6 +10,10 @@ names its reason, one of ``REASONS``.
 rejection that reads only the input and the catalog sits in the ``check_input``
 column. ROADMAP item 8 decides whether the realizer's reasons are gluings to mend
 or inputs to reject.
+
+Each input that realizes is also put to the Riemann–Hurwitz identity
+(``tests/test_riemann_hurwitz.py``). The counts of where it holds and where it fails
+are pinned as measured; the failures are open (ROADMAP item 8), not passes.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from collections import Counter
 from itertools import product
 
 from inputs import TREE_CONTEXTS, tree_symbols
+from katograph.analysis import structural_check
 from katograph.catalog import Catalog, CatalogError
 from katograph.graphs import (
     InputEdge,
@@ -30,6 +35,7 @@ from katograph.graphs import (
     realize,
 )
 from katograph.groups import FieldContext, order
+from test_riemann_hurwitz import identity_sides
 
 REASONS = (
     "stabilizer merge without containment",
@@ -51,6 +57,21 @@ COLUMNS = {
     ("realize", "both sides fold at marked points"): (
         45, ("PGL2(p^1)", "B(1,2)", "PGL2(p^1)", FieldContext(3, 3, 1))
     ),
+}
+
+# The inputs that realize, by: whether the Riemann–Hurwitz identity holds; the sorted kinds
+# of the two ends' first candidate traces; whether the edge group is proper (equal to
+# neither end); and whether the structural check passes.
+RIEMANN_HURWITZ = {
+    (False, ("injective", "injective"), False, False): 56,
+    (False, ("injective", "injective"), True, False): 252,
+    (False, ("iso", "iso"), True, True): 298,
+    (True, ("fold", "fold"), True, True): 4874,
+    (True, ("fold", "iso"), False, True): 1158,
+    (True, ("fold", "iso"), True, True): 88,
+    (True, ("injective", "injective"), False, True): 168,
+    (True, ("injective", "injective"), True, True): 904,
+    (True, ("iso", "iso"), False, True): 924,
 }
 
 # The realized graphs of the inputs that realize, in census order, without their catalog.
@@ -83,8 +104,9 @@ def reason(exc: Exception) -> str:
 
 
 def test_single_edge_census():
-    sizes, smallest, digest = Counter(), {}, hashlib.sha256()
+    sizes, smallest, digest, identity = Counter(), {}, hashlib.sha256(), Counter()
     for raw, catalog in single_edges():
+        (u, v), (e,), ctx = raw.vertices, raw.edges, raw.ctx
         try:
             checked = check_input(raw, catalog)
         except ValidationError as exc:
@@ -97,7 +119,11 @@ def test_single_edge_census():
             else:
                 column = ("realizes", "")
                 digest.update(repr(graph[:6]).encode())
-        (u, v), (e,), ctx = raw.vertices, raw.edges, raw.ctx
+                chi, right = identity_sides(raw, catalog)
+                ((_, ends),) = checked.traces
+                kinds = tuple(sorted(traces[0].kind for traces in ends))
+                proper = e.group not in (u.group, v.group)
+                identity[chi == right, kinds, proper, structural_check(graph).ok] += 1
         key = (sum(order(x.group, ctx) for x in (u, e, v)), tuple(ctx))
         key += (str(u.group), str(e.group), str(v.group), ctx)
         sizes[column] += 1
@@ -105,3 +131,4 @@ def test_single_edge_census():
     assert {c: (sizes[c], smallest[c][2:]) for c in sizes} == COLUMNS
     assert sum(sizes.values()) == 10036
     assert digest.hexdigest() == REALIZED_DIGEST
+    assert identity == RIEMANN_HURWITZ

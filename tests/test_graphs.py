@@ -27,6 +27,7 @@ from katograph.groups import (
     FieldContext,
     GroupSymbol,
     ICOSAHEDRAL,
+    SymbolError,
     TETRAHEDRAL,
     TRIVIAL,
     borel,
@@ -336,28 +337,21 @@ def test_validate_rejects_ids_and_hints_that_are_not_strings():
     assert validate_input(InputGraphOfGroups(CTX7, [f], None)) == [
         "input: edges must be a tuple or list, got NoneType"
     ]
-    # A hand-built symbol must be one the constructor helpers build: fields of their
-    # types, in canonical form. Else it is one violation, at a vertex or an edge.
-    for bad in (
-        GroupSymbol("cyclic", -3),
-        GroupSymbol("cyclic", "3"),
-        GroupSymbol("dihedral", 0),
-        GroupSymbol("cyclic", [3]),
-        GroupSymbol("cyclic", 3.0),
-        GroupSymbol("cyclic", True),
-        GroupSymbol("cyclic", 1),
-        GroupSymbol("borel", 3, 0),
-        GroupSymbol("cyclic", 3, 2),
+    # A group symbol that the constructor helpers would not build, with a field of another
+    # type or out of canonical form, cannot be built, so no input holds one.
+    for fields, reason in (
+        (("cyclic", -3), "must be positive"),
+        (("cyclic", "3"), "integers and variant a string"),
+        (("dihedral", 0), "must be >= 2"),
+        (("cyclic", [3]), "integers and variant a string"),
+        (("cyclic", 3.0), "integers and variant a string"),
+        (("cyclic", True), "integers and variant a string"),
+        (("cyclic", 1), "not canonical"),
+        (("borel", 3, 0), "not canonical"),
+        (("cyclic", 3, 2), "not canonical"),
     ):
-        message = f"group must be a canonical group symbol, got {bad!r}"
-        for ctx in (CTX7, FieldContext(3, 3, 1)):
-            hosts = (InputVertex("a", dihedral(2)), InputVertex("b", dihedral(2)))
-            assert validate_input(InputGraphOfGroups(ctx, (InputVertex("v", bad),))) == [
-                f"vertex v: {message}"
-            ]
-            assert validate_input(
-                InputGraphOfGroups(ctx, hosts, (InputEdge("e", ("a", "b"), bad),))
-            ) == [f"edge e: {message}"]
+        with pytest.raises(SymbolError, match=reason):
+            GroupSymbol(*fields)
 
 
 def test_check_input_pins_every_violation_in_order():

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -135,6 +137,76 @@ def test_field_context_rejections(args, message):
     with pytest.raises(ContextError) as info:
         FieldContext(*args)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FieldContext(0, 5, 1)._replace(p=4), "residue characteristic 4 is not prime"),
+        (lambda: FieldContext(3, 3, 1)._replace(m=0), "residue degree m=0 must be >= 1"),
+        (lambda: FieldContext._make((0, 7, 0)), "residue degree m=0 must be >= 1"),
+        (lambda: FieldContext(True, 2), "char_K, p and m must be integers, got (True, 2, 1)"),
+    ],
+    ids=["replace-p", "replace-m", "make", "bool"],
+)
+def test_field_context_checks_every_way_it_is_made(build, message):
+    # Before, _replace skipped the checks, and validate_input passed a one-vertex input in
+    # FieldContext(0, 4, 1) or FieldContext(3, 3, 0).
+    with pytest.raises(ContextError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def _unpickled(value, **changes):
+    """What pickle and copy build for ``value`` with ``changes`` to its fields: they call
+    what ``__reduce_ex__`` gives, in every protocol."""
+    build, fields = value.__reduce_ex__(0)
+    return build(*{**dict(zip(value._fields, fields)), **changes}.values())
+
+
+# Each way to make a value, as a function of one integer field, with a value it accepts.
+_MAKERS = {
+    "constructor": (lambda x: GroupSymbol("cyclic", x), 3),
+    "cyclic": (cyclic, 3),
+    "dihedral": (dihedral, 3),
+    "borel-t": (lambda x: borel(x, 3), 2),
+    "borel-n": (lambda x: borel(1, x), 1),
+    "elementary": (elementary, 2),
+    "proj-linear": (lambda x: proj_linear("PGL", x), 1),
+    "canonicalize": (lambda x: canonicalize({"kind": "dihedral", "n": x}), 4),
+    "make": (lambda x: GroupSymbol._make(("cyclic", x, 0, "")), 3),
+    "replace": (lambda x: dihedral(5)._replace(n=x), 3),
+    "unpickle": (lambda x: _unpickled(borel(2, 3), t=x), 1),
+    "context": (lambda x: FieldContext(0, x), 7),
+    "context-make": (lambda x: FieldContext._make((x, x, 1)), 3),
+    "context-replace": (lambda x: FieldContext(2, 2)._replace(m=x), 1),
+    "context-unpickle": (lambda x: _unpickled(FieldContext(0, 7), p=x), 5),
+}
+
+
+@pytest.mark.parametrize("alike", [float, bool], ids=["float", "bool"])
+@pytest.mark.parametrize("build, value", _MAKERS.values(), ids=_MAKERS)
+def test_every_way_to_make_a_value_refuses_a_look_alike(build, value, alike):
+    # 3.0 == 3 and True == 1, with the same hashes, so a look-alike would share a
+    # canonical value's keys in the catalog's tables.
+    made = build(value)
+    assert type(made) in (GroupSymbol, FieldContext) and {type(x) for x in made} <= {int, str}
+    with pytest.raises((SymbolError, ContextError), match="integer"):
+        build(alike(value))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [TRIVIAL, cyclic(3), borel(2, 3), elementary(1), proj_linear("PSL", 2), ICOSAHEDRAL,
+     FieldContext(0, 7), FieldContext(3, 3, 2)],
+    ids=str,
+)
+def test_pickle_and_copy_keep_canonical_values(value):
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
+    for copied in (*pickled, copy.copy(value), copy.deepcopy(value)):
+        assert copied == value and type(copied) is type(value)
+    assert _unpickled(value) == value
 
 
 def test_context_prints_through_its_repr():
@@ -273,10 +345,10 @@ def test_validate_spec_examples():
     assert not is_admissible(TETRAHEDRAL, FieldContext(3, 3, 1))
     msgs = validate_in_context(TETRAHEDRAL, FieldContext(3, 3, 1))
     assert msgs and "2,3" in msgs[0]
-    # canonicalize rejects an unknown kind, so only a symbol built by hand has one.
-    for ctx in (FieldContext(0, 7, 1), FieldContext(3, 3, 1)):
-        assert is_admissible(GroupSymbol("x"), ctx) is False
-        assert validate_in_context(GroupSymbol("x"), ctx) == ("unknown group kind 'x'",)
+    # No symbol has an unknown kind: building one raises.
+    with pytest.raises(SymbolError) as info:
+        GroupSymbol("x")
+    assert str(info.value) == "unknown group kind 'x'"
 
 
 def test_icosahedral_at_three_needs_even_degree():

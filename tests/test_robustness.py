@@ -118,9 +118,8 @@ def test_run_ends_with_an_exit_code(tmp_path_factory, data):
 
 # Half the names are plain and vertex ids distinct, so that some inputs realize.
 NAME = st.sampled_from(["a", "b", "c"]) | TEXT
-VERTEX = st.builds(
-    InputVertex, NAME, st.sampled_from([TRIVIAL, cyclic(3), dihedral(3), dihedral(6), TETRAHEDRAL])
-)
+GROUP = st.sampled_from([TRIVIAL, cyclic(3), dihedral(3), dihedral(6), TETRAHEDRAL])
+VERTEX = st.builds(InputVertex, NAME, GROUP)
 ENDS = st.tuples(NAME, NAME)
 HINTS = st.tuples(st.none() | TEXT, st.none() | TEXT)
 EDGE = st.builds(InputEdge, NAME, ENDS, st.just(TRIVIAL), st.just(False), HINTS) | st.builds(
@@ -131,7 +130,7 @@ LIBRARY_INPUT = st.builds(
     st.just(FieldContext(0, 7)),
     st.lists(VERTEX, max_size=4, unique_by=lambda v: v.id).map(tuple),
     st.lists(EDGE, max_size=3).map(tuple),
-    st.lists(st.builds(GenusEdge, NAME, ENDS), max_size=2).map(tuple),
+    st.lists(st.builds(GenusEdge, NAME, ENDS, GROUP), max_size=2).map(tuple),
 )
 
 
